@@ -23,6 +23,7 @@ from .core import (
     GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
+    NumericalOverflowError,
     TimeSeriesData,
     Trajectory,
 )
@@ -31,6 +32,7 @@ from .models import (
     FitPosition,
     ModelKind,
     ScanGrid,
+    SplinePosterior,
     Window,
     fit_spline_posterior,
     posterior_moments,
@@ -121,12 +123,35 @@ def merwe_sigma_points(
 
 def _propagate(points: np.ndarray, f) -> np.ndarray:
     try:
-        out = np.asarray(f(points), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(f(points), dtype=float)
     except (TypeError, ValueError):
-        return np.array([float(f(x)) for x in points])
+        out = np.array([float(f(x)) for x in points])
     if out.shape != points.shape:
         out = np.array([float(f(x)) for x in points])
+    if not np.all(np.isfinite(out)):
+        raise NumericalOverflowError("the step map left the finite range")
     return out
+
+
+def _overflow_at(exc: NumericalOverflowError, times, t: int) -> NumericalOverflowError:
+    """``exc`` restated for the step into timepoint ``t``."""
+    return NumericalOverflowError(f"{exc} at timepoint {t} (t={times[t]})")
+
+
+def _finite_trajectory(grid, means: np.ndarray, variances: np.ndarray) -> Trajectory:
+    """The estimates as a trajectory; a non-finite one overflowed in the filter.
+
+    The data summaries are finite, so an estimate that is not was made by
+    the model or the filter arithmetic, not by the input.
+    """
+    bad = ~(np.isfinite(means) & np.isfinite(variances))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise NumericalOverflowError(
+            f"filter estimate left the finite range at timepoint {t} (t={grid.times[t]})"
+        )
+    return Trajectory(grid, means, variances)
 
 
 def unscented_transform(
@@ -135,8 +160,11 @@ def unscented_transform(
     """Propagate a Gaussian through ``f`` via sigma points; exact for affine maps."""
     pts = merwe_sigma_points(estimate.mean, estimate.variance, params)
     prop = _propagate(pts.points, f)
-    mean = float(np.sum(pts.mean_weights * prop))
-    variance = float(np.sum(pts.cov_weights * (prop - mean) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.sum(pts.mean_weights * prop))
+        variance = float(np.sum(pts.cov_weights * (prop - mean) ** 2))
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise NumericalOverflowError("the propagated moments left the finite range")
     return GaussianEstimate(mean, max(variance, VARIANCE_FLOOR))
 
 
@@ -202,7 +230,31 @@ class FlowStepDynamics:
     z_vars: np.ndarray
     scan: ScanGrid = field(default_factory=ScanGrid)
 
-    def step_map(self, times: np.ndarray, ref_means: np.ndarray, index: int):
+    def fit_window(
+        self, times: np.ndarray, ref_means: np.ndarray, index: int
+    ) -> SplinePosterior:
+        """Posterior of the right-endpoint window into ``index``, scored
+        against the data there; uniform weights if it is degenerate."""
+        target = GaussianEstimate(float(self.z_means[index]), float(self.z_vars[index]))
+        window = _right_window(times, ref_means, target, index, self.kind)
+        try:
+            return fit_spline_posterior(
+                window, self.kind, FitPosition.RIGHT_ENDPOINT, self.scan
+            )
+        except DegeneratePosteriorError:
+            return uniform_posterior(
+                window, self.kind, FitPosition.RIGHT_ENDPOINT, self.scan
+            )
+
+    def step_map(
+        self,
+        times: np.ndarray,
+        ref_means: np.ndarray,
+        index: int,
+        posterior: SplinePosterior | None = None,
+    ):
+        """Transition map into ``index``. A constant-regulation step reuses
+        ``posterior`` when the caller has already fit that window."""
         if index < 2:
             return lambda x: x
         delta = float(times[index] - times[index - 1])
@@ -210,18 +262,15 @@ class FlowStepDynamics:
             na = max(float(ref_means[index - 2]), POSITIVE_VALUE_FLOOR)
             nb = max(float(ref_means[index - 1]), POSITIVE_VALUE_FLOOR)
             growth = math.log(nb / na) / float(times[index - 1] - times[index - 2])
-            factor = math.exp(growth * delta)
+            try:
+                factor = math.exp(growth * delta)
+            except OverflowError:
+                raise NumericalOverflowError(
+                    f"birth-death step factor overflowed (growth={growth}, dt={delta})"
+                ) from None
             return lambda x, _f=factor: _f * x
-        target = GaussianEstimate(float(self.z_means[index]), float(self.z_vars[index]))
-        window = _right_window(times, ref_means, target, index, self.kind)
-        try:
-            posterior = fit_spline_posterior(
-                window, self.kind, FitPosition.RIGHT_ENDPOINT, self.scan
-            )
-        except DegeneratePosteriorError:
-            posterior = uniform_posterior(
-                window, self.kind, FitPosition.RIGHT_ENDPOINT, self.scan
-            )
+        if posterior is None:
+            posterior = self.fit_window(times, ref_means, index)
         best = int(np.argmax(posterior.weights))
         k_deg = float(posterior.k1_grid[best])
         steady = float(posterior.k2_values[best]) / k_deg
@@ -265,29 +314,23 @@ def run_adaptive_kf(
     f_means[:2] = z_means[:2]
     f_vars[:2] = z_vars[:2]
     for t in range(2, n):
-        target = GaussianEstimate(float(z_means[t]), float(z_vars[t]))
-        window = _right_window(grid.times, z_means, target, t, kind)
         try:
-            try:
-                posterior = fit_spline_posterior(
-                    window, kind, FitPosition.RIGHT_ENDPOINT, scan
-                )
-            except DegeneratePosteriorError:
-                posterior = uniform_posterior(
-                    window, kind, FitPosition.RIGHT_ENDPOINT, scan
-                )
+            posterior = dynamics.fit_window(grid.times, z_means, t)
         except DegeneratePosteriorError as exc:
             raise DegeneratePosteriorError(
                 f"model fit failed at timepoint {t} (t={grid.times[t]}): {exc}"
             ) from exc
-        flow = dynamics.step_map(grid.times, z_means, t)
+        try:
+            flow = dynamics.step_map(grid.times, z_means, t, posterior)
+        except NumericalOverflowError as exc:
+            raise _overflow_at(exc, grid.times, t) from exc
         e_model = float(flow(f_means[t - 1]))
         v_model = posterior_moments(posterior).estimate.variance
         b = v_model + q
         w = b / (b + z_vars[t])
         f_means[t] = w * z_means[t] + (1.0 - w) * e_model
         f_vars[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
-    return Trajectory(grid, f_means, f_vars)
+    return _finite_trajectory(grid, f_means, f_vars)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,9 +361,12 @@ def _ukf_forward(
     m_pred[0] = m[0]
     p_pred[0] = p[0]
     for t in range(1, n):
-        f = dynamics.step_map(times, m, t)
+        try:
+            f = dynamics.step_map(times, m, t)
+            predicted = unscented_transform(GaussianEstimate(m[t - 1], p[t - 1]), f, ut)
+        except NumericalOverflowError as exc:
+            raise _overflow_at(exc, times, t) from exc
         maps[t] = f
-        predicted = unscented_transform(GaussianEstimate(m[t - 1], p[t - 1]), f, ut)
         m_pred[t] = predicted.mean
         p_pred[t] = predicted.variance + q
         gain = p_pred[t] / (p_pred[t] + z_vars[t])
@@ -337,7 +383,10 @@ def _urts_backward(
     ps = forward.variances.copy()
     for t in range(n - 2, -1, -1):
         pts = merwe_sigma_points(forward.means[t], forward.variances[t], ut)
-        prop = _propagate(pts.points, forward.maps[t + 1])
+        try:
+            prop = _propagate(pts.points, forward.maps[t + 1])
+        except NumericalOverflowError as exc:
+            raise _overflow_at(exc, times, t + 1) from exc
         cross = _cross_covariance(pts, prop, forward.means[t])
         gain = cross / forward.pred_variances[t + 1]
         ms[t] = forward.means[t] + gain * (ms[t + 1] - forward.pred_means[t + 1])
@@ -368,7 +417,7 @@ def run_ukf(
     if dynamics is None:
         dynamics = FlowStepDynamics(kind, z_means, z_vars, scan)
     forward = _ukf_forward(grid.times, z_means, z_vars, dynamics, q, ut_params)
-    return Trajectory(grid, forward.means, forward.variances)
+    return _finite_trajectory(grid, forward.means, forward.variances)
 
 
 def run_urts(
@@ -386,7 +435,7 @@ def run_urts(
         dynamics = FlowStepDynamics(kind, z_means, z_vars, scan)
     forward = _ukf_forward(grid.times, z_means, z_vars, dynamics, q, ut_params)
     ms, ps = _urts_backward(grid.times, forward, ut_params)
-    return Trajectory(grid, ms, ps)
+    return _finite_trajectory(grid, ms, ps)
 
 
 def _linear_rts_pass(
@@ -453,15 +502,18 @@ def run_ipls(
         intercepts = np.zeros(n)
         noises = np.zeros(n)
         for t in range(1, n):
-            f = dynamics.step_map(grid.times, ms, t)
-            slope, intercept, residual = statistical_linearization(
-                float(ms[t - 1]), float(ps[t - 1]), f, ut_params
-            )
+            try:
+                f = dynamics.step_map(grid.times, ms, t)
+                slope, intercept, residual = statistical_linearization(
+                    float(ms[t - 1]), float(ps[t - 1]), f, ut_params
+                )
+            except NumericalOverflowError as exc:
+                raise _overflow_at(exc, grid.times, t) from exc
             slopes[t] = slope
             intercepts[t] = intercept
             noises[t] = residual + q
         ms, ps = _linear_rts_pass(grid.times, z_means, z_vars, slopes, intercepts, noises)
-    return Trajectory(grid, ms, ps)
+    return _finite_trajectory(grid, ms, ps)
 
 
 def run_baseline(

@@ -19,6 +19,7 @@ Two model kinds are supported:
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -122,10 +123,16 @@ class ScanGrid:
         if self.k_max is not None and self.k_max <= self.k_min:
             raise InvalidParameterError("k_max must exceed k_min")
 
-    def values(self, window_span: float) -> np.ndarray:
-        k_max = self.k_max if self.k_max is not None else 10.0 / window_span
-        k_max = max(k_max, self.k_min * (1.0 + 1e-9))
-        return np.geomspace(self.k_min, k_max, self.num)
+    def values(self, window_span) -> np.ndarray:
+        """Scan values for one window span, or one row per span of an array.
+
+        Rows are C-contiguous, so row reductions sum in the same order as
+        for a single span.
+        """
+        span = np.asarray(window_span, dtype=float)
+        k_max = np.full_like(span, self.k_max) if self.k_max is not None else 10.0 / span
+        k_max = np.maximum(k_max, self.k_min * (1.0 + 1e-9))
+        return np.ascontiguousarray(np.geomspace(self.k_min, k_max, self.num, axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,15 +232,21 @@ def solve_k_birth(k_death: float, window: Window, pos: FitPosition) -> float:
     return k_death + _bd_growth(window)
 
 
+def _cr_anchor_decay(k_deg, dt):
+    """``exp(-k_deg * dt)`` and ``1 - exp(-k_deg * dt)``, the second via expm1
+    so small rates stay accurate."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(-k_deg * dt), -np.expm1(-k_deg * dt)
+
+
 def _cr_steady(k_deg, window: Window):
     """Steady state ``k_exp / k_deg`` pinning the flow to both anchors.
 
-    Vectorized over ``k_deg``; uses expm1 so small rates stay accurate.
+    Vectorized over ``k_deg``.
     """
     (ta, xa), (tb, xb) = window.ordered_anchors()
+    decay, denom = _cr_anchor_decay(k_deg, tb - ta)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        decay = np.exp(-k_deg * (tb - ta))
-        denom = -np.expm1(-k_deg * (tb - ta))
         steady = (xb - xa * decay) / denom
     if not np.all(np.isfinite(steady)):
         raise InvalidParameterError(
@@ -376,14 +389,76 @@ def window_at(
     return window, pos
 
 
+def _anchor_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Earlier and later anchor index of the window around every timepoint,
+    laid out as in :func:`window_at`."""
+    ia = np.arange(-1, n - 1)
+    ib = np.arange(1, n + 1)
+    ia[0], ib[0] = 1, 2
+    ia[-1], ib[-1] = n - 3, n - 2
+    return ia, ib
+
+
+@functools.lru_cache(maxsize=1)
+def _const_reg_tables(times: bytes, scan: ScanGrid):
+    """The parts of the constant-regulation scan that depend only on the grid.
+
+    Returns the anchor indices and, per window and scanned ``k_deg``, the
+    scan value, the anchor decay and its complement (see ``_cr_anchor_decay``)
+    and the relaxation factor from the earlier anchor to the target. One slot
+    serves every iteration of a series and every following series on the
+    same grid; the arrays are read-only because every caller shares them.
+    """
+    t = np.frombuffer(times)
+    ia, ib = _anchor_indices(len(t))
+    ta, tb = t[ia], t[ib]
+    k1 = scan.values(np.maximum(tb, t) - np.minimum(ta, t))
+    decay, denom = _cr_anchor_decay(k1, (tb - ta)[:, None])
+    with np.errstate(over="ignore", under="ignore"):
+        relax = np.exp(-k1 * (t - ta)[:, None])
+    tables = (ia, ib, k1, decay, denom, relax)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+#: What the scalar fit raises for a window, by the stage that fails first:
+#: the target estimate, the anchors, the steady state, the predictions,
+#: then the posterior moments.
+_WINDOW_FAILURES = (
+    (InvalidDataError, "mean and variance must be finite"),
+    (InvalidDataError, "variance must be non-negative"),
+    (InvalidDataError, "window times and values must be finite"),
+    (InvalidParameterError, "k_deg too small: the anchor decay denominator underflowed"),
+    (
+        DegeneratePosteriorError,
+        "model fit failed at timepoint {index} (t={time}): "
+        "spline predictions left the finite range",
+    ),
+    (InvalidDataError, "mean and variance must be finite"),
+)
+
+#: First stage at which the scalar fit has already logged the
+#: uniform-weights warning for its window.
+_WARNED_STAGE = 4
+
+
 @dataclass(frozen=True)
 class SplinePathModel:
     """Path-level predictor backed by the ODE-spline posterior.
 
     Given the previous filter trajectory, produces the model mean and
-    variance at every timepoint by fitting a window around each point.
-    A degenerate posterior falls back to uniform weights (logged); any
-    deeper failure is re-raised with the offending timepoint attached.
+    variance at every timepoint from the window around it, as
+    :func:`window_at`, :func:`fit_spline_posterior` and
+    :func:`posterior_moments` would one window at a time, but as one array
+    kernel over all windows. A degenerate posterior falls back to uniform
+    weights (logged); any deeper failure is raised for the first window
+    that fails, with the error the scalar fit raises there.
+
+    Birth/death predictions do not depend on the scanned parameter, so its
+    posterior collapses to the closed form ``va * exp(growth * (t - ta))``
+    with variance ``VARIANCE_FLOOR`` and no scan. Constant regulation scans
+    an ``(n, K)`` array whose grid-only factors are kept in a one-slot memo.
     """
 
     kind: ModelKind
@@ -392,25 +467,59 @@ class SplinePathModel:
     def predict_path(
         self, grid: TimeGrid, means: np.ndarray, variances: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(grid)
-        out_means = np.empty(n)
-        out_vars = np.empty(n)
-        for t in range(n):
-            window, pos = window_at(grid, means, variances, t, self.kind)
-            try:
-                try:
-                    posterior = fit_spline_posterior(window, self.kind, pos, self.scan)
-                except DegeneratePosteriorError:
-                    logger.warning(
-                        "degenerate spline posterior at t=%s; using uniform weights",
-                        grid.times[t],
-                    )
-                    posterior = uniform_posterior(window, self.kind, pos, self.scan)
-            except DegeneratePosteriorError as exc:
-                raise DegeneratePosteriorError(
-                    f"model fit failed at timepoint {t} (t={grid.times[t]}): {exc}"
-                ) from exc
-            prediction = posterior_moments(posterior)
-            out_means[t] = prediction.estimate.mean
-            out_vars[t] = prediction.estimate.variance
-        return out_means, out_vars
+        times = grid.times
+        means = np.asarray(means, dtype=float)
+        variances = np.asarray(variances, dtype=float)
+        with np.errstate(all="ignore"):
+            if self.kind is ModelKind.BIRTH_DEATH:
+                ia, ib = _anchor_indices(len(times))
+                xa = np.maximum(means[ia], POSITIVE_VALUE_FLOOR)
+                xb = np.maximum(means[ib], POSITIVE_VALUE_FLOOR)
+                growth = np.log(xb / xa) / (times[ib] - times[ia])
+                # one column: every weight below is one, so the mean is this
+                # prediction and the variance is zero before the floor
+                predictions = (xa * np.exp(growth * (times - times[ia])))[:, None]
+                bad_steady = np.zeros(len(times), dtype=bool)
+            else:
+                ia, ib, _, decay, denom, relax = _const_reg_tables(
+                    times.tobytes(), self.scan
+                )
+                xa, xb = means[ia], means[ib]
+                steady = (xb[:, None] - xa[:, None] * decay) / denom
+                predictions = steady + (xa[:, None] - steady) * relax
+                bad_steady = ~np.all(np.isfinite(steady), axis=1)
+            scale = 2.0 * np.maximum(variances, VARIANCE_FLOOR)
+            losses = (predictions - means[:, None]) ** 2 / scale[:, None]
+            log_weights = -losses
+            peak = np.max(log_weights, axis=1, keepdims=True)
+            raw = np.exp(log_weights - peak)
+            weights = raw / raw.sum(axis=1, keepdims=True)
+            weights = weights / weights.sum(axis=1, keepdims=True)
+            degenerate = ~np.isfinite(peak[:, 0])
+            if degenerate.any():
+                uniform = np.full(predictions.shape[1], 1.0 / predictions.shape[1])
+                weights[degenerate] = uniform / uniform.sum()
+            out_means = np.sum(weights * predictions, axis=1)
+            out_vars = np.sum(weights * (predictions - out_means[:, None]) ** 2, axis=1)
+
+        bad_predictions = ~np.all(np.isfinite(predictions), axis=1)
+        failures = np.stack([  # one row per entry of _WINDOW_FAILURES
+            ~(np.isfinite(means) & np.isfinite(variances)),
+            variances < 0,
+            ~(np.isfinite(xa) & np.isfinite(xb)),
+            bad_steady,
+            bad_predictions,
+            ~(np.isfinite(out_means) & np.isfinite(out_vars)),
+        ])
+        failed = failures.any(axis=0)
+        first = int(np.argmax(failed)) if failed.any() else len(times)
+        stage = int(np.argmax(failures[:, first])) if first < len(times) else -1
+        warn_until = first + 1 if stage >= _WARNED_STAGE else first
+        for t in np.flatnonzero((degenerate | bad_predictions)[:warn_until]):
+            logger.warning(
+                "degenerate spline posterior at t=%s; using uniform weights", times[t]
+            )
+        if stage >= 0:
+            error, message = _WINDOW_FAILURES[stage]
+            raise error(message.format(index=first, time=times[first]))
+        return out_means, np.maximum(out_vars, VARIANCE_FLOOR)

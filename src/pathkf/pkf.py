@@ -171,11 +171,13 @@ def pkf_step(
     return GaussianEstimate(mean, variance), weights, q_new
 
 
-def _wrap_weights(w, wm, wf) -> tuple[PkfWeights, ...]:
-    return tuple(
+def _pkf_state(iteration, grid, f_means, f_vars, q, w, wm, wf) -> PkfState:
+    """The validated state of one iteration, built only for kept iterations."""
+    weights = tuple(
         PkfWeights(float(wi), float(wmi), float(max(wfi, 0.0)))
         for wi, wmi, wfi in zip(w, wm, wf)
     )
+    return PkfState(iteration, Trajectory(grid, f_means, f_vars), q, weights)
 
 
 def run_pkf(
@@ -206,14 +208,6 @@ def run_pkf(
 
     grid = data.grid
     z_means, z_vars = data.summaries()
-    n = len(grid)
-    init_weights = tuple(PkfWeights(1.0, 0.0, 0.0) for _ in range(n))
-    state = PkfState(
-        iteration=0,
-        filter=Trajectory(grid, z_means, z_vars),
-        process_uncertainty=z_vars,
-        weights=init_weights,
-    )
 
     history: list[PkfState] = []
     trace_dq: list[float] = []
@@ -237,19 +231,17 @@ def run_pkf(
         trace_vmax.append(float(np.max(new_vars)))
 
         f_means, f_vars, q = new_means, new_vars, new_q
-        state = PkfState(
-            iteration=i,
-            filter=Trajectory(grid, f_means, f_vars),
-            process_uncertainty=q,
-            weights=_wrap_weights(w, wm, wf),
-        )
         if retain_history:
-            history.append(state)
+            history.append(_pkf_state(i, grid, f_means, f_vars, q, w, wm, wf))
         if early_stop and dq / (float(np.max(q)) + VARIANCE_FLOOR) < EARLY_STOP_RTOL:
             break
 
+    if retain_history:
+        final = history[-1]
+    else:
+        final = _pkf_state(i, grid, f_means, f_vars, q, w, wm, wf)
     return PkfResult(
-        final=state,
+        final=final,
         history=tuple(history) if retain_history else None,
         max_abs_dq=np.asarray(trace_dq),
         max_filter_variance=np.asarray(trace_vmax),

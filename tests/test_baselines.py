@@ -9,6 +9,7 @@ from pathkf import (
     GaussianEstimate,
     InvalidParameterError,
     ModelKind,
+    NumericalOverflowError,
     SigmaPoints,
     TimeGrid,
     TimeSeriesData,
@@ -207,3 +208,36 @@ class TestIpls:
         data, *_ = affine_case
         with pytest.raises(InvalidParameterError):
             run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=0)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("run", [run_ukf, run_urts, run_ipls])
+    @pytest.mark.parametrize("spike", [50.0, 1e8])
+    def test_birth_death_step_overflow_is_typed(self, run, spike):
+        # a near-zero mean followed by a jump gives a growth rate near
+        # log(spike / 1e-6) / 0.01, which overflows over the next, longer step
+        groups = [[v, v] for v in (1.0, 1e-7, spike, 3.0, 4.0)]
+        data = series_from_groups(groups, times=[0.0, 0.01, 0.02, 1.0, 2.0])
+        with pytest.raises(NumericalOverflowError, match="factor overflowed .* at timepoint 3 "):
+            run(data, ModelKind.BIRTH_DEATH)
+
+    @pytest.mark.parametrize("run", [run_ukf, run_urts, run_ipls])
+    def test_overflowing_propagation_is_typed(self, run):
+        # here the step factor is finite but the propagated sigma points are not
+        groups = [[v, v] for v in (1.0, 1e-7, 1e12, 3.0, 4.0)]
+        data = series_from_groups(groups, times=[0.0, 0.1, 0.2, 1.0, 2.0])
+        with pytest.raises(NumericalOverflowError, match="step map .* at timepoint 4 "):
+            run(data, ModelKind.BIRTH_DEATH)
+
+
+def test_adaptive_kf_fits_each_window_once(monkeypatch):
+    import pathkf.baselines as baselines
+
+    calls = []
+    fit = baselines.fit_spline_posterior
+    monkeypatch.setattr(
+        baselines, "fit_spline_posterior", lambda *a, **k: calls.append(1) or fit(*a, **k)
+    )
+    data = random_series(np.random.default_rng(3), n=12)
+    run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
+    assert len(calls) == 12 - 2

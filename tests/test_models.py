@@ -1,5 +1,6 @@
 """ODE flows, anchor solvers, and the spline posterior."""
 
+import logging
 import math
 
 import numpy as np
@@ -14,7 +15,10 @@ from pathkf import (
     InvalidParameterError,
     ModelKind,
     NumericalOverflowError,
+    PathkfError,
     ScanGrid,
+    SplinePathModel,
+    TimeGrid,
     Window,
     fit_spline_posterior,
     flow_birth_death,
@@ -23,7 +27,7 @@ from pathkf import (
     solve_k_birth,
     solve_k_exp,
 )
-from pathkf.models import SplinePosterior, uniform_posterior
+from pathkf.models import SplinePosterior, uniform_posterior, window_at
 
 from oracles import rk4_integrate
 
@@ -335,3 +339,121 @@ class TestRefinementOracle:
         ).estimate
         np.testing.assert_allclose(coarse.mean, fine.mean, rtol=1e-4)
         np.testing.assert_allclose(coarse.variance, fine.variance, rtol=1e-4)
+
+
+def scalar_predict_path(kind, grid, means, variances, scan=ScanGrid()):
+    """Reference for the path kernel: one scalar window fit per timepoint."""
+    n = len(grid)
+    out_means = np.empty(n)
+    out_vars = np.empty(n)
+    for t in range(n):
+        window, pos = window_at(grid, means, variances, t, kind)
+        try:
+            try:
+                posterior = fit_spline_posterior(window, kind, pos, scan)
+            except DegeneratePosteriorError:
+                logging.getLogger("pathkf.models").warning(
+                    "degenerate spline posterior at t=%s; using uniform weights",
+                    grid.times[t],
+                )
+                posterior = uniform_posterior(window, kind, pos, scan)
+        except DegeneratePosteriorError as exc:
+            raise DegeneratePosteriorError(
+                f"model fit failed at timepoint {t} (t={grid.times[t]}): {exc}"
+            ) from exc
+        estimate = posterior_moments(posterior).estimate
+        out_means[t] = estimate.mean
+        out_vars[t] = estimate.variance
+    return out_means, out_vars
+
+
+def random_path(rng, kind):
+    n = int(rng.integers(3, 26))
+    times = np.cumsum(rng.uniform(0.01, 3.0, n)) - rng.uniform(0.0, 5.0)
+    scale = 10.0 ** rng.uniform(-4.0, 6.0)
+    low = 0.2 if kind is ModelKind.BIRTH_DEATH else -1.0
+    means = scale * rng.uniform(low, 2.0, n)
+    variances = (scale * rng.uniform(0.01, 0.5, n)) ** 2
+    return TimeGrid(times), means, variances
+
+
+class TestPathKernel:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_matches_scalar_window_fits(self, kind):
+        rng = np.random.default_rng(23)
+        model = SplinePathModel(kind)
+        eps = np.finfo(float).eps
+        for _ in range(150):
+            grid, means, variances = random_path(rng, kind)
+            got_means, got_vars = model.predict_path(grid, means, variances)
+            ref_means, ref_vars = scalar_predict_path(kind, grid, means, variances)
+            np.testing.assert_allclose(got_means, ref_means, rtol=1e-12)
+            # the scalar variance of a birth/death posterior is the spread of
+            # 200 copies of one value, i.e. rounding noise of order
+            # (eps * mean)^2; the kernel gives the floor it approximates
+            noise = 200 * (eps * np.abs(ref_means)) ** 2
+            assert np.all(np.abs(got_vars - ref_vars) <= 1e-12 * ref_vars + noise)
+            if kind is ModelKind.BIRTH_DEATH:
+                assert np.all(got_vars == VARIANCE_FLOOR)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_overflowing_losses_fall_back_to_uniform_weights(self, kind, caplog):
+        grid = TimeGrid(np.arange(6.0))
+        means = np.array([1.0, 1.0, 1.0, 1e150, 1.0, 1.0])
+        variances = np.full(6, VARIANCE_FLOOR)
+        with caplog.at_level("WARNING", logger="pathkf.models"):
+            got_means, got_vars = SplinePathModel(kind).predict_path(grid, means, variances)
+        assert "degenerate spline posterior at t=3.0" in caplog.text
+        assert np.all(np.isfinite(got_means)) and np.all(np.isfinite(got_vars))
+        with np.errstate(over="ignore"):
+            ref_means, _ = scalar_predict_path(kind, grid, means, variances)
+        np.testing.assert_allclose(got_means, ref_means, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, times, means, variances",
+        [
+            # window 3 anchors on the NaN before window 4 targets it
+            (ModelKind.CONSTANT_REGULATION, range(6), [1, 2, 3, 4, np.nan, 5], [1] * 6),
+            (ModelKind.BIRTH_DEATH, range(5), [1, 2, 3, 4, 5], [1, 1, -1, 1, 1]),
+            (ModelKind.BIRTH_DEATH, [0, 1, 1.001, 2], [1, 1e-6, 1, 1], [1] * 4),
+            (ModelKind.CONSTANT_REGULATION, range(5), [1, 1, 1e308, -1e308, 1], [1] * 5),
+            (ModelKind.CONSTANT_REGULATION, range(5), [1, 1, 1e160, 1, 1], [1] * 5),
+        ],
+    )
+    def test_failures_match_the_scalar_fit(self, kind, times, means, variances, caplog):
+        grid = TimeGrid(np.asarray(times, dtype=float))
+        means = np.asarray(means, dtype=float)
+        variances = np.asarray(variances, dtype=float)
+        with caplog.at_level("WARNING", logger="pathkf.models"):
+            with np.errstate(all="ignore"), pytest.raises(PathkfError) as ref:
+                scalar_predict_path(kind, grid, means, variances)
+            ref_warnings = caplog.messages
+            caplog.clear()
+            with pytest.raises(type(ref.value)) as got:
+                SplinePathModel(kind).predict_path(grid, means, variances)
+        assert str(got.value) == str(ref.value)
+        assert caplog.messages == ref_warnings
+
+    def test_results_do_not_depend_on_the_memo(self):
+        rng = np.random.default_rng(4)
+        model = SplinePathModel(ModelKind.CONSTANT_REGULATION)
+        grid_a, means_a, vars_a = random_path(rng, model.kind)
+        grid_b, means_b, vars_b = random_path(rng, model.kind)
+        outputs = []
+        for grid, means, variances in (
+            (grid_a, means_a, vars_a),  # miss or hit, depending on earlier tests
+            (grid_a, means_a, vars_a),  # hit
+            (grid_b, means_b, vars_b),  # replaces the slot
+            (grid_a, means_a, vars_a),  # miss
+        ):
+            m, v = model.predict_path(grid, means, variances)
+            outputs.append(m.tobytes() + v.tobytes())
+        assert outputs[0] == outputs[1] == outputs[3]
+
+    @pytest.mark.parametrize("scan", [ScanGrid(), ScanGrid(num=37, k_min=1e-3, k_max=5.0)])
+    def test_scan_values_of_many_spans_match_single_spans(self, scan):
+        spans = 10.0 ** np.random.default_rng(8).uniform(-3.0, 3.0, 1000)
+        table = scan.values(spans)
+        assert table.shape == (1000, scan.num)
+        for span, row in zip(spans, table):
+            assert row.tobytes() == scan.values(float(span)).tobytes()
