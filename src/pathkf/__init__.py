@@ -9,14 +9,11 @@ benchmark harness, and a CLI for batch processing of measurement panels.
 
 from .baselines import (
     AffineStepDynamics,
-    BaselineAlgorithm,
-    BaselineConfig,
     SigmaPoints,
     UT_DEFAULT,
     UtParams,
     merwe_sigma_points,
     run_adaptive_kf,
-    run_baseline,
     run_ipls,
     run_ukf,
     run_urts,

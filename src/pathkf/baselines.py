@@ -11,7 +11,6 @@ isolate the algorithms themselves.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -40,13 +39,6 @@ from .models import (
 )
 
 
-class BaselineAlgorithm(enum.Enum):
-    ADAPTIVE_KF = "kf"
-    UNSCENTED_KF = "ukf"
-    UNSCENTED_RTS = "urts"
-    IPLS = "ipls"
-
-
 @dataclass(frozen=True)
 class UtParams:
     """Scaled sigma-point parameters.
@@ -62,22 +54,6 @@ class UtParams:
 
 
 UT_DEFAULT = UtParams()
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """One baseline run: algorithm, constant process uncertainty, knobs."""
-
-    algorithm: BaselineAlgorithm
-    q: float = 1.0
-    iterations: int = 1
-    ut_params: UtParams = UT_DEFAULT
-
-    def __post_init__(self):
-        if not math.isfinite(self.q) or self.q < 0:
-            raise InvalidParameterError("q must be finite and non-negative")
-        if self.iterations < 1:
-            raise InvalidParameterError("iterations must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +276,9 @@ def run_adaptive_kf(
     The first two timepoints take the data summaries directly. From the
     third on, a right-endpoint window of the data trajectory supplies the
     flow parameters and the model variance; the model mean propagates the
-    previous filter estimate through that flow. The gain
+    previous filter estimate through that flow. A birth/death prediction
+    does not depend on the scanned parameter, so its window is never fit
+    and its model variance is ``VARIANCE_FLOOR``. The gain
     ``w = (V(M) + q) / (V(M) + q + V(Z))`` then weights data against model,
     and the data variance is recomputed from the replicates at every
     timepoint.
@@ -314,18 +292,21 @@ def run_adaptive_kf(
     f_means[:2] = z_means[:2]
     f_vars[:2] = z_vars[:2]
     for t in range(2, n):
-        try:
-            posterior = dynamics.fit_window(grid.times, z_means, t)
-        except DegeneratePosteriorError as exc:
-            raise DegeneratePosteriorError(
-                f"model fit failed at timepoint {t} (t={grid.times[t]}): {exc}"
-            ) from exc
+        posterior = None
+        v_model = VARIANCE_FLOOR
+        if kind is ModelKind.CONSTANT_REGULATION:
+            try:
+                posterior = dynamics.fit_window(grid.times, z_means, t)
+            except DegeneratePosteriorError as exc:
+                raise DegeneratePosteriorError(
+                    f"model fit failed at timepoint {t} (t={grid.times[t]}): {exc}"
+                ) from exc
+            v_model = posterior_moments(posterior).estimate.variance
         try:
             flow = dynamics.step_map(grid.times, z_means, t, posterior)
         except NumericalOverflowError as exc:
             raise _overflow_at(exc, grid.times, t) from exc
         e_model = float(flow(f_means[t - 1]))
-        v_model = posterior_moments(posterior).estimate.variance
         b = v_model + q
         w = b / (b + z_vars[t])
         f_means[t] = w * z_means[t] + (1.0 - w) * e_model
@@ -515,18 +496,3 @@ def run_ipls(
         ms, ps = _linear_rts_pass(grid.times, z_means, z_vars, slopes, intercepts, noises)
     return _finite_trajectory(grid, ms, ps)
 
-
-def run_baseline(
-    config: BaselineConfig,
-    data: TimeSeriesData,
-    kind: ModelKind = ModelKind.BIRTH_DEATH,
-    scan: ScanGrid = ScanGrid(),
-) -> Trajectory:
-    """Dispatch a configured baseline run."""
-    if config.algorithm is BaselineAlgorithm.ADAPTIVE_KF:
-        return run_adaptive_kf(data, kind, config.q, scan)
-    if config.algorithm is BaselineAlgorithm.UNSCENTED_KF:
-        return run_ukf(data, kind, config.q, config.ut_params, scan)
-    if config.algorithm is BaselineAlgorithm.UNSCENTED_RTS:
-        return run_urts(data, kind, config.q, config.ut_params, scan)
-    return run_ipls(data, kind, config.q, config.iterations, config.ut_params, scan)

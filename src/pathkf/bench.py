@@ -8,17 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
-    BaselineAlgorithm,
-    BaselineConfig,
-    UT_DEFAULT,
-    UtParams,
-    run_baseline,
-)
+from . import baselines
 from .core import (
     VARIANCE_FLOOR,
     GroundTruth,
+    InvalidConfigError,
     InvalidDataError,
+    InvalidParameterError,
     TimeSeriesData,
     Trajectory,
 )
@@ -41,15 +37,26 @@ def squared_error_trace(filter_trajectory: Trajectory, truth: GroundTruth) -> np
     return (filter_trajectory.means - truth.values) ** 2
 
 
+ALGORITHMS = ("pkf", "kf", "ukf", "urts", "ipls")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One benchmark row: which algorithm, with which parameters."""
+    """Which algorithm to run, with which parameters: one benchmark row or
+    one CLI run. ``q`` is the baselines' constant process uncertainty;
+    ``iterations`` counts PKF or IPLS passes. An unknown ``algorithm`` is
+    accepted here and rejected by ``run_spec``."""
 
     label: str
-    algorithm: str  # pkf | kf | ukf | urts | ipls
+    algorithm: str  # one of ALGORITHMS
     q: float = 1.0
     iterations: int = 1
-    ut_params: UtParams = UT_DEFAULT
+
+    def __post_init__(self):
+        if not math.isfinite(self.q) or self.q < 0:
+            raise InvalidParameterError("q must be finite and non-negative")
+        if self.iterations < 1:
+            raise InvalidParameterError("iterations must be at least 1")
 
     def params_text(self) -> str:
         if self.algorithm == "pkf":
@@ -77,28 +84,25 @@ def table_specs() -> tuple[AlgorithmSpec, ...]:
     )
 
 
-_BASELINE_BY_NAME = {
-    "kf": BaselineAlgorithm.ADAPTIVE_KF,
-    "ukf": BaselineAlgorithm.UNSCENTED_KF,
-    "urts": BaselineAlgorithm.UNSCENTED_RTS,
-    "ipls": BaselineAlgorithm.IPLS,
-}
-
-
 def run_spec(
-    spec: AlgorithmSpec, data: TimeSeriesData, kind: ModelKind
-) -> tuple[Trajectory, PkfResult | None]:
-    """Run one spec; PKF rows also return the full filter result."""
+    spec: AlgorithmSpec,
+    data: TimeSeriesData,
+    kind: ModelKind,
+    retain_history: bool = False,
+) -> PkfResult | Trajectory:
+    """Run one spec on one series: the PKF's full result, or a baseline's
+    trajectory. ``retain_history`` applies to the PKF only."""
     if spec.algorithm == "pkf":
-        result = run_pkf(data, kind, iterations=spec.iterations)
-        return result.final.filter, result
-    config = BaselineConfig(
-        algorithm=_BASELINE_BY_NAME[spec.algorithm],
-        q=spec.q,
-        iterations=spec.iterations,
-        ut_params=spec.ut_params,
-    )
-    return run_baseline(config, data, kind), None
+        return run_pkf(data, kind, iterations=spec.iterations, retain_history=retain_history)
+    if spec.algorithm == "kf":
+        return baselines.run_adaptive_kf(data, kind, spec.q)
+    if spec.algorithm == "ukf":
+        return baselines.run_ukf(data, kind, spec.q)
+    if spec.algorithm == "urts":
+        return baselines.run_urts(data, kind, spec.q)
+    if spec.algorithm == "ipls":
+        return baselines.run_ipls(data, kind, spec.q, spec.iterations)
+    raise InvalidConfigError(f"unknown algorithm {spec.algorithm!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +157,9 @@ def run_benchmark(
     rows = []
     for spec in specs:
         try:
-            trajectory, pkf_result = run_spec(spec, data, kind)
+            result = run_spec(spec, data, kind)
+            pkf_result = result if isinstance(result, PkfResult) else None
+            trajectory = result if pkf_result is None else result.final.filter
             rows.append(
                 BenchmarkRow(
                     spec=spec,

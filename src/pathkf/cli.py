@@ -21,13 +21,14 @@ from typing import NamedTuple
 import click
 import numpy as np
 
-from .baselines import BaselineAlgorithm, BaselineConfig, run_baseline
 from .bench import (
+    ALGORITHMS,
     AlgorithmSpec,
     BenchmarkReport,
     QRatioSummary,
     q_ratio_summary,
     run_benchmark,
+    run_spec,
     table_specs,
 )
 from .core import (
@@ -39,7 +40,8 @@ from .core import (
     Trajectory,
 )
 from .models import ModelKind
-from .pkf import PkfResult, PkfState, run_pkf
+from .pkf import PkfResult, PkfState
+from .pkf import run_pkf  # noqa: F401  perfbench traces calls at pathkf.cli.run_pkf
 from .synth import (
     BirthDeathScenario,
     GenePanelScenario,
@@ -55,7 +57,6 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-ALGORITHM_CHOICES = ("pkf", "kf", "ukf", "urts", "ipls")
 MODEL_CHOICES = {kind.value: kind for kind in ModelKind}
 
 
@@ -244,60 +245,70 @@ def result_record(result) -> dict:
     raise InvalidConfigError(f"cannot serialize {type(result).__name__}")
 
 
-def write_result(result, path: str) -> None:
-    """Serialize a result: JSON for trajectories/filter runs/summaries,
-    CSV for benchmark tables."""
+def _write_json(record: dict, path: str) -> None:
+    """Write ``record`` as indented JSON plus a newline."""
     try:
-        if isinstance(result, BenchmarkReport):
-            with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(["algorithm", "parameters", "mse", "error"])
-                for row in result.rows:
-                    writer.writerow(
-                        [
-                            row.spec.algorithm,
-                            row.spec.params_text(),
-                            "" if row.mse is None else repr(row.mse),
-                            row.error or "",
-                        ]
-                    )
-            return
         with open(path, "w") as handle:
-            json.dump(result_record(result), handle, indent=2)
+            json.dump(record, handle, indent=2)
             handle.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_result_json(path: str) -> dict:
+def write_result(result, path: str) -> None:
+    """Serialize a result: JSON for trajectories/filter runs/summaries,
+    CSV for benchmark tables."""
+    if not isinstance(result, BenchmarkReport):
+        _write_json(result_record(result), path)
+        return
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["algorithm", "parameters", "mse", "error"])
+            for row in result.rows:
+                writer.writerow(
+                    [
+                        row.spec.algorithm,
+                        row.spec.params_text(),
+                        "" if row.mse is None else repr(row.mse),
+                        row.error or "",
+                    ]
+                )
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one batch execution needs."""
+    """Everything one batch execution needs.
+
+    ``q`` is ``None`` unless set; the baselines then use 1.0, and the PKF,
+    whose process uncertainty is its own output, rejects any value.
+    """
 
     algorithm: str = "pkf"
     model: ModelKind = ModelKind.BIRTH_DEATH
     iterations: int = 10
-    q: float = 1.0
+    q: float | None = None
     jobs: int = 1
-    seed: int = 42
     retain_history: bool = False
     input_path: str = ""
     output_path: str = ""
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHM_CHOICES:
+        if self.algorithm not in ALGORITHMS:
             raise InvalidConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm == "pkf" and self.q is not None:
+            raise InvalidConfigError(
+                "q does not apply to pkf, which estimates its own process uncertainty"
+            )
         if self.jobs < 1:
             raise InvalidConfigError("jobs must be at least 1")
-        if self.iterations < 1:
-            raise InvalidConfigError("iterations must be at least 1")
+        self.spec()  # raises on a bad q or iterations count
+
+    def spec(self) -> AlgorithmSpec:
+        q = 1.0 if self.q is None else self.q
+        return AlgorithmSpec(self.algorithm, self.algorithm, q, self.iterations)
 
 
 class SeriesOutcome(NamedTuple):
@@ -323,23 +334,7 @@ class BatchSummary:
 def _execute_series(args: tuple[RunConfig, TimeSeriesData]) -> SeriesOutcome:
     config, data = args
     try:
-        if config.algorithm == "pkf":
-            result = run_pkf(
-                data,
-                config.model,
-                iterations=config.iterations,
-                retain_history=config.retain_history,
-            )
-        else:
-            result = run_baseline(
-                BaselineConfig(
-                    algorithm=BaselineAlgorithm(config.algorithm),
-                    q=config.q,
-                    iterations=config.iterations,
-                ),
-                data,
-                config.model,
-            )
+        result = run_spec(config.spec(), data, config.model, config.retain_history)
         return SeriesOutcome(data.series_id, result, None)
     except Exception as exc:  # per-series isolation
         return SeriesOutcome(data.series_id, None, f"{type(exc).__name__}: {exc}")
@@ -379,12 +374,7 @@ def write_batch_results(summary: BatchSummary, path: str) -> None:
             for o in summary.outcomes
         },
     }
-    try:
-        with open(path, "w") as handle:
-            json.dump(record, handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_json(record, path)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -452,7 +442,19 @@ def _echo_failures(summary: BatchSummary) -> None:
             click.echo(f"series {outcome.series_id} failed: {outcome.error}", err=True)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every subcommand reports a ``PathkfError`` as ``error: ...`` on
+    stderr and exits with ``EXIT_CONFIG``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PathkfError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=_Commands)
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool):
     """Pathspace Kalman filtering for univariate time-course data."""
@@ -471,49 +473,42 @@ def main(verbose: bool):
 @click.option("--config", "config_path", default=None, help="JSON scenario configuration.")
 def simulate(scenario, seed, output, truth_path, labels_path, config_path):
     """Generate synthetic data and write it as CSV."""
-    try:
-        config = _load_config_file(config_path)
-        if scenario == "birth-death":
-            sc = _birth_death_scenario(config, seed)
-            truth, data = simulate_birth_death(sc)
-            write_series_csv([data], output)
-            if truth_path:
-                write_truth_csv([(data.series_id, truth)], truth_path)
-        else:
-            sc = _gene_panel_scenario(config, seed)
-            panel = simulate_gene_panel(sc)
-            write_series_csv([data for _, data in panel], output)
-            if truth_path:
-                write_truth_csv(
-                    [(data.series_id, truth) for truth, data in panel], truth_path
-                )
-            if labels_path:
-                try:
-                    with open(labels_path, "w", newline="") as handle:
-                        writer = csv.writer(handle, lineterminator="\n")
-                        writer.writerow(["series_id", "label"])
-                        for gene_id, label in panel_labels(sc).items():
-                            writer.writerow([gene_id, label])
-                except OSError as exc:
-                    raise IoError(f"cannot write {labels_path}: {exc}") from exc
-    except PathkfError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    config = _load_config_file(config_path)
+    if scenario == "birth-death":
+        sc = _birth_death_scenario(config, seed)
+        truth, data = simulate_birth_death(sc)
+        write_series_csv([data], output)
+        if truth_path:
+            write_truth_csv([(data.series_id, truth)], truth_path)
+    else:
+        sc = _gene_panel_scenario(config, seed)
+        panel = simulate_gene_panel(sc)
+        write_series_csv([data for _, data in panel], output)
+        if truth_path:
+            write_truth_csv([(data.series_id, truth) for truth, data in panel], truth_path)
+        if labels_path:
+            try:
+                with open(labels_path, "w", newline="") as handle:
+                    writer = csv.writer(handle, lineterminator="\n")
+                    writer.writerow(["series_id", "label"])
+                    for gene_id, label in panel_labels(sc).items():
+                        writer.writerow([gene_id, label])
+            except OSError as exc:
+                raise IoError(f"cannot write {labels_path}: {exc}") from exc
     click.echo(f"wrote {output}")
 
 
 def _run_batch_command(
-    algorithm, model, iterations, q, input_path, output, seed, jobs,
-    retain_history, config_path,
+    algorithm, model, iterations, q, input_path, output, jobs, retain_history, config_path,
 ) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
     config_file = _load_config_file(config_path)
+    q = _resolve(q, config_file, "q", None)
     run_config = RunConfig(
         algorithm=_resolve(algorithm, config_file, "algorithm", "pkf"),
         model=MODEL_CHOICES[_resolve(model, config_file, "model", "birth-death")],
         iterations=int(_resolve(iterations, config_file, "iterations", 10)),
-        q=float(_resolve(q, config_file, "q", 1.0)),
+        q=None if q is None else float(q),
         jobs=int(_resolve(jobs, config_file, "jobs", 1)),
-        seed=int(_resolve(seed, config_file, "seed", 42)),
         retain_history=bool(_resolve(retain_history, config_file, "retain_history", False)),
         input_path=_resolve(input_path, config_file, "input", ""),
         output_path=_resolve(output, config_file, "output", ""),
@@ -534,13 +529,12 @@ def _run_batch_command(
 
 
 _shared_run_options = [
-    click.option("--algorithm", type=click.Choice(ALGORITHM_CHOICES), default=None),
+    click.option("--algorithm", type=click.Choice(ALGORITHMS), default=None),
     click.option("--model", type=click.Choice(sorted(MODEL_CHOICES)), default=None),
     click.option("--iterations", type=int, default=None),
     click.option("--q", type=float, default=None),
     click.option("--input", "input_path", default=None, help="Measurement CSV."),
     click.option("--output", default=None, help="Result JSON to write."),
-    click.option("--seed", type=int, default=None),
     click.option("--jobs", type=int, default=None, help="Worker processes."),
     click.option("--retain-history", is_flag=True, default=None),
     click.option("--config", "config_path", default=None, help="JSON config file."),
@@ -558,17 +552,9 @@ def _with_options(options):
 
 @main.command()
 @_with_options(_shared_run_options)
-def run(algorithm, model, iterations, q, input_path, output, seed, jobs,
-        retain_history, config_path):
+def run(**options):
     """Run one algorithm on every series in a measurement CSV."""
-    try:
-        summary, _ = _run_batch_command(
-            algorithm, model, iterations, q, input_path, output, seed, jobs,
-            retain_history, config_path,
-        )
-    except PathkfError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    summary, _ = _run_batch_command(**options)
     sys.exit(EXIT_PARTIAL if summary.n_failed else EXIT_OK)
 
 
@@ -576,29 +562,20 @@ def run(algorithm, model, iterations, q, input_path, output, seed, jobs,
 @_with_options(_shared_run_options)
 @click.option("--labels", "labels_path", default=None, help="series_id,label CSV.")
 @click.option("--summary", "summary_path", default=None, help="Ratio summary JSON to write.")
-def batch(algorithm, model, iterations, q, input_path, output, seed, jobs,
-          retain_history, config_path, labels_path, summary_path):
+def batch(algorithm, labels_path, summary_path, **options):
     """Gene-panel workflow: pathspace filter per series plus a ratio summary."""
     if algorithm not in (None, "pkf"):
-        click.echo("error: the batch workflow runs the pathspace filter", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
-        summary, series = _run_batch_command(
-            "pkf", model, iterations, q, input_path, output, seed, jobs,
-            retain_history, config_path,
-        )
-        if summary_path:
-            labels = read_labels_csv(labels_path) if labels_path else {}
-            series_by_id = {data.series_id: data for data in series}
-            results = [
-                (labels.get(o.series_id, "all"), o.result, series_by_id[o.series_id])
-                for o in summary.outcomes
-                if o.error is None
-            ]
-            write_result(q_ratio_summary(results), summary_path)
-    except PathkfError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise InvalidConfigError("the batch workflow runs the pathspace filter")
+    summary, series = _run_batch_command(algorithm="pkf", **options)
+    if summary_path:
+        labels = read_labels_csv(labels_path) if labels_path else {}
+        series_by_id = {data.series_id: data for data in series}
+        results = [
+            (labels.get(o.series_id, "all"), o.result, series_by_id[o.series_id])
+            for o in summary.outcomes
+            if o.error is None
+        ]
+        write_result(q_ratio_summary(results), summary_path)
     sys.exit(EXIT_PARTIAL if summary.n_failed else EXIT_OK)
 
 
@@ -610,36 +587,27 @@ def batch(algorithm, model, iterations, q, input_path, output, seed, jobs,
 @click.option("--config", "config_path", default=None, help="JSON scenario configuration.")
 def bench(seed, output, trajectories_path, config_path):
     """Reproduce the method-comparison table on the synthetic benchmark."""
-    try:
-        config = _load_config_file(config_path)
-        scenario = _birth_death_scenario(config, seed)
-        report = run_benchmark(scenario, table_specs())
-        write_result(report, output)
-        if trajectories_path:
-            record = {
-                "seed": report.seed,
-                "time": _floats(report.truth.grid.times),
-                "truth": _floats(report.truth.values),
-                "rows": {
-                    row.spec.label: {
-                        "mse": row.mse,
-                        "mean": _floats(row.trajectory.means),
-                        "variance": _floats(row.trajectory.variances),
-                        "squared_error": _floats(row.sq_errors),
-                    }
-                    for row in report.rows
-                    if row.trajectory is not None
-                },
-            }
-            with open(trajectories_path, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-    except PathkfError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    config = _load_config_file(config_path)
+    scenario = _birth_death_scenario(config, seed)
+    report = run_benchmark(scenario, table_specs())
+    write_result(report, output)
+    if trajectories_path:
+        record = {
+            "seed": report.seed,
+            "time": _floats(report.truth.grid.times),
+            "truth": _floats(report.truth.values),
+            "rows": {
+                row.spec.label: {
+                    "mse": row.mse,
+                    "mean": _floats(row.trajectory.means),
+                    "variance": _floats(row.trajectory.variances),
+                    "squared_error": _floats(row.sq_errors),
+                }
+                for row in report.rows
+                if row.trajectory is not None
+            },
+        }
+        _write_json(record, trajectories_path)
     for row in report.rows:
         click.echo(
             f"{row.spec.label}: mse={row.mse:.6g}" if row.mse is not None
@@ -649,20 +617,11 @@ def bench(seed, output, trajectories_path, config_path):
 
 @main.command()
 @_with_options(_shared_run_options)
-def convergence(algorithm, model, iterations, q, input_path, output, seed, jobs,
-                retain_history, config_path):
+def convergence(algorithm, retain_history, **options):
     """Run the pathspace filter with full history for convergence plots."""
     if algorithm not in (None, "pkf"):
-        click.echo("error: convergence traces apply to the pathspace filter", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
-        summary, _ = _run_batch_command(
-            "pkf", model, iterations, q, input_path, output, seed, jobs,
-            True, config_path,
-        )
-    except PathkfError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise InvalidConfigError("convergence traces apply to the pathspace filter")
+    summary, _ = _run_batch_command(algorithm="pkf", retain_history=True, **options)
     sys.exit(EXIT_PARTIAL if summary.n_failed else EXIT_OK)
 
 

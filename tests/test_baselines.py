@@ -211,7 +211,7 @@ class TestIpls:
 
 
 class TestOverflow:
-    @pytest.mark.parametrize("run", [run_ukf, run_urts, run_ipls])
+    @pytest.mark.parametrize("run", [run_adaptive_kf, run_ukf, run_urts, run_ipls])
     @pytest.mark.parametrize("spike", [50.0, 1e8])
     def test_birth_death_step_overflow_is_typed(self, run, spike):
         # a near-zero mean followed by a jump gives a growth rate near
@@ -241,3 +241,15 @@ def test_adaptive_kf_fits_each_window_once(monkeypatch):
     data = random_series(np.random.default_rng(3), n=12)
     run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
     assert len(calls) == 12 - 2
+
+
+def test_adaptive_kf_birth_death_fits_no_window(monkeypatch):
+    import pathkf.baselines as baselines
+
+    calls = []
+    fit = baselines.fit_spline_posterior
+    monkeypatch.setattr(
+        baselines, "fit_spline_posterior", lambda *a, **k: calls.append(1) or fit(*a, **k)
+    )
+    run_adaptive_kf(random_series(np.random.default_rng(4), n=12), ModelKind.BIRTH_DEATH)
+    assert calls == []

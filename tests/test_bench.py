@@ -8,6 +8,7 @@ from pathkf import (
     BirthDeathScenario,
     GroundTruth,
     InvalidDataError,
+    InvalidParameterError,
     ModelKind,
     PkfWeights,
     TimeGrid,
@@ -15,12 +16,18 @@ from pathkf import (
     Trajectory,
     mse,
     q_ratio_summary,
+    run_adaptive_kf,
     run_benchmark,
+    run_ipls,
     run_pkf,
+    run_ukf,
+    run_urts,
+    simulate_birth_death,
     simulate_gene_panel,
     GenePanelScenario,
     panel_labels,
 )
+from pathkf.bench import ALGORITHMS, run_spec
 from pathkf.pkf import PkfResult, PkfState
 
 
@@ -94,11 +101,42 @@ class TestRunBenchmark:
         assert report.row("kf-q1").mse is not None
         assert report.row("broken").error is not None
         assert report.row("broken").mse is None
+        assert report.row("broken").error == "InvalidConfigError: unknown algorithm 'nope'"
 
     def test_pkf_rows_carry_full_result(self):
         report = run_benchmark(small_scenario(), (AlgorithmSpec("pkf-i2", "pkf", iterations=2),))
         assert isinstance(report.row("pkf-i2").pkf_result, PkfResult)
         assert report.row("pkf-i2").sq_errors is not None
+
+
+class TestRunSpec:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_matches_direct_call(self, algorithm, kind):
+        _, data = simulate_birth_death(small_scenario(seed=3))
+        spec = AlgorithmSpec(algorithm, algorithm, q=2.5, iterations=3)
+        direct = {
+            "pkf": lambda: run_pkf(data, kind, iterations=3).final.filter,
+            "kf": lambda: run_adaptive_kf(data, kind, 2.5),
+            "ukf": lambda: run_ukf(data, kind, 2.5),
+            "urts": lambda: run_urts(data, kind, 2.5),
+            "ipls": lambda: run_ipls(data, kind, 2.5, 3),
+        }[algorithm]()
+        result = run_spec(spec, data, kind)
+        got = result.final.filter if isinstance(result, PkfResult) else result
+        assert got.means.tobytes() == direct.means.tobytes()
+        assert got.variances.tobytes() == direct.variances.tobytes()
+
+    def test_pkf_keeps_history_on_request(self):
+        _, data = simulate_birth_death(small_scenario())
+        spec = AlgorithmSpec("pkf-i2", "pkf", iterations=2)
+        assert run_spec(spec, data, ModelKind.BIRTH_DEATH).history is None
+        assert len(run_spec(spec, data, ModelKind.BIRTH_DEATH, retain_history=True).history) == 2
+
+    @pytest.mark.parametrize("params", [{"q": -1.0}, {"q": float("nan")}, {"iterations": 0}])
+    def test_spec_rejects_bad_parameters(self, params):
+        with pytest.raises(InvalidParameterError):
+            AlgorithmSpec("bad", "kf", **params)
 
 
 class TestPublishedBands:

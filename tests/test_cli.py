@@ -13,6 +13,7 @@ from pathkf import (
     TimeGrid,
     TimeSeriesData,
     run_pkf,
+    run_ukf,
     simulate_birth_death,
 )
 from pathkf.bench import BenchmarkReport
@@ -187,6 +188,14 @@ class TestBatchRun:
         assert by_id["bad"].error is not None
         assert summary.n_failed == 1
 
+    def test_baseline_matches_direct_call(self, tmp_path):
+        series, _ = read_series_csv(panel_csv(tmp_path, n_series=2))
+        summary = batch_run(RunConfig(algorithm="ukf"), series)
+        for data, outcome in zip(series, summary.outcomes):
+            direct = run_ukf(data, ModelKind.BIRTH_DEATH)
+            assert outcome.result.means.tobytes() == direct.means.tobytes()
+            assert outcome.result.variances.tobytes() == direct.variances.tobytes()
+
 
 class TestCommands:
     def test_simulate_run_round_trip(self, tmp_path):
@@ -317,3 +326,38 @@ class TestCommands:
         assert runner.invoke(main, args_a).exit_code == 0
         assert runner.invoke(main, args_b).exit_code == 0
         assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+
+    def test_negative_q_exits_2_before_any_series_runs(self, tmp_path):
+        out = tmp_path / "o.json"
+        result = CliRunner().invoke(
+            main, ["run", "--algorithm", "kf", "--q", "-1",
+                   "--input", panel_csv(tmp_path), "--output", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "q must be finite and non-negative" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "batch", "convergence"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_explicit_q_for_pkf_exits_2(self, tmp_path, command, source):
+        out = tmp_path / "o.json"
+        args = [command, "--input", panel_csv(tmp_path), "--output", str(out)]
+        if source == "flag":
+            args += ["--q", "2"]
+        else:
+            args += ["--config", write_text(tmp_path / "cfg.json", '{"q": 2.0}')]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "q does not apply to pkf" in result.output
+        assert not out.exists()
+
+    def test_bench_trajectories_write_failure_exits_2(self, tmp_path):
+        config = write_text(
+            tmp_path / "sc.json", json.dumps({"t_end": 3.0, "dt": 0.5, "replicates": 8})
+        )
+        result = CliRunner().invoke(
+            main, ["bench", "--output", str(tmp_path / "table.csv"),
+                   "--trajectories", str(tmp_path), "--config", config],
+        )
+        assert result.exit_code == 2
+        assert "cannot write" in result.output
