@@ -67,7 +67,6 @@ from .pkf import (
     RegimeLabel,
     classify_regime,
     classify_regimes,
-    pkf_step,
     pkf_weights,
     run_pkf,
     update_process_uncertainty,

@@ -190,9 +190,9 @@ def _state_record(state: PkfState) -> dict:
         "filter_mean": _floats(state.filter.means),
         "filter_variance": _floats(state.filter.variances),
         "process_uncertainty": _floats(state.process_uncertainty),
-        "w_data": [w.w_data for w in state.weights],
-        "w_model": [w.w_model for w in state.weights],
-        "w_filter": [w.w_filter for w in state.weights],
+        "w_data": _floats(state.weights.w_data),
+        "w_model": _floats(state.weights.w_model),
+        "w_filter": _floats(state.weights.w_filter),
     }
 
 
@@ -392,13 +392,25 @@ def _load_config_file(path: str | None) -> dict:
     return loaded
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    """Flags win over config-file values, which win over defaults."""
+#: What a config-file value of each kind must be, as JSON names it.
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _resolve(flag_value, config: dict, key: str, default, kind: type = str):
+    """Flags win over config-file values, which win over defaults.
+
+    A config-file value must be a JSON value of ``kind``; ``float`` also
+    accepts an integer, and only ``bool`` accepts ``true``/``false``.
+    """
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise InvalidConfigError(f"config {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def _schedule_from_config(raw, fallback: PiecewiseConstant) -> PiecewiseConstant:
@@ -502,14 +514,17 @@ def _run_batch_command(
     algorithm, model, iterations, q, input_path, output, jobs, retain_history, config_path,
 ) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
     config_file = _load_config_file(config_path)
-    q = _resolve(q, config_file, "q", None)
+    q = _resolve(q, config_file, "q", None, float)
+    model = _resolve(model, config_file, "model", "birth-death")
+    if model not in MODEL_CHOICES:
+        raise InvalidConfigError(f"unknown model {model!r}")
     run_config = RunConfig(
         algorithm=_resolve(algorithm, config_file, "algorithm", "pkf"),
-        model=MODEL_CHOICES[_resolve(model, config_file, "model", "birth-death")],
-        iterations=int(_resolve(iterations, config_file, "iterations", 10)),
+        model=MODEL_CHOICES[model],
+        iterations=_resolve(iterations, config_file, "iterations", 10, int),
         q=None if q is None else float(q),
-        jobs=int(_resolve(jobs, config_file, "jobs", 1)),
-        retain_history=bool(_resolve(retain_history, config_file, "retain_history", False)),
+        jobs=_resolve(jobs, config_file, "jobs", 1, int),
+        retain_history=_resolve(retain_history, config_file, "retain_history", False, bool),
         input_path=_resolve(input_path, config_file, "input", ""),
         output_path=_resolve(output, config_file, "output", ""),
     )

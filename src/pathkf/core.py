@@ -148,10 +148,6 @@ class Trajectory:
     def estimate(self, index: int) -> GaussianEstimate:
         return GaussianEstimate(float(self.means[index]), float(self.variances[index]))
 
-    @property
-    def estimates(self) -> tuple[GaussianEstimate, ...]:
-        return tuple(self.estimate(i) for i in range(len(self.grid)))
-
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:

@@ -12,20 +12,18 @@ spiking where the data-generating process deviates from the model.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     VARIANCE_FLOOR,
-    GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
     TimeSeriesData,
     Trajectory,
 )
-from .models import ModelKind, ModelPrediction, ScanGrid, SplinePathModel
+from .models import ModelKind, ScanGrid, SplinePathModel
 
 #: Default number of pathspace iterations.
 DEFAULT_ITERATIONS = 10
@@ -43,21 +41,55 @@ class RegimeLabel(enum.Enum):
     INACCURATE_MODEL_NOISY_DATA = "inaccurate-model-noisy-data"
 
 
-@dataclass(frozen=True)
-class PkfWeights:
-    """Convex weights on data, model, and previous filter path."""
+_FLOAT_MAX = float(np.finfo(float).max)
 
-    w_data: float
-    w_model: float
-    w_filter: float
+
+def _rows_within(values, names: tuple[str, ...], high: float, problem: str) -> np.ndarray:
+    """``values`` stacked into one float array with a row per name.
+
+    Every entry must lie in ``[0, high]``; the error names the first entry
+    outside, in the order of ``names`` and then of index, and says
+    ``problem``.
+    """
+    try:
+        rows = np.array(values, dtype=float)
+    except ValueError as exc:
+        if len({np.shape(v) for v in values}) > 1:
+            raise InvalidParameterError(f"{', '.join(names)} must share one shape") from exc
+        raise
+    inside = (rows >= 0.0) & (rows <= high)  # NaN is outside
+    if np.count_nonzero(inside) < inside.size:
+        row, *index = np.unravel_index(np.argmin(inside), inside.shape)
+        where = f"[{', '.join(map(str, index))}]" if index else ""
+        raise InvalidParameterError(f"{names[row]}{where}={rows[(row, *index)]} {problem}")
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class PkfWeights:
+    """Convex weights on data, model, and previous filter path.
+
+    Each field is a read-only float array holding one weight per timepoint
+    (0-d for a single timepoint).
+    """
+
+    w_data: np.ndarray
+    w_model: np.ndarray
+    w_filter: np.ndarray
 
     def __post_init__(self):
-        for name in ("w_data", "w_model", "w_filter"):
-            w = getattr(self, name)
-            if not math.isfinite(w) or w < 0.0 or w > 1.0:
-                raise InvalidParameterError(f"{name}={w} outside [0, 1]")
-        if abs(self.w_data + self.w_model + self.w_filter - 1.0) > 1e-12:
+        w = _rows_within(
+            (self.w_data, self.w_model, self.w_filter),
+            ("w_data", "w_model", "w_filter"),
+            1.0,
+            "outside [0, 1]",
+        )
+        if np.count_nonzero(np.abs(w.sum(axis=0) - 1.0) > 1e-12):
             raise InvalidParameterError("weights must sum to one")
+        w.setflags(write=False)
+        object.__setattr__(self, "w_data", w[0])
+        object.__setattr__(self, "w_model", w[1])
+        object.__setattr__(self, "w_filter", w[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +99,12 @@ class PkfState:
     iteration: int
     filter: Trajectory
     process_uncertainty: np.ndarray
-    weights: tuple[PkfWeights, ...]
+    weights: PkfWeights
 
     def __post_init__(self):
         q = np.asarray(self.process_uncertainty, dtype=float).copy()
         n = len(self.filter.grid)
-        if len(q) != n or len(self.weights) != n:
+        if q.shape != (n,) or self.weights.w_data.shape != (n,):
             raise InvalidDataError("state arrays must match the grid length")
         if np.any(q < 0) or not np.all(np.isfinite(q)):
             raise InvalidDataError("process uncertainty must be finite and non-negative")
@@ -94,90 +126,44 @@ class PkfResult:
     max_filter_variance: np.ndarray
 
 
-def pkf_weights(
-    v_filter_prev: float, v_model_plus_q: float, v_data: float
-) -> PkfWeights:
-    """Closed-form variance-minimizing weights.
+def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
+    """Closed-form variance-minimizing weights, elementwise.
 
     With ``A`` the previous filter variance, ``B`` the model variance plus
     process uncertainty, and ``C`` the data variance, the minimizer of
     ``w^2 C + wm^2 B + wf^2 A`` on the simplex is
     ``w = AB / (AB + BC + CA)`` and cyclic. A zero denominator (all three
-    products vanish) yields the uniform split.
+    products vanish) yields the uniform split. The inputs are scalars or
+    arrays of one shape, every entry finite and non-negative.
     """
-    a, b, c = v_filter_prev, v_model_plus_q, v_data
-    for name, v in (("v_filter_prev", a), ("v_model_plus_q", b), ("v_data", c)):
-        if not math.isfinite(v) or v < 0:
-            raise InvalidParameterError(f"{name}={v} must be finite and non-negative")
-    denom = a * b + b * c + c * a
-    if denom == 0.0:
-        return PkfWeights(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    return PkfWeights(a * b / denom, a * c / denom, b * c / denom)
+    a, b, c = _rows_within(
+        (v_filter_prev, v_model_plus_q, v_data),
+        ("v_filter_prev", "v_model_plus_q", "v_data"),
+        _FLOAT_MAX,
+        "must be finite and non-negative",
+    )
+    ab, bc, ca = a * b, b * c, c * a
+    denom = ab + bc + ca
+    zero = denom == 0.0
+    weights = np.array((ab, ca, bc)) / np.where(zero, 1.0, denom)
+    return PkfWeights(*np.where(zero, 1.0 / 3.0, weights))
 
 
-def _pkf_weight_arrays(a, b, c):
-    """Vectorized closed-form weights with the uniform fallback."""
-    denom = a * b + b * c + c * a
-    safe = np.where(denom > 0.0, denom, 1.0)
-    w = np.where(denom > 0.0, a * b / safe, 1.0 / 3.0)
-    wm = np.where(denom > 0.0, a * c / safe, 1.0 / 3.0)
-    wf = np.where(denom > 0.0, b * c / safe, 1.0 / 3.0)
-    return w, wm, wf
-
-
-def update_process_uncertainty(
-    q_prev: float, w_data: float, w_model: float, loss: float
-) -> float:
-    """Move the process uncertainty toward the model/data loss.
+def update_process_uncertainty(q_prev, w_data, w_model, loss):
+    """Move the process uncertainty toward the model/data loss, elementwise.
 
     The gain on the update is ``w_data + w_model``, the total weight placed
-    on sources other than the previous filter path.
+    on sources other than the previous filter path. NaN entries pass the
+    range checks.
     """
-    gain = w_data + w_model
-    if gain < 0.0 or gain > 1.0 + 1e-12:
+    q_prev = np.asarray(q_prev, dtype=float)
+    loss = np.asarray(loss, dtype=float)
+    gain = np.asarray(w_data, dtype=float) + w_model
+    if np.count_nonzero((gain < 0.0) | (gain > 1.0 + 1e-12)):
         raise InvalidParameterError("w_data + w_model must lie in [0, 1]")
-    if q_prev < 0.0 or loss < 0.0:
+    if np.count_nonzero((q_prev < 0.0) | (loss < 0.0)):
         raise InvalidParameterError("q_prev and loss must be non-negative")
     return q_prev + gain * (loss - q_prev)
-
-
-def pkf_step(
-    t: int,
-    prev_state: PkfState,
-    data: GaussianEstimate,
-    model: ModelPrediction,
-) -> tuple[GaussianEstimate, PkfWeights, float]:
-    """One filter update at timepoint ``t``.
-
-    Returns the new filter estimate, the weights used, and the updated
-    process uncertainty. The loss driving the uncertainty update is the
-    squared difference of model and data means.
-    """
-    a = float(prev_state.filter.variances[t])
-    q_prev = float(prev_state.process_uncertainty[t])
-    b = model.estimate.variance + q_prev
-    c = data.variance
-    weights = pkf_weights(a, b, c)
-    mean = (
-        weights.w_data * data.mean
-        + weights.w_model * model.estimate.mean
-        + weights.w_filter * float(prev_state.filter.means[t])
-    )
-    variance = (
-        weights.w_data**2 * c + weights.w_model**2 * b + weights.w_filter**2 * a
-    )
-    loss = (model.estimate.mean - data.mean) ** 2
-    q_new = update_process_uncertainty(q_prev, weights.w_data, weights.w_model, loss)
-    return GaussianEstimate(mean, variance), weights, q_new
-
-
-def _pkf_state(iteration, grid, f_means, f_vars, q, w, wm, wf) -> PkfState:
-    """The validated state of one iteration, built only for kept iterations."""
-    weights = tuple(
-        PkfWeights(float(wi), float(wmi), float(max(wfi, 0.0)))
-        for wi, wmi, wfi in zip(w, wm, wf)
-    )
-    return PkfState(iteration, Trajectory(grid, f_means, f_vars), q, weights)
 
 
 def run_pkf(
@@ -220,26 +206,26 @@ def run_pkf(
     for i in range(1, iterations + 1):
         m_means, m_vars = predictor.predict_path(grid, f_means, f_vars)
         b = m_vars + q
-        w, wm, wf = _pkf_weight_arrays(f_vars, b, z_vars)
+        weights = pkf_weights(f_vars, b, z_vars)
+        w, wm, wf = weights.w_data, weights.w_model, weights.w_filter
         new_means = w * z_means + wm * m_means + wf * f_means
         new_vars = w**2 * z_vars + wm**2 * b + wf**2 * f_vars
-        loss = (m_means - z_means) ** 2
-        new_q = q + (w + wm) * (loss - q)
+        new_q = update_process_uncertainty(q, w, wm, (m_means - z_means) ** 2)
 
-        dq = float(np.max(np.abs(new_q - q)))
+        dq = float(np.abs(new_q - q).max())
         trace_dq.append(dq)
-        trace_vmax.append(float(np.max(new_vars)))
+        trace_vmax.append(float(new_vars.max()))
 
         f_means, f_vars, q = new_means, new_vars, new_q
         if retain_history:
-            history.append(_pkf_state(i, grid, f_means, f_vars, q, w, wm, wf))
+            history.append(PkfState(i, Trajectory(grid, f_means, f_vars), q, weights))
         if early_stop and dq / (float(np.max(q)) + VARIANCE_FLOOR) < EARLY_STOP_RTOL:
             break
 
     if retain_history:
         final = history[-1]
     else:
-        final = _pkf_state(i, grid, f_means, f_vars, q, w, wm, wf)
+        final = PkfState(i, Trajectory(grid, f_means, f_vars), q, weights)
     return PkfResult(
         final=final,
         history=tuple(history) if retain_history else None,

@@ -2,11 +2,14 @@
 
 Everything here is deliberately implemented by a different route than the
 code under test: fixed-step numerical integration instead of analytic
-flows, exhaustive grid search instead of closed-form minimizers, and plain
-scalar Kalman recursions instead of sigma-point machinery.
+flows, exhaustive grid search instead of closed-form minimizers, plain
+scalar Kalman recursions instead of sigma-point machinery, and a plain-float
+pathspace-filter step instead of the array kernel.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +77,42 @@ def brute_force_weights(
     w0, wm0 = grid_argmin(0.0, 1.0, 0.0, 1.0, coarse)
     pad = 2.0 * coarse
     return grid_argmin(w0 - pad, w0 + pad, wm0 - pad, wm0 + pad, fine)
+
+
+class ScalarEstimate(NamedTuple):
+    mean: float
+    variance: float
+
+
+class ScalarWeights(NamedTuple):
+    w_data: float
+    w_model: float
+    w_filter: float
+
+
+def pkf_step(t: int, prev_state, data, model):
+    """One pathspace-filter update at timepoint ``t`` in plain floats.
+
+    ``prev_state`` supplies ``filter.means``, ``filter.variances`` and
+    ``process_uncertainty``; ``data`` a ``mean`` and ``variance``; ``model``
+    an ``estimate`` with both. Returns the new estimate, the weights used
+    and the updated process uncertainty, whose loss is the squared gap of
+    model and data means.
+    """
+    a = float(prev_state.filter.variances[t])
+    q_prev = float(prev_state.process_uncertainty[t])
+    b = model.estimate.variance + q_prev
+    c = data.variance
+    denom = a * b + b * c + c * a
+    if denom == 0.0:
+        w = wm = wf = 1.0 / 3.0
+    else:
+        w, wm, wf = a * b / denom, a * c / denom, b * c / denom
+    mean = w * data.mean + wm * model.estimate.mean + wf * float(prev_state.filter.means[t])
+    variance = w**2 * c + wm**2 * b + wf**2 * a
+    loss = (model.estimate.mean - data.mean) ** 2
+    q_new = q_prev + (w + wm) * (loss - q_prev)
+    return ScalarEstimate(mean, variance), ScalarWeights(w, wm, wf), q_new
 
 
 def linear_kf(times, z_means, z_vars, slope, intercept, q, floor=1e-9):

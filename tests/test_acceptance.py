@@ -96,7 +96,7 @@ def test_criterion_2_convergence_suite():
 
 
 def test_criterion_3_non_monotone_gain(pkf_history_50):
-    w1 = np.array([w.w_data for w in pkf_history_50.history[0].weights])
+    w1 = pkf_history_50.history[0].weights.w_data
     diffs = np.diff(w1)
     has_increase = bool(np.any(diffs > 0.0))
     has_decrease = bool(np.any(diffs < 0.0))

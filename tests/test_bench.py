@@ -171,7 +171,7 @@ def fabricate_result(grid, q_values):
         iteration=1,
         filter=Trajectory(grid, np.zeros(n), np.ones(n)),
         process_uncertainty=np.asarray(q_values, dtype=float),
-        weights=tuple(PkfWeights(1.0, 0.0, 0.0) for _ in range(n)),
+        weights=PkfWeights(np.ones(n), np.zeros(n), np.zeros(n)),
     )
     return PkfResult(state, None, np.zeros(1), np.ones(1))
 

@@ -351,6 +351,26 @@ class TestCommands:
         assert "q does not apply to pkf" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"algorithm": "kf", "q": "abc"},
+            {"iterations": "x"},
+            {"jobs": "two"},
+            {"model": "nope"},
+            {"retain_history": "false"},
+        ],
+    )
+    def test_bad_config_file_value_exits_2(self, tmp_path, config):
+        out = tmp_path / "o.json"
+        result = CliRunner().invoke(
+            main, ["run", "--input", panel_csv(tmp_path), "--output", str(out),
+                   "--config", write_text(tmp_path / "cfg.json", json.dumps(config))],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert not out.exists()
+
     def test_bench_trajectories_write_failure_exits_2(self, tmp_path):
         config = write_text(
             tmp_path / "sc.json", json.dumps({"t_end": 3.0, "dt": 0.5, "replicates": 8})

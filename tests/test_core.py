@@ -104,4 +104,3 @@ class TestTypes:
         grid = TimeGrid([0.0, 1.0, 2.0])
         traj = Trajectory(grid, [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
         assert traj.estimate(1) == GaussianEstimate(2.0, 0.2)
-        assert len(traj.estimates) == 3

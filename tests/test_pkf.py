@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pathkf import (
     VARIANCE_FLOOR,
@@ -19,7 +22,6 @@ from pathkf import (
     Trajectory,
     classify_regime,
     classify_regimes,
-    pkf_step,
     pkf_weights,
     run_pkf,
     simulate_birth_death,
@@ -27,7 +29,29 @@ from pathkf import (
 )
 from pathkf.pkf import PkfState
 
-from oracles import LinearPathModel, brute_force_weights
+from oracles import LinearPathModel, brute_force_weights, pkf_step
+
+POSITIVE = st.floats(1e-6, 1e6)
+NON_NEGATIVE = st.floats(0.0, 1e6)
+
+
+def columns(*elements):
+    """Equal-length float arrays, one per element strategy."""
+    return st.integers(1, 30).flatmap(
+        lambda n: st.tuples(*(arrays(float, n, elements=e) for e in elements))
+    )
+
+
+@st.composite
+def random_series(draw):
+    """A positive series on an irregular grid with 1-3 replicates per point."""
+    n = draw(st.integers(3, 12))
+    steps = draw(arrays(float, n - 1, elements=st.floats(0.1, 1.0)))
+    groups = tuple(
+        np.array(draw(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3)))
+        for _ in range(n)
+    )
+    return TimeSeriesData("random", TimeGrid(np.cumsum(np.r_[0.0, steps])), groups)
 
 
 class TestPkfWeights:
@@ -69,6 +93,20 @@ class TestPkfWeights:
         with pytest.raises(InvalidParameterError):
             PkfWeights(0.5, 0.4, 0.2)
 
+    def test_array_input_names_first_bad_index(self):
+        with pytest.raises(InvalidParameterError, match=r"v_data\[2\]=nan must be finite"):
+            pkf_weights(np.ones(4), np.ones(4), np.array([1.0, 1.0, np.nan, -1.0]))
+        with pytest.raises(InvalidParameterError, match=r"^v_filter_prev=-1.0 must be"):
+            pkf_weights(-1.0, 1.0, 1.0)
+
+    def test_weight_arrays_are_read_only_and_validated_per_entry(self):
+        w = PkfWeights(np.array([1.0, 0.5]), np.array([0.0, 0.5]), np.zeros(2))
+        assert not w.w_data.flags.writeable
+        with pytest.raises(InvalidParameterError, match=r"w_model\[1\]=1.5 outside"):
+            PkfWeights(np.array([1.0, 0.0]), np.array([0.0, 1.5]), np.array([0.0, -0.5]))
+        with pytest.raises(InvalidParameterError, match="sum to one"):
+            PkfWeights(np.ones(2), np.array([0.0, 0.5]), np.zeros(2))
+
 
 class TestProcessUncertaintyUpdate:
     def test_zero_gain_freezes(self):
@@ -101,7 +139,7 @@ def make_state(grid, means, variances, q):
         iteration=0,
         filter=Trajectory(grid, means, variances),
         process_uncertainty=q,
-        weights=tuple(PkfWeights(1.0, 0.0, 0.0) for _ in range(n)),
+        weights=PkfWeights(np.ones(n), np.zeros(n), np.zeros(n)),
     )
 
 
@@ -127,19 +165,18 @@ class TestPkfStep:
         assert est.variance == 0.0
         assert weights.w_filter == 1.0
 
-    def test_variance_recursion_identity(self):
-        # V(F_i) computed from the quadratic form equals w_filter * V(F_{i-1})
-        rng = np.random.default_rng(6)
-        for _ in range(300):
-            a, vm, q, c = 10.0 ** rng.uniform(-6, 3, 4)
-            state = make_state(self.grid, [0.0, 1.0, 2.0], [a, a, a], [q, q, q])
-            est, weights, _ = pkf_step(
-                0,
-                state,
-                GaussianEstimate(rng.normal(), c),
-                ModelPrediction(GaussianEstimate(rng.normal(), vm)),
-            )
-            np.testing.assert_allclose(est.variance, weights.w_filter * a, rtol=1e-10)
+    @settings(deadline=None, max_examples=200)
+    @given(columns(POSITIVE, POSITIVE, POSITIVE))
+    def test_variance_recursion_identity(self, abc):
+        # V(F_i) computed from the quadratic form equals w_filter * V(F_{i-1}),
+        # checked on the package's weight kernel
+        a, b, c = abc
+        w = pkf_weights(a, b, c)
+        np.testing.assert_allclose(
+            w.w_data**2 * c + w.w_model**2 * b + w.w_filter**2 * a,
+            w.w_filter * a,
+            rtol=1e-10,
+        )
 
 
 class RecordingModel:
@@ -168,11 +205,11 @@ class TestRunPkf:
         n = len(data.grid)
         assert len(result.final.filter.means) == n
         assert len(result.final.process_uncertainty) == n
-        assert len(result.final.weights) == n
+        assert len(result.final.weights.w_data) == n
         assert len(result.history) == 4
         assert result.final.iteration == 4
-        for w in result.final.weights:
-            assert abs(w.w_data + w.w_model + w.w_filter - 1.0) <= 1e-12
+        w = result.final.weights
+        assert np.all(np.abs(w.w_data + w.w_model + w.w_filter - 1.0) <= 1e-12)
 
     def test_noiseless_model_consistent_data_drives_q_down(self):
         # exact exponential data with constant rates: the model reproduces the
@@ -200,7 +237,7 @@ class TestRunPkf:
         assert pkf_history_50.max_abs_dq[-1] / (q_final + VARIANCE_FLOOR) < 1e-3
 
     def test_gain_non_monotone_in_time(self, pkf_history_50):
-        w1 = np.array([w.w_data for w in pkf_history_50.history[0].weights])
+        w1 = pkf_history_50.history[0].weights.w_data
         diffs = np.diff(w1)
         assert np.any(diffs > 0.0)
         assert np.any(diffs < 0.0)
@@ -294,8 +331,38 @@ class TestRunPkf:
                 result.final.process_uncertainty[t], q, rtol=1e-13
             )
             np.testing.assert_allclose(
-                result.final.weights[t].w_filter, weights.w_filter, rtol=1e-13
+                result.final.weights.w_filter[t], weights.w_filter, rtol=1e-13
             )
+
+
+class TestKernelProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(columns(POSITIVE, POSITIVE, POSITIVE))
+    def test_weights_on_simplex_whatever_the_shape(self, abc):
+        a, b, c = abc
+        w = pkf_weights(a, b, c)
+        rows = np.stack([w.w_data, w.w_model, w.w_filter], axis=1)
+        assert np.all((rows >= 0.0) & (rows <= 1.0))
+        assert np.all(np.abs(rows[:, 0] + rows[:, 1] + rows[:, 2] - 1.0) <= 1e-12)
+        for i, row in enumerate(rows):
+            single = pkf_weights(a[i], b[i], c[i])
+            expected = np.array([single.w_data, single.w_model, single.w_filter])
+            assert row.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(columns(POSITIVE, POSITIVE, POSITIVE, NON_NEGATIVE, NON_NEGATIVE))
+    def test_process_uncertainty_non_negative(self, columns_):
+        a, b, c, q, loss = columns_
+        w = pkf_weights(a, b, c)
+        assert np.all(update_process_uncertainty(q, w.w_data, w.w_model, loss) >= 0.0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(random_series(), st.sampled_from(list(ModelKind)))
+    def test_one_iteration_never_raises_filter_variance(self, data, kind):
+        _, z_vars = data.summaries()
+        final = run_pkf(data, kind, iterations=1).final
+        assert np.all(final.filter.variances <= z_vars * (1.0 + 1e-12))
+        assert np.all(final.process_uncertainty >= 0.0)
 
 
 class TestNonUniformGrid:
@@ -311,8 +378,8 @@ class TestNonUniformGrid:
         result = run_pkf(data, ModelKind.BIRTH_DEATH, iterations=5)
         assert np.all(np.isfinite(result.final.filter.means))
         assert np.all(result.final.process_uncertainty >= 0.0)
-        for w in result.final.weights:
-            assert abs(w.w_data + w.w_model + w.w_filter - 1.0) <= 1e-12
+        w = result.final.weights
+        assert np.all(np.abs(w.w_data + w.w_model + w.w_filter - 1.0) <= 1e-12)
         # smooth exponential data: the fitted filter stays near the truth
         rel = np.abs(result.final.filter.means - truth) / truth
         assert float(np.max(rel)) < 0.05
