@@ -15,6 +15,7 @@ import logging
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -181,7 +182,7 @@ def read_labels_csv(path: str) -> dict[str, str]:
 
 
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _state_record(state: PkfState) -> dict:
@@ -331,13 +332,20 @@ class BatchSummary:
         return sum(1 for o in self.outcomes if o.error is not None)
 
 
-def _execute_series(args: tuple[RunConfig, TimeSeriesData]) -> SeriesOutcome:
-    config, data = args
+#: The error of a series whose worker process died before its outcome arrived.
+WORKER_DIED = "BrokenProcessPool: a worker process died"
+
+
+def _execute_series(config: RunConfig, data: TimeSeriesData) -> SeriesOutcome:
     try:
         result = run_spec(config.spec(), data, config.model, config.retain_history)
         return SeriesOutcome(data.series_id, result, None)
     except Exception as exc:  # per-series isolation
         return SeriesOutcome(data.series_id, None, f"{type(exc).__name__}: {exc}")
+
+
+def _execute_chunk(config: RunConfig, chunk: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
+    return [_execute_series(config, data) for data in chunk]
 
 
 def batch_run(
@@ -349,17 +357,24 @@ def batch_run(
 
     Series run on a worker pool of ``config.jobs`` processes; results come
     back in input order, so output is identical at any parallelism degree.
-    Per-series failures are isolated and reported in the summary.
+    Per-series failures are isolated and reported in the summary. If a
+    worker process dies, every series whose outcome had not arrived fails
+    with ``WORKER_DIED``; the others keep their outcomes.
     """
     if not series:
         raise InvalidConfigError("no series to process")
-    tasks = [(config, data) for data in series]
     if config.jobs == 1:
-        outcomes = [_execute_series(task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (config.jobs * 4))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_execute_series, tasks, chunksize=chunk))
+        return BatchSummary(tuple(_execute_chunk(config, series)), tuple(skipped))
+    size = max(1, len(series) // (config.jobs * 4))
+    chunks = [series[i:i + size] for i in range(0, len(series), size)]
+    outcomes: list[SeriesOutcome] = []
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        futures = [pool.submit(_execute_chunk, config, chunk) for chunk in chunks]
+        for chunk, future in zip(chunks, futures):
+            try:
+                outcomes.extend(future.result())
+            except BrokenProcessPool:
+                outcomes.extend(SeriesOutcome(d.series_id, None, WORKER_DIED) for d in chunk)
     return BatchSummary(tuple(outcomes), tuple(skipped))
 
 

@@ -44,6 +44,17 @@ class DegeneratePosteriorError(PathkfError):
     """Every candidate in a posterior scan received zero weight."""
 
 
+def _setstate_readonly(self, state: dict) -> None:
+    """``__setstate__`` of every value type: pickle rebuilds numpy arrays
+    writable, so each array in ``state`` (or in a tuple there) is marked
+    read-only again before the instance takes it."""
+    for value in state.values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+    self.__dict__.update(state)
+
+
 def _readonly(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -73,6 +84,8 @@ class TimeGrid:
             raise InvalidDataError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
 
+    __setstate__ = _setstate_readonly
+
     def __len__(self) -> int:
         return len(self.times)
 
@@ -97,6 +110,7 @@ class TimeSeriesData:
 
     ``samples[t]`` holds the raw replicate values observed at ``grid.times[t]``
     (at least one per timepoint); replicate counts may vary across timepoints.
+    The per-timepoint summaries are computed once, when the series is built.
     """
 
     series_id: str
@@ -109,22 +123,44 @@ class TimeSeriesData:
                 f"series {self.series_id!r}: {len(self.samples)} sample groups "
                 f"for {len(self.grid)} timepoints"
             )
-        frozen = []
-        for i, group in enumerate(self.samples):
-            arr = _readonly(group, f"samples[{i}]")
-            if len(arr) == 0:
-                raise InvalidDataError(
-                    f"series {self.series_id!r}: timepoint {i} has no samples"
-                )
-            frozen.append(arr)
-        object.__setattr__(self, "samples", tuple(frozen))
+        groups = [np.asarray(group, dtype=float) for group in self.samples]
+        for i, group in enumerate(groups):
+            if group.ndim != 1:
+                raise InvalidDataError(f"{self._where(i)}: samples must be one-dimensional")
+        counts = np.array([len(group) for group in groups])
+        if not counts.all():
+            raise InvalidDataError(f"{self._where(int(np.argmin(counts)))} has no samples")
+        values = np.concatenate(groups)
+        ends = np.cumsum(counts)
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+            raise InvalidDataError(f"{self._where(first)}: samples must be finite")
+        means, variances = _summarize_replicates(values, counts)
+        summarized = np.isfinite(means) & np.isfinite(variances)
+        if not summarized.all():
+            raise InvalidDataError(
+                f"{self._where(int(np.argmin(summarized)))}: mean and variance must be finite"
+            )
+        for arr in (values, means, variances):
+            arr.setflags(write=False)
+        bounds = [0, *ends.tolist()]
+        samples = tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_summaries", (means, variances))
+
+    __setstate__ = _setstate_readonly
+
+    def _where(self, index: int) -> str:
+        return f"series {self.series_id!r}: timepoint {index} (t={float(self.grid.times[index])})"
 
     def summaries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-timepoint data means and (floored) sample variances."""
-        est = [summarize_samples(group) for group in self.samples]
-        means = np.array([e.mean for e in est])
-        variances = np.array([e.variance for e in est])
-        return means, variances
+        """Per-timepoint data means and (floored) sample variances.
+
+        Both are read-only arrays computed when the series was built; every
+        call returns the same two objects.
+        """
+        return self._summaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +181,8 @@ class Trajectory:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
 
+    __setstate__ = _setstate_readonly
+
     def estimate(self, index: int) -> GaussianEstimate:
         return GaussianEstimate(float(self.means[index]), float(self.variances[index]))
 
@@ -162,6 +200,33 @@ class GroundTruth:
             raise InvalidDataError("ground truth must match the grid length")
         object.__setattr__(self, "values", values)
 
+    __setstate__ = _setstate_readonly
+
+
+def _summarize_replicates(
+    values: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored sample variance of each replicate group.
+
+    ``values`` holds the groups back to back, ``counts`` their sizes (each
+    at least one). The groups of one size are gathered into a C-contiguous
+    ``(k, r)`` block and reduced along its rows, which sums each row in the
+    order a lone 1-D group is summed, so every entry is bitwise equal to
+    summarizing its group alone. Prefix sums (``np.add.reduceat``) or
+    zero-padding to one width would sum in another order from eight
+    replicates on.
+    """
+    means = np.empty(len(counts))
+    variances = np.full(len(counts), VARIANCE_FLOOR)
+    starts = np.cumsum(counts) - counts
+    for r in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == r)
+        block = values[starts[rows, None] + np.arange(r)]
+        means[rows] = block.mean(axis=1)
+        if r >= 2:
+            variances[rows] = np.maximum(block.var(axis=1, ddof=1), VARIANCE_FLOOR)
+    return means, variances
+
 
 def summarize_samples(samples) -> GaussianEstimate:
     """Summarize raw replicate values into a Gaussian data estimate.
@@ -176,9 +241,5 @@ def summarize_samples(samples) -> GaussianEstimate:
         raise InvalidDataError("samples must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
         raise InvalidDataError("samples must be finite")
-    mean = float(np.mean(arr))
-    if len(arr) >= 2:
-        variance = float(np.var(arr, ddof=1))
-    else:
-        variance = VARIANCE_FLOOR
-    return GaussianEstimate(mean, max(variance, VARIANCE_FLOOR))
+    (mean,), (variance,) = _summarize_replicates(arr, np.array([len(arr)]))
+    return GaussianEstimate(float(mean), float(variance))

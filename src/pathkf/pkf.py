@@ -22,6 +22,7 @@ from .core import (
     InvalidParameterError,
     TimeSeriesData,
     Trajectory,
+    _setstate_readonly,
 )
 from .models import ModelKind, ScanGrid, SplinePathModel
 
@@ -91,6 +92,8 @@ class PkfWeights:
         object.__setattr__(self, "w_model", w[1])
         object.__setattr__(self, "w_filter", w[2])
 
+    __setstate__ = _setstate_readonly
+
 
 @dataclass(frozen=True, eq=False)
 class PkfState:
@@ -111,19 +114,29 @@ class PkfState:
         q.setflags(write=False)
         object.__setattr__(self, "process_uncertainty", q)
 
+    __setstate__ = _setstate_readonly
+
 
 @dataclass(frozen=True, eq=False)
 class PkfResult:
     """Final state, optional per-iteration history, and convergence trace.
 
     ``max_abs_dq[i]`` and ``max_filter_variance[i]`` describe iteration
-    ``i + 1``.
+    ``i + 1``; both traces are read-only float arrays.
     """
 
     final: PkfState
     history: tuple[PkfState, ...] | None
     max_abs_dq: np.ndarray
     max_filter_variance: np.ndarray
+
+    def __post_init__(self):
+        for name in ("max_abs_dq", "max_filter_variance"):
+            trace = np.array(getattr(self, name), dtype=float)
+            trace.setflags(write=False)
+            object.__setattr__(self, name, trace)
+
+    __setstate__ = _setstate_readonly
 
 
 def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
@@ -199,9 +212,7 @@ def run_pkf(
     trace_dq: list[float] = []
     trace_vmax: list[float] = []
 
-    f_means = z_means.copy()
-    f_vars = z_vars.copy()
-    q = z_vars.copy()
+    f_means, f_vars, q = z_means, z_vars, z_vars
 
     for i in range(1, iterations + 1):
         m_means, m_vars = predictor.predict_path(grid, f_means, f_vars)
@@ -229,8 +240,8 @@ def run_pkf(
     return PkfResult(
         final=final,
         history=tuple(history) if retain_history else None,
-        max_abs_dq=np.asarray(trace_dq),
-        max_filter_variance=np.asarray(trace_vmax),
+        max_abs_dq=trace_dq,
+        max_filter_variance=trace_vmax,
     )
 
 

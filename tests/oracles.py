@@ -3,8 +3,9 @@
 Everything here is deliberately implemented by a different route than the
 code under test: fixed-step numerical integration instead of analytic
 flows, exhaustive grid search instead of closed-form minimizers, plain
-scalar Kalman recursions instead of sigma-point machinery, and a plain-float
-pathspace-filter step instead of the array kernel.
+scalar Kalman recursions instead of sigma-point machinery, a plain-float
+pathspace-filter step instead of the array kernel, and one replicate group
+at a time instead of the stacked summary kernel.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def rk4_integrate_piecewise(
 
         x = rk4_integrate(segment_deriv, x, a, b, steps)
     return x
+
+
+def replicate_summary(samples, floor: float = 1e-9) -> tuple[float, float]:
+    """Mean and floored Bessel-corrected variance of one 1-D replicate group,
+    the floor standing in for the variance of a single replicate."""
+    arr = np.asarray(samples, dtype=float)
+    variance = float(np.var(arr, ddof=1)) if len(arr) >= 2 else floor
+    return float(np.mean(arr)), max(variance, floor)
 
 
 def brute_force_weights(

@@ -1,6 +1,9 @@
 """Ingestion, serialization, batch execution, and the command-line surface."""
 
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from pathkf import (
     run_ukf,
     simulate_birth_death,
 )
+import pathkf.cli
 from pathkf.bench import BenchmarkReport
 from pathkf.cli import (
+    WORKER_DIED,
     IoError,
     ParseError,
     RunConfig,
@@ -29,6 +34,8 @@ from pathkf.cli import (
     write_series_csv,
     write_truth_csv,
 )
+
+from test_core import arrays_in
 
 
 def write_text(path, text):
@@ -166,6 +173,41 @@ class TestBatchRun:
         write_batch_results(batch_run(config1, series, skipped), out1)
         write_batch_results(batch_run(config2, series, skipped), out2)
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_pool_outcomes_are_read_only(self, tmp_path):
+        series, _ = read_series_csv(panel_csv(tmp_path, n_series=4))
+        config = RunConfig(algorithm="pkf", iterations=2, jobs=2, retain_history=True)
+        arrays = arrays_in(batch_run(config, series).outcomes)
+        assert arrays
+        assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers must inherit the patched run_spec",
+    )
+    def test_dying_worker_fails_only_its_series(self, tmp_path, monkeypatch):
+        data_path = panel_csv(tmp_path, n_series=6)
+        out1 = str(tmp_path / "j1.json")
+        out2 = str(tmp_path / "j2.json")
+        runner = CliRunner()
+        args = ["run", "--iterations", "2", "--input", data_path]
+        assert runner.invoke(main, args + ["--output", out1]).exit_code == 0
+        run_spec = pathkf.cli.run_spec
+
+        def dying(spec, data, *rest):
+            if data.series_id == "g5":
+                time.sleep(1.0)  # the other worker finishes g0-g4 meanwhile
+                os._exit(1)
+            return run_spec(spec, data, *rest)
+
+        monkeypatch.setattr(pathkf.cli, "run_spec", dying)
+        result = runner.invoke(main, args + ["--jobs", "2", "--output", out2])
+        assert result.exit_code == 1, result.output
+        serial = json.loads((tmp_path / "j1.json").read_text())["series"]
+        pooled = json.loads((tmp_path / "j2.json").read_text())["series"]
+        assert pooled.pop("g5") == {"error": WORKER_DIED}
+        serial.pop("g5")
+        assert pooled == serial
 
     def test_skipped_series_reported_others_complete(self, tmp_path):
         path = panel_csv(tmp_path, n_series=3, broken=True)
