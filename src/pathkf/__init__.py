@@ -46,19 +46,11 @@ from .core import (
     summarize_samples,
 )
 from .models import (
-    FitPosition,
     ModelKind,
-    ModelPrediction,
     ScanGrid,
     SplinePathModel,
-    SplinePosterior,
-    Window,
-    fit_spline_posterior,
     flow_birth_death,
     flow_const_reg,
-    posterior_moments,
-    solve_k_birth,
-    solve_k_exp,
 )
 from .pkf import (
     PkfResult,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     VARIANCE_FLOOR,
-    DegeneratePosteriorError,
     GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
@@ -26,17 +25,8 @@ from .core import (
     TimeSeriesData,
     Trajectory,
 )
-from .models import (
-    POSITIVE_VALUE_FLOOR,
-    FitPosition,
-    ModelKind,
-    ScanGrid,
-    SplinePosterior,
-    Window,
-    fit_spline_posterior,
-    posterior_moments,
-    uniform_posterior,
-)
+from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, fit_spline_posterior
+from .models import uniform_posterior  # noqa: F401  perfbench traces the fallback here too
 
 
 @dataclass(frozen=True)
@@ -170,24 +160,18 @@ def statistical_linearization(
     return slope, intercept, residual
 
 
-def _right_window(
-    times: np.ndarray,
-    ref_means: np.ndarray,
-    target: GaussianEstimate,
-    index: int,
-    kind: ModelKind,
-) -> Window:
-    """Right-endpoint window: anchors at the two preceding reference points."""
-    va = float(ref_means[index - 2])
-    vb = float(ref_means[index - 1])
-    if kind is ModelKind.BIRTH_DEATH:
-        va = max(va, POSITIVE_VALUE_FLOOR)
-        vb = max(vb, POSITIVE_VALUE_FLOOR)
-    return Window(
-        anchor_a=(float(times[index - 2]), va),
-        anchor_b=(float(times[index - 1]), vb),
-        target=(float(times[index]), target),
-    )
+@dataclass(frozen=True)
+class _Relaxation:
+    """The constant-regulation step ``x -> steady + (x - steady) * decay``,
+    with the posterior moments of the window it was fitted on."""
+
+    steady: float
+    decay: float
+    mean: float
+    variance: float
+
+    def __call__(self, x):
+        return self.steady + (x - self.steady) * self.decay
 
 
 @dataclass(frozen=True)
@@ -206,31 +190,8 @@ class FlowStepDynamics:
     z_vars: np.ndarray
     scan: ScanGrid = field(default_factory=ScanGrid)
 
-    def fit_window(
-        self, times: np.ndarray, ref_means: np.ndarray, index: int
-    ) -> SplinePosterior:
-        """Posterior of the right-endpoint window into ``index``, scored
-        against the data there; uniform weights if it is degenerate."""
-        target = GaussianEstimate(float(self.z_means[index]), float(self.z_vars[index]))
-        window = _right_window(times, ref_means, target, index, self.kind)
-        try:
-            return fit_spline_posterior(
-                window, self.kind, FitPosition.RIGHT_ENDPOINT, self.scan
-            )
-        except DegeneratePosteriorError:
-            return uniform_posterior(
-                window, self.kind, FitPosition.RIGHT_ENDPOINT, self.scan
-            )
-
-    def step_map(
-        self,
-        times: np.ndarray,
-        ref_means: np.ndarray,
-        index: int,
-        posterior: SplinePosterior | None = None,
-    ):
-        """Transition map into ``index``. A constant-regulation step reuses
-        ``posterior`` when the caller has already fit that window."""
+    def step_map(self, times: np.ndarray, ref_means: np.ndarray, index: int):
+        """Transition map into ``index``, fitted on ``ref_means``."""
         if index < 2:
             return lambda x: x
         delta = float(times[index] - times[index - 1])
@@ -245,13 +206,17 @@ class FlowStepDynamics:
                     f"birth-death step factor overflowed (growth={growth}, dt={delta})"
                 ) from None
             return lambda x, _f=factor: _f * x
-        if posterior is None:
-            posterior = self.fit_window(times, ref_means, index)
-        best = int(np.argmax(posterior.weights))
-        k_deg = float(posterior.k1_grid[best])
-        steady = float(posterior.k2_values[best]) / k_deg
+        into = np.array([index])
+        fit = fit_spline_posterior(
+            self.kind, self.scan, times, into - 2, into - 1, into, ref_means,
+            self.z_means[into], self.z_vars[into], check_moments=False,
+        )
+        best = int(np.argmax(fit.weights[0]))
+        k_deg = float(fit.k_deg[0, best])
+        # k_exp / k_deg as the scalar fit derived it; reading steady differs in the last bit
+        steady = float(k_deg * fit.steady[0, best]) / k_deg
         decay = math.exp(-k_deg * delta)
-        return lambda x, _s=steady, _d=decay: _s + (x - _s) * _d
+        return _Relaxation(steady, decay, float(fit.means[0]), float(fit.variances[0]))
 
 
 @dataclass(frozen=True)
@@ -292,20 +257,14 @@ def run_adaptive_kf(
     f_means[:2] = z_means[:2]
     f_vars[:2] = z_vars[:2]
     for t in range(2, n):
-        posterior = None
-        v_model = VARIANCE_FLOOR
-        if kind is ModelKind.CONSTANT_REGULATION:
-            try:
-                posterior = dynamics.fit_window(grid.times, z_means, t)
-            except DegeneratePosteriorError as exc:
-                raise DegeneratePosteriorError(
-                    f"model fit failed at timepoint {t} (t={grid.times[t]}): {exc}"
-                ) from exc
-            v_model = posterior_moments(posterior).estimate.variance
         try:
-            flow = dynamics.step_map(grid.times, z_means, t, posterior)
+            flow = dynamics.step_map(grid.times, z_means, t)
         except NumericalOverflowError as exc:
             raise _overflow_at(exc, grid.times, t) from exc
+        v_model = VARIANCE_FLOOR
+        if kind is ModelKind.CONSTANT_REGULATION:
+            # non-finite window moments fail here, as they did in the scalar fit
+            v_model = GaussianEstimate(flow.mean, flow.variance).variance
         e_model = float(flow(f_means[t - 1]))
         b = v_model + q
         w = b / (b + z_vars[t])

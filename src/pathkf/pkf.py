@@ -12,6 +12,7 @@ spiking where the data-generating process deviates from the model.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     VARIANCE_FLOOR,
     InvalidDataError,
     InvalidParameterError,
+    NumericalOverflowError,
     TimeSeriesData,
     Trajectory,
     _setstate_readonly,
@@ -224,8 +226,17 @@ def run_pkf(
         new_q = update_process_uncertainty(q, w, wm, (m_means - z_means) ** 2)
 
         dq = float(np.abs(new_q - q).max())
+        vmax = float(new_vars.max())
+        # q and the variances are finite and non-negative, so dq and vmax are
+        # finite exactly when every new Q and variance is
+        if not (math.isfinite(dq) and math.isfinite(vmax) and np.isfinite(new_means).all()):
+            bad = ~(np.isfinite(new_q) & np.isfinite(new_means) & np.isfinite(new_vars))
+            raise NumericalOverflowError(
+                f"{data._where(int(np.argmax(bad)))}: the filter update left the "
+                f"finite range at iteration {i}"
+            )
         trace_dq.append(dq)
-        trace_vmax.append(float(new_vars.max()))
+        trace_vmax.append(vmax)
 
         f_means, f_vars, q = new_means, new_vars, new_q
         if retain_history:

@@ -4,15 +4,31 @@ Everything here is deliberately implemented by a different route than the
 code under test: fixed-step numerical integration instead of analytic
 flows, exhaustive grid search instead of closed-form minimizers, plain
 scalar Kalman recursions instead of sigma-point machinery, a plain-float
-pathspace-filter step instead of the array kernel, and one replicate group
-at a time instead of the stacked summary kernel.
+pathspace-filter step instead of the array kernel, one replicate group at a
+time instead of the stacked summary kernel, and one three-point window at a
+time instead of the spline-posterior kernel.
 """
 
 from __future__ import annotations
 
+import enum
+import logging
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from pathkf import (
+    VARIANCE_FLOOR,
+    DegeneratePosteriorError,
+    GaussianEstimate,
+    InvalidDataError,
+    InvalidParameterError,
+    ModelKind,
+    ScanGrid,
+)
+from pathkf.models import POSITIVE_VALUE_FLOOR
 
 
 def rk4_integrate(deriv, x0: float, t0: float, t1: float, steps: int = 4096) -> float:
@@ -176,3 +192,318 @@ class LinearPathModel:
         m[0] = (means[1] - self.intercept) / self.slope
         v[0] = variances[1] / self.slope**2
         return m, np.maximum(v, 1e-9)
+
+
+# --- the scalar spline-posterior fit, one three-point window at a time ---
+
+
+class FitPosition(enum.Enum):
+    """Where the target sits relative to the two anchors."""
+
+    CENTER = "center"
+    RIGHT_ENDPOINT = "right"
+    LEFT_ENDPOINT = "left"
+
+
+@dataclass(frozen=True)
+class Window:
+    """A three-point fitting window.
+
+    The anchors are (time, value) pairs the spline must pass through
+    exactly; the target is the point being predicted and carries the
+    Gaussian estimate used to score each spline.
+    """
+
+    anchor_a: tuple[float, float]
+    anchor_b: tuple[float, float]
+    target: tuple[float, GaussianEstimate]
+
+    def __post_init__(self):
+        ta, tb, tt = self.anchor_a[0], self.anchor_b[0], self.target[0]
+        if len({ta, tb, tt}) != 3:
+            raise InvalidDataError("window times must be three distinct values")
+        for v in (ta, tb, tt, self.anchor_a[1], self.anchor_b[1]):
+            if not math.isfinite(v):
+                raise InvalidDataError("window times and values must be finite")
+
+    def ordered_anchors(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Anchors sorted by time (earlier first)."""
+        if self.anchor_a[0] <= self.anchor_b[0]:
+            return self.anchor_a, self.anchor_b
+        return self.anchor_b, self.anchor_a
+
+    def span(self) -> float:
+        """Total time extent of the window."""
+        times = (self.anchor_a[0], self.anchor_b[0], self.target[0])
+        return max(times) - min(times)
+
+    def position(self) -> FitPosition:
+        """Fit position implied by the time ordering."""
+        (ta, _), (tb, _) = self.ordered_anchors()
+        tt = self.target[0]
+        if tt < ta:
+            return FitPosition.LEFT_ENDPOINT
+        if tt > tb:
+            return FitPosition.RIGHT_ENDPOINT
+        return FitPosition.CENTER
+
+
+@dataclass(frozen=True, eq=False)
+class SplinePosterior:
+    """Discrete posterior over one-parameter spline families.
+
+    Index ``i`` holds the scanned free parameter, the derived second
+    parameter, the spline's value at the target time, and its normalized
+    posterior weight.
+    """
+
+    k1_grid: np.ndarray
+    k2_values: np.ndarray
+    predictions: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        arrays = {}
+        for name in ("k1_grid", "k2_values", "predictions", "weights"):
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr.setflags(write=False)
+            arrays[name] = arr
+        n = len(arrays["k1_grid"])
+        if any(len(a) != n for a in arrays.values()):
+            raise InvalidDataError("posterior arrays must share one length")
+        w = arrays["weights"]
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise InvalidDataError("posterior weights must be finite and non-negative")
+        if abs(float(np.sum(w)) - 1.0) > 1e-12:
+            raise InvalidDataError("posterior weights must sum to one")
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
+
+
+@dataclass(frozen=True)
+class ModelPrediction:
+    """Posterior mean and variance of the spline value at the target time."""
+
+    estimate: GaussianEstimate
+
+
+def _check_position(window: Window, pos: FitPosition) -> None:
+    actual = window.position()
+    if actual is not pos:
+        raise InvalidDataError(
+            f"window target at t={window.target[0]} implies {actual.value!r}, "
+            f"not {pos.value!r}"
+        )
+
+
+def _bd_growth(window: Window) -> float:
+    (ta, na), (tb, nb) = window.ordered_anchors()
+    if na <= 0 or nb <= 0:
+        raise InvalidDataError(
+            "birth-death anchors must be positive (apply the positivity clamp upstream)"
+        )
+    return math.log(nb / na) / (tb - ta)
+
+
+def solve_k_birth(k_death: float, window: Window, pos: FitPosition) -> float:
+    """Birth rate that makes the birth/death flow hit both anchors exactly."""
+    _check_position(window, pos)
+    return k_death + _bd_growth(window)
+
+
+def _cr_steady(k_deg, window: Window):
+    """Steady state ``k_exp / k_deg`` pinning the flow to both anchors.
+
+    Vectorized over ``k_deg``; the denominator ``1 - exp(-k_deg * dt)`` goes
+    through expm1 so small rates stay accurate.
+    """
+    (ta, xa), (tb, xb) = window.ordered_anchors()
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        decay = np.exp(-k_deg * (tb - ta))
+        denom = -np.expm1(-k_deg * (tb - ta))
+        steady = (xb - xa * decay) / denom
+    if not np.all(np.isfinite(steady)):
+        raise InvalidParameterError(
+            "k_deg too small: the anchor decay denominator underflowed"
+        )
+    return steady
+
+
+def solve_k_exp(k_deg: float, window: Window, pos: FitPosition) -> float:
+    """Expression rate that makes the constant-regulation flow hit both anchors."""
+    if k_deg <= 0:
+        raise InvalidParameterError("k_deg must be positive")
+    _check_position(window, pos)
+    return float(k_deg * _cr_steady(k_deg, window))
+
+
+def _spline_values(window: Window, kind: ModelKind, k1: np.ndarray, t: float):
+    """Every anchored spline at time ``t``, as ``(k2, values)``; the flow is
+    anchored at the earlier anchor and evaluated at a signed time offset."""
+    (ta, va), _ = window.ordered_anchors()
+    with np.errstate(over="ignore", under="ignore"):
+        if kind is ModelKind.BIRTH_DEATH:
+            growth = _bd_growth(window)
+            k2 = k1 + growth
+            values = va * np.exp(growth * (t - ta))
+            values = np.broadcast_to(values, k1.shape).copy()
+        else:
+            steady = _cr_steady(k1, window)
+            k2 = k1 * steady
+            values = steady + (va - steady) * np.exp(-k1 * (t - ta))
+    return k2, values
+
+
+def fit_spline_posterior(
+    window: Window,
+    kind: ModelKind,
+    pos: FitPosition,
+    grid: ScanGrid = ScanGrid(),
+    prior: np.ndarray | None = None,
+) -> SplinePosterior:
+    """Scan the free parameter and weight each anchored spline by the target.
+
+    The weight of spline ``i`` is proportional to
+    ``exp(-(p_i - mean)^2 / (2 * max(var, VARIANCE_FLOOR))) * prior_i``
+    where ``(mean, var)`` is the target's Gaussian estimate and ``p_i`` the
+    spline's prediction at the target time. Normalization shifts by the
+    peak log-weight first, so only a posterior whose total mass is zero or
+    non-finite (e.g. an all-zero prior) is degenerate.
+    """
+    _check_position(window, pos)
+    k1 = grid.values(window.span())
+    if prior is None:
+        prior_arr = np.ones_like(k1)
+    else:
+        prior_arr = np.asarray(prior, dtype=float)
+        if prior_arr.shape != k1.shape:
+            raise InvalidParameterError("prior must match the scan grid length")
+        if np.any(prior_arr < 0):
+            raise InvalidParameterError("prior weights must be non-negative")
+
+    t_target, target = window.target
+    k2, predictions = _spline_values(window, kind, k1, t_target)
+    if not np.all(np.isfinite(predictions)):
+        raise DegeneratePosteriorError("spline predictions left the finite range")
+
+    scale = 2.0 * max(target.variance, VARIANCE_FLOOR)
+    losses = (predictions - target.mean) ** 2 / scale
+    with np.errstate(divide="ignore"):
+        log_weights = -losses + np.log(prior_arr)
+    peak = float(np.max(log_weights))
+    if not math.isfinite(peak):
+        raise DegeneratePosteriorError("all spline weights vanished")
+    raw = np.exp(log_weights - peak)
+    weights = raw / raw.sum()
+    # second pass removes residual rounding so the sum is exactly one
+    weights = weights / weights.sum()
+    return SplinePosterior(k1, k2, predictions, weights)
+
+
+def uniform_posterior(
+    window: Window, kind: ModelKind, pos: FitPosition, grid: ScanGrid = ScanGrid()
+) -> SplinePosterior:
+    """Posterior with uniform weights, the fallback for degenerate fits."""
+    _check_position(window, pos)
+    k1 = grid.values(window.span())
+    k2, predictions = _spline_values(window, kind, k1, window.target[0])
+    if not np.all(np.isfinite(predictions)):
+        raise DegeneratePosteriorError("spline predictions left the finite range")
+    weights = np.full_like(k1, 1.0 / len(k1))
+    weights = weights / weights.sum()
+    return SplinePosterior(k1, k2, predictions, weights)
+
+
+def posterior_moments(posterior: SplinePosterior) -> ModelPrediction:
+    """First two moments of the prediction under the posterior weights."""
+    mean = float(np.sum(posterior.weights * posterior.predictions))
+    variance = float(np.sum(posterior.weights * (posterior.predictions - mean) ** 2))
+    return ModelPrediction(GaussianEstimate(mean, max(variance, VARIANCE_FLOOR)))
+
+
+def _clamped_anchors(va: float, vb: float, kind: ModelKind) -> tuple[float, float]:
+    if kind is ModelKind.BIRTH_DEATH:
+        return max(va, POSITIVE_VALUE_FLOOR), max(vb, POSITIVE_VALUE_FLOOR)
+    return va, vb
+
+
+def window_at(grid, means, variances, index: int, kind: ModelKind):
+    """Centered window for predicting ``index`` from a reference path.
+
+    Interior points anchor their two neighbours and sit in the center; the
+    first point is a left endpoint anchored at the next two points, and the
+    last a right endpoint anchored at the two preceding it.
+    """
+    times = grid.times
+    n = len(times)
+    if index == 0:
+        ia, ib, pos = 1, 2, FitPosition.LEFT_ENDPOINT
+    elif index == n - 1:
+        ia, ib, pos = n - 3, n - 2, FitPosition.RIGHT_ENDPOINT
+    else:
+        ia, ib, pos = index - 1, index + 1, FitPosition.CENTER
+    target = GaussianEstimate(float(means[index]), float(variances[index]))
+    va, vb = _clamped_anchors(float(means[ia]), float(means[ib]), kind)
+    window = Window((float(times[ia]), va), (float(times[ib]), vb), (float(times[index]), target))
+    return window, pos
+
+
+def right_window(times, ref_means, z_means, z_vars, index: int, kind: ModelKind):
+    """Right-endpoint window into ``index``: anchors at the two preceding
+    reference points, target the data there."""
+    target = GaussianEstimate(float(z_means[index]), float(z_vars[index]))
+    va, vb = _clamped_anchors(float(ref_means[index - 2]), float(ref_means[index - 1]), kind)
+    window = Window(
+        (float(times[index - 2]), va), (float(times[index - 1]), vb), (float(times[index]), target)
+    )
+    return window, FitPosition.RIGHT_ENDPOINT
+
+
+def fit_windows(kind, times, indices, make_window, scan=ScanGrid(), moments=True):
+    """Scalar fits of the windows into ``indices``, one at a time and in order.
+
+    ``make_window(index)`` returns ``(window, position)``. A degenerate
+    posterior falls back to uniform weights with a logged warning; a fit
+    whose predictions leave the finite range fails naming the timepoint.
+    Returns the posteriors and, with ``moments``, their moments.
+    """
+    posteriors, estimates = [], []
+    for index in indices:
+        window, pos = make_window(index)
+        try:
+            try:
+                posterior = fit_spline_posterior(window, kind, pos, scan)
+            except DegeneratePosteriorError:
+                logging.getLogger("pathkf.models").warning(
+                    "degenerate spline posterior at t=%s; using uniform weights", times[index]
+                )
+                posterior = uniform_posterior(window, kind, pos, scan)
+        except DegeneratePosteriorError as exc:
+            raise DegeneratePosteriorError(
+                f"model fit failed at timepoint {index} (t={times[index]}): {exc}"
+            ) from exc
+        posteriors.append(posterior)
+        if moments:
+            estimates.append(posterior_moments(posterior).estimate)
+    return posteriors, estimates
+
+
+def scalar_predict_path(kind, grid, means, variances, scan=ScanGrid()):
+    """Reference for the path kernel: one scalar centered-window fit per timepoint."""
+    _, estimates = fit_windows(
+        kind, grid.times, range(len(grid)),
+        lambda t: window_at(grid, means, variances, t, kind), scan,
+    )
+    return (
+        np.array([e.mean for e in estimates]),
+        np.array([e.variance for e in estimates]),
+    )
+
+
+def relaxation_step(posterior: SplinePosterior, delta: float) -> tuple[float, float]:
+    """Steady state and decay of the constant-regulation step at the
+    posterior argmax, over a step of length ``delta``."""
+    best = int(np.argmax(posterior.weights))
+    k_deg = float(posterior.k1_grid[best])
+    steady = float(posterior.k2_values[best]) / k_deg
+    return steady, math.exp(-k_deg * delta)

@@ -30,25 +30,18 @@ from pathkf import (
 )
 from pathkf.baselines import AffineStepDynamics
 from pathkf.cli import RunConfig, batch_run, read_series_csv, write_batch_results, write_series_csv
-from pathkf.models import (
-    FitPosition,
-    ScanGrid,
-    Window,
-    fit_spline_posterior,
-    flow_birth_death,
-    flow_const_reg,
-    posterior_moments,
-)
-from pathkf.core import GaussianEstimate
+import pathkf.models
+from pathkf.models import ScanGrid, SplinePathModel, flow_birth_death, flow_const_reg
 
 from oracles import (
+    FitPosition,
     LinearPathModel,
     brute_force_weights,
     linear_kf,
     linear_rts,
     rk4_integrate,
 )
-from test_models import random_window, roundtrip_error
+from test_models import random_window, roundtrip_error, spied_kernel
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -184,6 +177,15 @@ def test_criterion_6_linear_optimality():
     )
 
 
+def three_point_path(window):
+    """The window as a 3-point path: anchors, target between them, and the
+    target variance at every point."""
+    (ta, va), (tb, vb) = window.ordered_anchors()
+    tt, target = window.target
+    means = np.array([va, target.mean, vb])
+    return TimeGrid([ta, tt, tb]), means, np.full(3, target.variance)
+
+
 def test_criterion_7_model_analytics_suite():
     # h-function round trips: 1000 fuzz cases per kind per fit position
     worst_roundtrip = 0.0
@@ -211,36 +213,37 @@ def test_criterion_7_model_analytics_suite():
             worst_flow, abs(flow_const_reg(x0, ke, kdeg, dt) - ref) / max(abs(ref), 1e-12)
         )
 
-    # posterior weight normalization
+    # posterior weight normalization, on the package kernel: predict_path on
+    # the 3-point grid of each window, whose center row is that window's fit
+    patch, fits = spied_kernel(pathkf.models)
     worst_norm = 0.0
     for kind in ModelKind:
         rng = np.random.default_rng(lambda_seed := 99)
         for _ in range(50):
-            window = random_window(rng, kind, FitPosition.CENTER)
-            posterior = fit_spline_posterior(window, kind, FitPosition.CENTER)
-            worst_norm = max(worst_norm, abs(float(np.sum(posterior.weights)) - 1.0))
+            grid, means, variances = three_point_path(random_window(rng, kind, FitPosition.CENTER))
+            with patch:
+                SplinePathModel(kind).predict_path(grid, means, variances)
+            worst_norm = max(worst_norm, abs(float(np.sum(fits[-1].weights[1])) - 1.0))
 
-    # moments against a 10x refined grid
+    # moments against a 10x refined grid, on predict_path's center row
     import math
 
-    bd_window = Window((0.0, 100.0), (2.0, 130.0), (1.0, GaussianEstimate(118.0, 4.0)))
     kd, ke, x0 = 0.5, 5.0, 4.0
     curve = lambda t: ke / kd + (x0 - ke / kd) * math.exp(-kd * t)
-    cr_window = Window(
-        (0.0, curve(0.0)), (2.0, curve(2.0)), (1.0, GaussianEstimate(curve(1.0), 0.01))
+    bd_path = (TimeGrid([0.0, 1.0, 2.0]), np.array([100.0, 118.0, 130.0]), np.full(3, 4.0))
+    cr_path = (
+        TimeGrid([0.0, 1.0, 2.0]),
+        np.array([curve(0.0), curve(1.0), curve(2.0)]),
+        np.full(3, 0.01),
     )
     worst_refine = 0.0
-    for window, kind in ((bd_window, ModelKind.BIRTH_DEATH), (cr_window, ModelKind.CONSTANT_REGULATION)):
-        coarse = posterior_moments(
-            fit_spline_posterior(window, kind, FitPosition.CENTER, ScanGrid(200))
-        ).estimate
-        fine = posterior_moments(
-            fit_spline_posterior(window, kind, FitPosition.CENTER, ScanGrid(2000))
-        ).estimate
+    for path, kind in ((bd_path, ModelKind.BIRTH_DEATH), (cr_path, ModelKind.CONSTANT_REGULATION)):
+        coarse_means, coarse_vars = SplinePathModel(kind, ScanGrid(200)).predict_path(*path)
+        fine_means, fine_vars = SplinePathModel(kind, ScanGrid(2000)).predict_path(*path)
         worst_refine = max(
             worst_refine,
-            abs(coarse.mean - fine.mean) / abs(fine.mean),
-            abs(coarse.variance - fine.variance) / max(fine.variance, 1e-12),
+            abs(coarse_means[1] - fine_means[1]) / abs(fine_means[1]),
+            abs(coarse_vars[1] - fine_vars[1]) / max(fine_vars[1], 1e-12),
         )
 
     ok = (

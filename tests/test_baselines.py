@@ -6,10 +6,12 @@ import pytest
 from pathkf import (
     VARIANCE_FLOOR,
     AffineStepDynamics,
+    DegeneratePosteriorError,
     GaussianEstimate,
     InvalidParameterError,
     ModelKind,
     NumericalOverflowError,
+    ScanGrid,
     SigmaPoints,
     TimeGrid,
     TimeSeriesData,
@@ -23,6 +25,8 @@ from pathkf import (
     statistical_linearization,
     unscented_transform,
 )
+
+from pathkf.baselines import FlowStepDynamics
 
 from oracles import linear_kf, linear_rts
 
@@ -230,26 +234,46 @@ class TestOverflow:
             run(data, ModelKind.BIRTH_DEATH)
 
 
-def test_adaptive_kf_fits_each_window_once(monkeypatch):
+def test_const_reg_step_fit_failure_names_the_timepoint():
+    # anchors of opposite sign near the float limit and a high-rate scan give
+    # a finite steady state but predictions that overflow
+    vals = [1.7e308, 1.7e308, -1.7e308, 0.0]
+    data = series_from_groups([[v] for v in vals])
+    z_means, z_vars = data.summaries()
+    scan = ScanGrid(num=5, k_min=5.0, k_max=50.0)
+    dynamics = FlowStepDynamics(ModelKind.CONSTANT_REGULATION, z_means, z_vars, scan)
+    with np.errstate(all="ignore"), pytest.raises(
+        DegeneratePosteriorError,
+        match=r"^model fit failed at timepoint 3 \(t=3\.0\): spline predictions left "
+        r"the finite range$",
+    ):
+        dynamics.step_map(data.grid.times, z_means, 3)
+
+
+def count_fitted_windows(monkeypatch):
+    """Target timepoints of every window the baselines fit, in call order."""
     import pathkf.baselines as baselines
 
-    calls = []
+    targets = []
     fit = baselines.fit_spline_posterior
-    monkeypatch.setattr(
-        baselines, "fit_spline_posterior", lambda *a, **k: calls.append(1) or fit(*a, **k)
-    )
+
+    def counting(kind, scan, times, ia, ib, window_targets, *args, **kwargs):
+        targets.extend(int(t) for t in window_targets)
+        return fit(kind, scan, times, ia, ib, window_targets, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "fit_spline_posterior", counting)
+    return targets
+
+
+def test_adaptive_kf_fits_each_window_once(monkeypatch):
+    # each const-reg window is fit exactly once, whatever the number of calls
+    targets = count_fitted_windows(monkeypatch)
     data = random_series(np.random.default_rng(3), n=12)
     run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
-    assert len(calls) == 12 - 2
+    assert targets == list(range(2, 12))
 
 
 def test_adaptive_kf_birth_death_fits_no_window(monkeypatch):
-    import pathkf.baselines as baselines
-
-    calls = []
-    fit = baselines.fit_spline_posterior
-    monkeypatch.setattr(
-        baselines, "fit_spline_posterior", lambda *a, **k: calls.append(1) or fit(*a, **k)
-    )
+    targets = count_fitted_windows(monkeypatch)
     run_adaptive_kf(random_series(np.random.default_rng(4), n=12), ModelKind.BIRTH_DEATH)
-    assert calls == []
+    assert targets == []

@@ -1,15 +1,21 @@
-"""ODE flows, anchor solvers, and the spline posterior."""
+"""ODE flows, the spline-posterior kernel, and its scalar reference fit."""
 
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import pathkf.baselines
+import pathkf.models
 
 from pathkf import (
     VARIANCE_FLOOR,
     DegeneratePosteriorError,
-    FitPosition,
     GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
@@ -19,17 +25,28 @@ from pathkf import (
     ScanGrid,
     SplinePathModel,
     TimeGrid,
-    Window,
-    fit_spline_posterior,
     flow_birth_death,
     flow_const_reg,
+)
+from pathkf.baselines import FlowStepDynamics
+from pathkf.models import fit_spline_posterior as kernel
+
+from oracles import (
+    FitPosition,
+    SplinePosterior,
+    Window,
+    fit_spline_posterior,
+    fit_windows,
     posterior_moments,
+    relaxation_step,
+    right_window,
+    rk4_integrate,
+    scalar_predict_path,
     solve_k_birth,
     solve_k_exp,
+    uniform_posterior,
+    window_at,
 )
-from pathkf.models import SplinePosterior, uniform_posterior, window_at
-
-from oracles import rk4_integrate
 
 
 def bd_window(a, b, target, variance=1.0):
@@ -341,32 +358,6 @@ class TestRefinementOracle:
         np.testing.assert_allclose(coarse.variance, fine.variance, rtol=1e-4)
 
 
-def scalar_predict_path(kind, grid, means, variances, scan=ScanGrid()):
-    """Reference for the path kernel: one scalar window fit per timepoint."""
-    n = len(grid)
-    out_means = np.empty(n)
-    out_vars = np.empty(n)
-    for t in range(n):
-        window, pos = window_at(grid, means, variances, t, kind)
-        try:
-            try:
-                posterior = fit_spline_posterior(window, kind, pos, scan)
-            except DegeneratePosteriorError:
-                logging.getLogger("pathkf.models").warning(
-                    "degenerate spline posterior at t=%s; using uniform weights",
-                    grid.times[t],
-                )
-                posterior = uniform_posterior(window, kind, pos, scan)
-        except DegeneratePosteriorError as exc:
-            raise DegeneratePosteriorError(
-                f"model fit failed at timepoint {t} (t={grid.times[t]}): {exc}"
-            ) from exc
-        estimate = posterior_moments(posterior).estimate
-        out_means[t] = estimate.mean
-        out_vars[t] = estimate.variance
-    return out_means, out_vars
-
-
 def random_path(rng, kind):
     n = int(rng.integers(3, 26))
     times = np.cumsum(rng.uniform(0.01, 3.0, n)) - rng.uniform(0.0, 5.0)
@@ -457,3 +448,140 @@ class TestPathKernel:
         assert table.shape == (1000, scan.num)
         for span, row in zip(spans, table):
             assert row.tobytes() == scan.values(float(span)).tobytes()
+
+
+CONST_REG = ModelKind.CONSTANT_REGULATION
+
+
+@st.composite
+def kernel_paths(draw):
+    """Times, anchors, target means and variances of a random 3-25 point
+    path at a scale from 1e-4 to 1e6. Sometimes one anchor or target is
+    spiked far out with a zero variance, which makes windows degenerate or
+    fail."""
+    n = draw(st.integers(3, 25))
+    unit = arrays(float, n, elements=st.floats(-1.0, 2.0))
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 3.0)))
+    times = np.cumsum(np.r_[draw(st.floats(-5.0, 5.0)), gaps])
+    scale = 10.0 ** draw(st.floats(-4.0, 6.0))
+    anchors, means = scale * draw(unit), scale * draw(unit)
+    variances = (scale * draw(arrays(float, n, elements=st.floats(0.01, 0.5)))) ** 2
+    if draw(st.booleans()):
+        index = draw(st.integers(0, n - 1))
+        value = draw(st.sampled_from([1e140, 1e150, 1e155, 1e300]))
+        (means if draw(st.booleans()) else anchors)[index] = value
+        variances[index] = 0.0
+    return times, anchors, means, variances
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def outcome(call):
+    """``(result, (error type, message) or None, model warnings)`` of ``call()``."""
+    handler = _Messages()
+    logger = logging.getLogger("pathkf.models")
+    logger.addHandler(handler)
+    try:
+        with np.errstate(all="ignore"):
+            return call(), None, handler.messages
+    except PathkfError as exc:
+        return None, (type(exc), str(exc)), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def spied_kernel(owner):
+    """Patch ``owner.fit_spline_posterior`` to record every fit it returns."""
+    fits = []
+
+    def spy(*args, **kwargs):
+        fits.append(kernel(*args, **kwargs))
+        return fits[-1]
+
+    return mock.patch.object(owner, "fit_spline_posterior", spy), fits
+
+
+def assert_rows_match(fit, row, posterior):
+    """Kernel row ``row`` against the scalar posterior, bit for bit."""
+    assert fit.weights[row].tobytes() == posterior.weights.tobytes()
+    assert fit.k_deg[row].tobytes() == posterior.k1_grid.tobytes()
+    assert (fit.k_deg[row] * fit.steady[row]).tobytes() == posterior.k2_values.tobytes()
+
+
+class TestKernelAgainstScalarFit:
+    """The constant-regulation kernel equals the scalar window fit bit for bit
+    on both window layouts, including its fallbacks, warnings and errors.
+    Birth/death is a closed form of that fit and is compared within rounding
+    in ``TestPathKernel``."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(kernel_paths())
+    def test_centered_layout(self, path):
+        times, _, means, variances = path
+        grid = TimeGrid(times)
+        patch, fits = spied_kernel(pathkf.models)
+        with patch:
+            got = outcome(lambda: SplinePathModel(CONST_REG).predict_path(grid, means, variances))
+        ref = outcome(lambda: fit_windows(
+            CONST_REG, times, range(len(times)),
+            lambda t: window_at(grid, means, variances, t, CONST_REG),
+        ))
+        assert got[1:] == ref[1:]
+        event(f"{len(ref[2])} fallbacks, error {ref[1] and ref[1][0].__name__}")
+        if ref[1] is None:
+            (fit,), (posteriors, estimates) = fits, ref[0]
+            for row, (posterior, estimate) in enumerate(zip(posteriors, estimates)):
+                assert_rows_match(fit, row, posterior)
+                assert (fit.means[row], fit.variances[row]) == (estimate.mean, estimate.variance)
+            assert got[0][0].tobytes() == fit.means.tobytes()
+            assert got[0][1].tobytes() == fit.variances.tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(kernel_paths())
+    def test_right_endpoint_layout(self, path):
+        times, anchors, means, variances = path
+        dynamics = FlowStepDynamics(CONST_REG, means, variances)
+        for index in range(2, len(times)):
+            patch, fits = spied_kernel(pathkf.baselines)
+            with patch:
+                got = outcome(lambda: dynamics.step_map(times, anchors, index))
+            ref = outcome(lambda: fit_windows(
+                CONST_REG, times, [index],
+                lambda t: right_window(times, anchors, means, variances, t, CONST_REG),
+                moments=False,
+            ))
+            assert got[1:] == ref[1:]
+            event(f"{len(ref[2])} fallbacks, error {ref[1] and ref[1][0].__name__}")
+            if ref[1] is not None:
+                continue
+            (fit,), (posterior,), step = fits, ref[0][0], got[0]
+            assert_rows_match(fit, 0, posterior)
+            delta = float(times[index] - times[index - 1])
+            assert (step.steady, step.decay) == relaxation_step(posterior, delta)
+            moments = outcome(lambda: posterior_moments(posterior).estimate)[0]
+            if moments is None:
+                assert not (math.isfinite(step.mean) and math.isfinite(step.variance))
+            else:
+                assert (step.mean, step.variance) == (moments.mean, moments.variance)
+
+    def test_degenerate_rows_fall_back_to_uniform_weights(self):
+        times = np.arange(6.0)
+        means = np.array([1.0, 1.0, 1.0, 1e150, 1.0, 1.0])
+        variances = np.full(6, VARIANCE_FLOOR)
+        for ia, ib, targets in (([1, 2, 4], [2, 4, 5], [0, 3, 5]), ([1], [2], [3])):
+            fit, error, messages = outcome(lambda: kernel(
+                CONST_REG, ScanGrid(), times, ia, ib, targets, means, means[targets],
+                variances[targets],
+            ))
+            row = targets.index(3)
+            assert error is None
+            assert messages == ["degenerate spline posterior at t=3.0; using uniform weights"]
+            assert np.all(fit.weights[row] == fit.weights[row][0])
+            np.testing.assert_allclose(fit.weights[row], 1.0 / 200, rtol=1e-15)

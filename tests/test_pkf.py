@@ -13,7 +13,7 @@ from pathkf import (
     GaussianEstimate,
     InvalidParameterError,
     ModelKind,
-    ModelPrediction,
+    NumericalOverflowError,
     PkfWeights,
     RegimeLabel,
     SplinePathModel,
@@ -29,7 +29,7 @@ from pathkf import (
 )
 from pathkf.pkf import PkfState
 
-from oracles import LinearPathModel, brute_force_weights, pkf_step
+from oracles import LinearPathModel, ModelPrediction, brute_force_weights, pkf_step
 
 POSITIVE = st.floats(1e-6, 1e6)
 NON_NEGATIVE = st.floats(0.0, 1e6)
@@ -86,6 +86,14 @@ class TestPkfWeights:
             bf_w, bf_wm = brute_force_weights(a, b, c)
             assert abs(w.w_data - bf_w) <= 1e-3
             assert abs(w.w_model - bf_wm) <= 1e-3
+
+    @settings(deadline=None, max_examples=100)
+    @given(POSITIVE, POSITIVE, POSITIVE)
+    def test_matches_brute_force_within_the_grid_step(self, a, b, c):
+        w = pkf_weights(a, b, c)
+        bf_w, bf_wm = brute_force_weights(a, b, c)  # fine step 1e-4
+        assert abs(float(w.w_data) - bf_w) <= 1e-4
+        assert abs(float(w.w_model) - bf_wm) <= 1e-4
 
     def test_weight_object_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -298,6 +306,28 @@ class TestRunPkf:
         )
         with pytest.raises(DegeneratePosteriorError, match="timepoint"):
             run_pkf(data, ModelKind.BIRTH_DEATH, iterations=1)
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_overflowing_update_names_series_iteration_and_timepoint(self, iterations):
+        # the loss (1e200 - z)^2 overflows, so Q at timepoint 3 is inf; the
+        # model did that, not the data
+        class SpikingModel:
+            def predict_path(self, grid, means, variances):
+                model_means = np.array(means, dtype=float)
+                model_means[3] = 1e200
+                return model_means, np.asarray(variances, dtype=float)
+
+        data = TimeSeriesData(
+            "gene7",
+            TimeGrid(np.arange(6.0)),
+            tuple(np.array([1.0, 2.0]) + t for t in range(6)),
+        )
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalOverflowError,
+            match=r"^series 'gene7': timepoint 3 \(t=3\.0\): the filter update left the "
+            r"finite range at iteration 1$",
+        ):
+            run_pkf(data, SpikingModel(), iterations=iterations)
 
     def test_iterations_must_be_positive(self):
         _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
