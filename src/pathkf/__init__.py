@@ -61,6 +61,7 @@ from .pkf import (
     classify_regimes,
     pkf_weights,
     run_pkf,
+    run_pkf_block,
     update_process_uncertainty,
 )
 from .synth import (

@@ -195,10 +195,16 @@ def fit_spline_posterior(
     or after the anchors share one closed form; birth/death anchors are
     clamped at ``POSITIVE_VALUE_FLOOR`` first.
 
+    ``anchors``, ``means`` and ``variances`` may carry leading axes, one
+    series per row, e.g. ``(S, n)`` anchors with ``(S, windows)`` targets;
+    every output then gains the same leading axes. Each row is bitwise equal
+    to the call on that row alone: the grid-only tables broadcast unchanged
+    and every reduction runs along the last, C-contiguous axis.
+
     A window whose weights all vanish falls back to :func:`uniform_posterior`
     (logged). Any deeper failure raises the error of ``_WINDOW_FAILURES`` for
-    the first failing window; ``check_moments=False`` leaves the moments
-    unchecked, for callers that read only the weights.
+    the first failing window, in row-major order; ``check_moments=False``
+    leaves the moments unchecked, for callers that read only the weights.
 
     Birth/death predictions do not depend on the scanned parameter, so its
     posterior collapses to the closed form ``va * exp(growth * (t - ta))``
@@ -211,65 +217,68 @@ def fit_spline_posterior(
     anchors, means, variances = (np.asarray(a, dtype=float) for a in (anchors, means, variances))
     with np.errstate(all="ignore"):
         if kind is ModelKind.BIRTH_DEATH:
-            xa = np.maximum(anchors[ia], POSITIVE_VALUE_FLOOR)
-            xb = np.maximum(anchors[ib], POSITIVE_VALUE_FLOOR)
+            xa = np.maximum(anchors.take(ia, axis=-1), POSITIVE_VALUE_FLOOR)
+            xb = np.maximum(anchors.take(ib, axis=-1), POSITIVE_VALUE_FLOOR)
             growth = np.log(xb / xa) / (times[ib] - times[ia])
             # one column: every weight below is one, so the mean is this
             # prediction and the variance is zero before the floor
-            predictions = (xa * np.exp(growth * (times[targets] - times[ia])))[:, None]
+            predictions = (xa * np.exp(growth * (times[targets] - times[ia])))[..., None]
             k_deg = steady = None
         else:
             k_deg, decay, denom, relax = _const_reg_tables(
                 times.tobytes(), ia.tobytes() + ib.tobytes() + targets.tobytes(), scan
             )
-            xa, xb = anchors[ia], anchors[ib]
-            steady = (xb[:, None] - xa[:, None] * decay) / denom
-            predictions = steady + (xa[:, None] - steady) * relax
+            xa, xb = anchors.take(ia, axis=-1), anchors.take(ib, axis=-1)
+            steady = (xb[..., None] - xa[..., None] * decay) / denom
+            predictions = steady + (xa[..., None] - steady) * relax
         scale = 2.0 * np.maximum(variances, VARIANCE_FLOOR)
-        losses = (predictions - means[:, None]) ** 2 / scale[:, None]
+        losses = (predictions - means[..., None]) ** 2 / scale[..., None]
         log_weights = -losses
-        peak = np.max(log_weights, axis=1, keepdims=True)
+        peak = np.max(log_weights, axis=-1, keepdims=True)
         raw = np.exp(log_weights - peak)
-        weights = raw / raw.sum(axis=1, keepdims=True)
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        degenerate = ~np.isfinite(peak[:, 0])
+        weights = raw / raw.sum(axis=-1, keepdims=True)
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+        degenerate = ~np.isfinite(peak[..., 0])
         fallback = degenerate.any()
         if fallback:
-            weights[degenerate] = uniform_posterior(predictions.shape[1])
-        out_means = np.sum(weights * predictions, axis=1)
-        out_vars = np.sum(weights * (predictions - out_means[:, None]) ** 2, axis=1)
+            weights[degenerate] = uniform_posterior(predictions.shape[-1])
+        out_means = np.sum(weights * predictions, axis=-1)
+        out_vars = np.sum(weights * (predictions - out_means[..., None]) ** 2, axis=-1)
         # a sum is finite only if every entry is, and a non-finite steady state
         # or prediction makes the moments non-finite: this clears every stage
         clean = variances.min() >= 0.0 and math.isfinite(
             means.sum() + variances.sum() + xa.sum() + xb.sum() + out_means.sum() + out_vars.sum()
         )
 
-    first, stage, warned = len(targets), -1, degenerate
+    # windows in row-major order: the j-th has target targets[j % len(targets)]
+    first, stage, warned = degenerate.size, -1, degenerate
     if not clean:
-        bad_predictions = ~np.all(np.isfinite(predictions), axis=1)
+        bad_predictions = ~np.all(np.isfinite(predictions), axis=-1)
         failures = [  # one row per entry of _WINDOW_FAILURES
             ~(np.isfinite(means) & np.isfinite(variances)),
             variances < 0,
             ~(np.isfinite(xa) & np.isfinite(xb)),
-            np.zeros_like(degenerate) if steady is None else ~np.all(np.isfinite(steady), axis=1),
+            np.zeros_like(degenerate) if steady is None else ~np.all(np.isfinite(steady), axis=-1),
             bad_predictions,
         ]
         if check_moments:
             failures.append(~(np.isfinite(out_means) & np.isfinite(out_vars)))
-        failures = np.stack(failures)
+        failures = np.stack(failures).reshape(len(failures), -1)
         failed = failures.any(axis=0)
         if failed.any():
             first = int(np.argmax(failed))
             stage = int(np.argmax(failures[:, first]))
         warned = degenerate | bad_predictions
     if fallback or stage >= 0:
-        for j in np.flatnonzero(warned[: first + 1 if stage >= 4 else first]):
+        for j in np.flatnonzero(warned.reshape(-1)[: first + 1 if stage >= 4 else first]):
             logger.warning(
-                "degenerate spline posterior at t=%s; using uniform weights", times[targets[j]]
+                "degenerate spline posterior at t=%s; using uniform weights",
+                times[targets[j % len(targets)]],
             )
     if stage >= 0:
+        target = targets[first % len(targets)]
         error, message = _WINDOW_FAILURES[stage]
-        raise error(message.format(index=targets[first], time=times[targets[first]]))
+        raise error(message.format(index=target, time=times[target]))
     return SplineFit(weights, k_deg, steady, out_means, np.maximum(out_vars, VARIANCE_FLOOR))
 
 
@@ -277,7 +286,9 @@ def fit_spline_posterior(
 class SplinePathModel:
     """Path-level predictor backed by the ODE-spline posterior: the model mean
     and variance at every timepoint of the previous filter trajectory, from
-    the centered window around it, in one :func:`fit_spline_posterior` call."""
+    the centered window around it, in one :func:`fit_spline_posterior` call.
+    ``means`` and ``variances`` are one ``(n,)`` path or an ``(S, n)`` block
+    of paths on the grid; the outputs have their shape."""
 
     kind: ModelKind
     scan: ScanGrid = field(default_factory=ScanGrid)
@@ -285,14 +296,23 @@ class SplinePathModel:
     def predict_path(
         self, grid: TimeGrid, means: np.ndarray, variances: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(grid)
-        # interior points anchor their two neighbours, the first point the
-        # next two and the last point the two before it
-        ia = np.arange(-1, n - 1)
-        ib = np.arange(1, n + 1)
-        ia[0], ib[0] = 1, 2
-        ia[-1], ib[-1] = n - 3, n - 2
         fit = fit_spline_posterior(
-            self.kind, self.scan, grid.times, ia, ib, np.arange(n), means, means, variances
+            self.kind, self.scan, grid.times, *_centered_windows(len(grid)),
+            means, means, variances,
         )
         return fit.means, fit.variances
+
+
+@functools.lru_cache(maxsize=64)
+def _centered_windows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor and target indices of the centered windows on ``n`` points:
+    interior points anchor their two neighbours, the first point the next
+    two and the last point the two before it. Read-only: callers share them."""
+    ia = np.arange(-1, n - 1)
+    ib = np.arange(1, n + 1)
+    ia[0], ib[0] = 1, 2
+    ia[-1], ib[-1] = n - 3, n - 2
+    layout = (ia, ib, np.arange(n))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout

@@ -46,6 +46,8 @@ class RegimeLabel(enum.Enum):
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
+_PRODUCTS_OVERFLOWED = "the weight products overflowed"
+
 
 def _rows_within(values, names: tuple[str, ...], high: float, problem: str) -> np.ndarray:
     """``values`` stacked into one float array with a row per name.
@@ -149,7 +151,10 @@ def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
     ``w^2 C + wm^2 B + wf^2 A`` on the simplex is
     ``w = AB / (AB + BC + CA)`` and cyclic. A zero denominator (all three
     products vanish) yields the uniform split. The inputs are scalars or
-    arrays of one shape, every entry finite and non-negative.
+    arrays of one shape, every entry finite and non-negative. Where a
+    product or the denominator overflows (variances near 1e154 and up),
+    :class:`NumericalOverflowError` names the first such entry; numpy's
+    warnings, which precede it, are silenced inside :func:`run_pkf`.
     """
     a, b, c = _rows_within(
         (v_filter_prev, v_model_plus_q, v_data),
@@ -161,7 +166,17 @@ def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
     denom = ab + bc + ca
     zero = denom == 0.0
     weights = np.array((ab, ca, bc)) / np.where(zero, 1.0, denom)
-    return PkfWeights(*np.where(zero, 1.0 / 3.0, weights))
+    try:
+        return PkfWeights(*np.where(zero, 1.0 / 3.0, weights))
+    except InvalidParameterError:
+        # an infinite denominator (the sum of non-negative products is never
+        # NaN) makes a weight NaN or all three zero, which PkfWeights rejects
+        overflow = np.isinf(denom)
+        if not overflow.any():
+            raise
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(overflow), overflow.shape))
+        where = f" at [{', '.join(map(str, index))}]" if index else ""
+        raise NumericalOverflowError(f"{_PRODUCTS_OVERFLOWED}{where}", index) from None
 
 
 def update_process_uncertainty(q_prev, w_data, w_model, loss):
@@ -181,6 +196,78 @@ def update_process_uncertainty(q_prev, w_data, w_model, loss):
     return q_prev + gain * (loss - q_prev)
 
 
+def _where(series: tuple[TimeSeriesData, ...], index: tuple[int, ...]) -> str:
+    """The series and timepoint of entry ``index`` of an ``(n,)`` or ``(S, n)`` array."""
+    return series[index[0] if len(index) == 2 else 0]._where(int(index[-1]))
+
+
+def _iterate(predictor, series, z_means, z_vars, iterations: int, early_stop: bool):
+    """The filter iterations on the stacked summaries of ``series``, which
+    share one grid: ``(n,)`` arrays for one series, ``(S, n)`` for a block,
+    one series per row. Every step is elementwise or reduces along the last
+    axis, so each row is bitwise equal to running its series alone.
+
+    Returns ``(steps, max_abs_dq, max_filter_variance)``: ``steps`` holds
+    ``(iteration, means, variances, q, weights)`` after every iteration run,
+    and each trace one per-row array per iteration. ``early_stop`` applies
+    to one series only.
+    """
+    if iterations < 1:
+        raise InvalidParameterError("iterations must be at least 1")
+    grid = series[0].grid
+    steps: list[tuple] = []
+    trace_dq: list[np.ndarray] = []
+    trace_vmax: list[np.ndarray] = []
+    f_means, f_vars, q = z_means, z_vars, z_vars
+    # every overflow below is checked and raised typed; numpy's warnings would
+    # only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, iterations + 1):
+            m_means, m_vars = predictor.predict_path(grid, f_means, f_vars)
+            b = m_vars + q
+            try:
+                weights = pkf_weights(f_vars, b, z_vars)
+            except NumericalOverflowError as exc:
+                raise NumericalOverflowError(
+                    f"{_where(series, exc.index)}: {_PRODUCTS_OVERFLOWED} at iteration {i}"
+                ) from None
+            w, wm, wf = weights.w_data, weights.w_model, weights.w_filter
+            new_means = w * z_means + wm * m_means + wf * f_means
+            new_vars = w**2 * z_vars + wm**2 * b + wf**2 * f_vars
+            new_q = update_process_uncertainty(q, w, wm, (m_means - z_means) ** 2)
+
+            dq = np.abs(new_q - q).max(axis=-1)
+            vmax = new_vars.max(axis=-1)
+            # q and the variances are finite and non-negative, so dq and vmax
+            # are finite exactly when every new Q and variance of their row
+            # is, and a sum is finite only if every term is
+            if not math.isfinite((dq + vmax).sum() + new_means.sum()):
+                bad = ~(np.isfinite(new_q) & np.isfinite(new_means) & np.isfinite(new_vars))
+                if bad.any():  # else only the sum overflowed
+                    index = np.unravel_index(np.argmax(bad), bad.shape)
+                    raise NumericalOverflowError(
+                        f"{_where(series, index)}: the filter update left the finite range "
+                        f"at iteration {i}"
+                    )
+            trace_dq.append(dq)
+            trace_vmax.append(vmax)
+
+            f_means, f_vars, q = new_means, new_vars, new_q
+            steps.append((i, f_means, f_vars, q, weights))
+            if early_stop and dq / (q.max() + VARIANCE_FLOOR) < EARLY_STOP_RTOL:
+                break
+    return steps, trace_dq, trace_vmax
+
+
+def _state(grid, step, row: int | None = None) -> PkfState:
+    """The state after one step of :func:`_iterate`, or of one row of it."""
+    i, means, variances, q, weights = step
+    if row is not None:
+        means, variances, q = means[row], variances[row], q[row]
+        weights = PkfWeights(weights.w_data[row], weights.w_model[row], weights.w_filter[row])
+    return PkfState(i, Trajectory(grid, means, variances), q, weights)
+
+
 def run_pkf(
     data: TimeSeriesData,
     model=ModelKind.BIRTH_DEATH,
@@ -193,7 +280,8 @@ def run_pkf(
 
     ``model`` is a :class:`~pathkf.models.ModelKind` (resolved to the spline
     predictor) or any object with a
-    ``predict_path(grid, means, variances) -> (means, variances)`` method.
+    ``predict_path(grid, means, variances) -> (means, variances)`` method;
+    it receives the ``(n,)`` path of this series.
 
     Iteration zero initializes the path and the process uncertainty from
     the per-timepoint data summaries. Each subsequent iteration fits the
@@ -203,57 +291,53 @@ def run_pkf(
     uncertainty drops below ``EARLY_STOP_RTOL``; retained results for
     completed iterations are unaffected.
     """
-    if iterations < 1:
-        raise InvalidParameterError("iterations must be at least 1")
     predictor = SplinePathModel(model, scan) if isinstance(model, ModelKind) else model
-
-    grid = data.grid
     z_means, z_vars = data.summaries()
-
-    history: list[PkfState] = []
-    trace_dq: list[float] = []
-    trace_vmax: list[float] = []
-
-    f_means, f_vars, q = z_means, z_vars, z_vars
-
-    for i in range(1, iterations + 1):
-        m_means, m_vars = predictor.predict_path(grid, f_means, f_vars)
-        b = m_vars + q
-        weights = pkf_weights(f_vars, b, z_vars)
-        w, wm, wf = weights.w_data, weights.w_model, weights.w_filter
-        new_means = w * z_means + wm * m_means + wf * f_means
-        new_vars = w**2 * z_vars + wm**2 * b + wf**2 * f_vars
-        new_q = update_process_uncertainty(q, w, wm, (m_means - z_means) ** 2)
-
-        dq = float(np.abs(new_q - q).max())
-        vmax = float(new_vars.max())
-        # q and the variances are finite and non-negative, so dq and vmax are
-        # finite exactly when every new Q and variance is
-        if not (math.isfinite(dq) and math.isfinite(vmax) and np.isfinite(new_means).all()):
-            bad = ~(np.isfinite(new_q) & np.isfinite(new_means) & np.isfinite(new_vars))
-            raise NumericalOverflowError(
-                f"{data._where(int(np.argmax(bad)))}: the filter update left the "
-                f"finite range at iteration {i}"
-            )
-        trace_dq.append(dq)
-        trace_vmax.append(vmax)
-
-        f_means, f_vars, q = new_means, new_vars, new_q
-        if retain_history:
-            history.append(PkfState(i, Trajectory(grid, f_means, f_vars), q, weights))
-        if early_stop and dq / (float(np.max(q)) + VARIANCE_FLOOR) < EARLY_STOP_RTOL:
-            break
-
-    if retain_history:
-        final = history[-1]
-    else:
-        final = PkfState(i, Trajectory(grid, f_means, f_vars), q, weights)
-    return PkfResult(
-        final=final,
-        history=tuple(history) if retain_history else None,
-        max_abs_dq=trace_dq,
-        max_filter_variance=trace_vmax,
+    steps, trace_dq, trace_vmax = _iterate(
+        predictor, (data,), z_means, z_vars, iterations, early_stop
     )
+    if retain_history:
+        history = tuple(_state(data.grid, step) for step in steps)
+        return PkfResult(history[-1], history, trace_dq, trace_vmax)
+    return PkfResult(_state(data.grid, steps[-1]), None, trace_dq, trace_vmax)
+
+
+def run_pkf_block(
+    series: tuple[TimeSeriesData, ...],
+    kind: ModelKind = ModelKind.BIRTH_DEATH,
+    iterations: int = DEFAULT_ITERATIONS,
+    retain_history: bool = False,
+    scan: ScanGrid = ScanGrid(),
+) -> list[PkfResult]:
+    """Run the pathspace filter on several series that share one grid, as
+    one ``(S, n)`` block through the loop of :func:`run_pkf`.
+
+    Each result is bitwise equal to ``run_pkf(data, kind, iterations,
+    retain_history, scan=scan)`` on its series alone. If any series fails,
+    the block raises the first error the stacked loop meets, which names
+    one failing series; callers that must isolate failures re-run the series
+    one at a time.
+    """
+    if not series:
+        raise InvalidDataError("a block needs at least one series")
+    grid = series[0].grid
+    if any(data.grid.times.tobytes() != grid.times.tobytes() for data in series):
+        raise InvalidDataError("the series of a block must share one time grid")
+    z_means = np.stack([data.summaries()[0] for data in series])
+    z_vars = np.stack([data.summaries()[1] for data in series])
+    steps, trace_dq, trace_vmax = _iterate(
+        SplinePathModel(kind, scan), series, z_means, z_vars, iterations, False
+    )
+    trace_dq, trace_vmax = np.array(trace_dq), np.array(trace_vmax)
+    results = []
+    for row in range(len(series)):
+        if retain_history:
+            history = tuple(_state(grid, step, row) for step in steps)
+            final = history[-1]
+        else:
+            history, final = None, _state(grid, steps[-1], row)
+        results.append(PkfResult(final, history, trace_dq[:, row], trace_vmax[:, row]))
+    return results
 
 
 def classify_regime(

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pathkf import (
     AlgorithmSpec,
@@ -27,7 +30,7 @@ from pathkf import (
     GenePanelScenario,
     panel_labels,
 )
-from pathkf.bench import ALGORITHMS, run_spec
+from pathkf.bench import ALGORITHMS, _decile_edges, run_spec
 from pathkf.pkf import PkfResult, PkfState
 
 
@@ -216,3 +219,37 @@ class TestQRatioSummary:
             results.append((labels[data.series_id], res, data))
         summary = q_ratio_summary(results)
         assert summary.label_means["dynamic"] > summary.label_means["static"]
+
+
+class TestDecileEdges:
+    """The ratio summary's bin edges equal ``np.percentile`` bit for bit."""
+
+    DECILES = np.linspace(0.0, 100.0, 11)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.one_of(
+                arrays(float, n, elements=st.floats(-1e12, 1e12)),
+                arrays(float, n, elements=st.floats(1e-9, 1e9)),
+                arrays(float, n, elements=st.sampled_from([1e-9, 0.5, 2.0, 3.0])),  # ties
+            )
+        )
+    )
+    def test_equals_np_percentile(self, values):
+        expected = np.percentile(values, self.DECILES)
+        assert _decile_edges(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values", [[4.2], [3.0, 1.0], [2.0, 2.0], [0.1, 0.7, 0.7, 0.2]])
+    def test_short_and_tied_inputs(self, values):
+        expected = np.percentile(values, self.DECILES)
+        assert _decile_edges(values).tobytes() == expected.tobytes()
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 200):
+            values = rng.lognormal(0.0, 3.0, n)
+            if n % 3 == 0:
+                values = np.round(values)  # ties
+            expected = np.percentile(values, self.DECILES)
+            assert _decile_edges(values).tobytes() == expected.tobytes()

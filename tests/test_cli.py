@@ -8,11 +8,14 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pathkf import (
     BirthDeathScenario,
     GroundTruth,
     ModelKind,
+    PathkfError,
     TimeGrid,
     TimeSeriesData,
     run_pkf,
@@ -29,6 +32,7 @@ from pathkf.cli import (
     batch_run,
     main,
     read_series_csv,
+    result_record,
     write_batch_results,
     write_result,
     write_series_csv,
@@ -237,6 +241,67 @@ class TestBatchRun:
             direct = run_ukf(data, ModelKind.BIRTH_DEATH)
             assert outcome.result.means.tobytes() == direct.means.tobytes()
             assert outcome.result.variances.tobytes() == direct.variances.tobytes()
+
+
+def mixed_grid_panel(seed, cut_a, cut_b, failing):
+    """Series for a batch that stacks in blocks: 40 on grid A (one of them,
+    ``failing``, with a replicate spread near 1e80 that overflows the weight
+    products) and 7 on grid B, cut at ``cut_a`` and ``cut_b`` and
+    interleaved with three series on grids of their own."""
+    rng = np.random.default_rng(seed)
+
+    def series(name, times):
+        level = rng.uniform(5.0, 20.0, len(times))
+        groups = tuple(v + rng.standard_normal(2) for v in level)
+        return TimeSeriesData(name, TimeGrid(times), groups)
+
+    grid_a, grid_b = np.arange(8.0), np.array([0.0, 0.5, 2.0, 3.0, 5.0, 6.5])
+    group_a = [series(f"a{i}", grid_a) for i in range(40)]
+    group_b = [series(f"b{i}", grid_b) for i in range(7)]
+    unique = [series(f"u{i}", np.arange(5.0) * (1.0 + 0.1 * i)) for i in range(3)]
+    wide = list(group_a[failing].samples)
+    wide[3] = np.array([0.0, 2e80])
+    group_a[failing] = TimeSeriesData(f"a{failing}", TimeGrid(grid_a), tuple(wide))
+    return [
+        *group_a[:cut_a], unique[0], *group_b[:cut_b], unique[1], *group_a[cut_a:],
+        *group_b[cut_b:], unique[2],
+    ]
+
+
+class TestJobsInvariance:
+    @settings(
+        deadline=None, max_examples=5, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(0, 7), st.integers(0, 39),
+        st.sampled_from(sorted(pathkf.cli.MODEL_CHOICES)),
+    )
+    def test_batch_bytes_do_not_depend_on_jobs(self, tmp_path, seed, cut_a, cut_b, failing, model):
+        # blocks split at grid changes, at the 32-row cap (jobs=1 runs one
+        # 40-series run of grid A) and at pool chunk edges (jobs=2)
+        series = mixed_grid_panel(seed, cut_a, cut_b, failing)
+        data_path = str(tmp_path / "mixed.csv")
+        write_series_csv(series, data_path)
+        with open(data_path, "a") as handle:
+            handle.write("short,0.0,1.0\nshort,1.0,1.0\n")  # two timepoints: skipped
+        outputs = []
+        for jobs in ("1", "2"):
+            outputs.append(str(tmp_path / f"j{jobs}.json"))
+            result = CliRunner().invoke(main, [
+                "batch", "--model", model, "--iterations", "2", "--input", data_path,
+                "--output", outputs[-1], "--jobs", jobs,
+            ])
+            assert result.exit_code == 1, result.output  # the wide series fails
+        assert open(outputs[0], "rb").read() == open(outputs[1], "rb").read()
+        written = json.loads(open(outputs[0]).read())
+        assert written["skipped"] == ["short"]
+        for data in series:
+            try:
+                expected = result_record(run_pkf(data, pathkf.cli.MODEL_CHOICES[model], 2))
+            except PathkfError as exc:
+                expected = {"error": f"{type(exc).__name__}: {exc}"}
+            assert written["series"].pop(data.series_id) == expected
+        assert written["series"] == {}
 
 
 class TestCommands:

@@ -453,16 +453,11 @@ class TestPathKernel:
 CONST_REG = ModelKind.CONSTANT_REGULATION
 
 
-@st.composite
-def kernel_paths(draw):
-    """Times, anchors, target means and variances of a random 3-25 point
-    path at a scale from 1e-4 to 1e6. Sometimes one anchor or target is
-    spiked far out with a zero variance, which makes windows degenerate or
-    fail."""
-    n = draw(st.integers(3, 25))
+def path_values(draw, n):
+    """Anchors, target means and variances of a random ``n``-point path at a
+    scale from 1e-4 to 1e6. Sometimes one anchor or target is spiked far out
+    with a zero variance, which makes windows degenerate or fail."""
     unit = arrays(float, n, elements=st.floats(-1.0, 2.0))
-    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 3.0)))
-    times = np.cumsum(np.r_[draw(st.floats(-5.0, 5.0)), gaps])
     scale = 10.0 ** draw(st.floats(-4.0, 6.0))
     anchors, means = scale * draw(unit), scale * draw(unit)
     variances = (scale * draw(arrays(float, n, elements=st.floats(0.01, 0.5)))) ** 2
@@ -471,7 +466,24 @@ def kernel_paths(draw):
         value = draw(st.sampled_from([1e140, 1e150, 1e155, 1e300]))
         (means if draw(st.booleans()) else anchors)[index] = value
         variances[index] = 0.0
-    return times, anchors, means, variances
+    return anchors, means, variances
+
+
+@st.composite
+def kernel_paths(draw):
+    """Times and :func:`path_values` of a random 3-25 point path."""
+    n = draw(st.integers(3, 25))
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 3.0)))
+    times = np.cumsum(np.r_[draw(st.floats(-5.0, 5.0)), gaps])
+    return (times, *path_values(draw, n))
+
+
+@st.composite
+def stacked_paths(draw):
+    """Times and 1-6 rows of :func:`path_values` on them."""
+    times, *first = draw(kernel_paths())
+    rows = [first] + [path_values(draw, len(times)) for _ in range(draw(st.integers(0, 5)))]
+    return times, rows
 
 
 class _Messages(logging.Handler):
@@ -570,6 +582,29 @@ class TestKernelAgainstScalarFit:
                 assert not (math.isfinite(step.mean) and math.isfinite(step.variance))
             else:
                 assert (step.mean, step.variance) == (moments.mean, moments.variance)
+
+    @settings(deadline=None, max_examples=150)
+    @given(stacked_paths(), st.sampled_from(list(ModelKind)))
+    def test_stacked_paths_equal_lone_paths(self, paths, kind):
+        # an (S, n) call gives each row's lone result, or the error and the
+        # warnings of the rows up to the first that fails
+        times, rows = paths
+        grid = TimeGrid(times)
+        model = SplinePathModel(kind)
+        lone = [outcome(lambda: model.predict_path(grid, m, v)) for _, m, v in rows]
+        stacked = outcome(lambda: model.predict_path(
+            grid, np.stack([m for _, m, _ in rows]), np.stack([v for _, _, v in rows])
+        ))
+        failed = next((k for k, (_, error, _) in enumerate(lone) if error is not None), None)
+        reached = lone if failed is None else lone[: failed + 1]
+        assert stacked[2] == [message for _, _, messages in reached for message in messages]
+        event(f"{len(rows)} rows, failed row {failed}")
+        if failed is not None:
+            assert stacked[1] == lone[failed][1]
+            return
+        assert stacked[1] is None
+        for k, got in enumerate(stacked[0]):  # means, then variances
+            assert got.tobytes() == np.stack([result[k] for result, _, _ in lone]).tobytes()
 
     def test_degenerate_rows_fall_back_to_uniform_weights(self):
         times = np.arange(6.0)

@@ -1,8 +1,11 @@
 """Pathspace filter: weights, uncertainty update, step, full runs, regimes."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,9 +14,11 @@ from pathkf import (
     BirthDeathScenario,
     DegeneratePosteriorError,
     GaussianEstimate,
+    InvalidDataError,
     InvalidParameterError,
     ModelKind,
     NumericalOverflowError,
+    PathkfError,
     PkfWeights,
     RegimeLabel,
     SplinePathModel,
@@ -27,7 +32,8 @@ from pathkf import (
     simulate_birth_death,
     update_process_uncertainty,
 )
-from pathkf.pkf import PkfState
+from pathkf.cli import RunConfig, batch_run, result_record
+from pathkf.pkf import PkfState, run_pkf_block
 
 from oracles import LinearPathModel, ModelPrediction, brute_force_weights, pkf_step
 
@@ -106,6 +112,32 @@ class TestPkfWeights:
             pkf_weights(np.ones(4), np.ones(4), np.array([1.0, 1.0, np.nan, -1.0]))
         with pytest.raises(InvalidParameterError, match=r"^v_filter_prev=-1.0 must be"):
             pkf_weights(-1.0, 1.0, 1.0)
+
+    def test_overflowing_products_raise_a_typed_error_naming_the_entry(self):
+        # outside run_pkf numpy also warns about the overflow; silence it here
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                NumericalOverflowError, match=r"^the weight products overflowed at \[0\]$"
+            ) as caught:
+                pkf_weights([1e160, 1.0], [1e160, 1.0], [1e160, 1.0])
+            assert caught.value.index == (0,)
+            # each product is 1e308, finite, but their sum is not
+            block = np.array([[1.0, 1.0], [1e154, 1.0]])
+            with pytest.raises(NumericalOverflowError, match=r"at \[1, 0\]$") as caught:
+                pkf_weights(block, block, block)
+            assert caught.value.index == (1, 0)
+            with pytest.raises(NumericalOverflowError, match=r"^the weight products overflowed$"):
+                pkf_weights(1e154, 1e154, 1e154)
+
+    def test_finite_products_keep_the_closed_form_bytes(self):
+        rng = np.random.default_rng(8)
+        a, b, c = 10.0 ** rng.uniform(-150, 150, (3, 500))
+        a[:5] = b[:5] = c[:5] = 1.0e153  # the products are near the top of the range
+        w = pkf_weights(a, b, c)
+        denom = a * b + b * c + c * a
+        assert w.w_data.tobytes() == (a * b / denom).tobytes()
+        assert w.w_model.tobytes() == (c * a / denom).tobytes()
+        assert w.w_filter.tobytes() == (b * c / denom).tobytes()
 
     def test_weight_arrays_are_read_only_and_validated_per_entry(self):
         w = PkfWeights(np.array([1.0, 0.5]), np.array([0.0, 0.5]), np.zeros(2))
@@ -329,6 +361,28 @@ class TestRunPkf:
         ):
             run_pkf(data, SpikingModel(), iterations=iterations)
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_overflowing_weight_products_name_series_iteration_and_timepoint(self, kind):
+        # the data variance at timepoint 2 is 2e160, so its products overflow
+        with pytest.raises(
+            NumericalOverflowError,
+            match=r"^series 'wide': timepoint 2 \(t=2\.0\): the weight products overflowed "
+            r"at iteration 1$",
+        ):
+            run_pkf(wide_series(), kind, iterations=3)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("series", ["wide", "explosive"])
+    def test_failing_run_emits_no_runtime_warning(self, kind, series):
+        data = wide_series() if series == "wide" else TimeSeriesData(
+            "explosive", TimeGrid(np.arange(4.0)),
+            tuple(np.array([v]) for v in (1e-300, 1e280, 1e-300, 1e280)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathkfError):
+                run_pkf(data, kind, iterations=3)
+
     def test_iterations_must_be_positive(self):
         _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
         with pytest.raises(InvalidParameterError):
@@ -363,6 +417,81 @@ class TestRunPkf:
             np.testing.assert_allclose(
                 result.final.weights.w_filter[t], weights.w_filter, rtol=1e-13
             )
+
+
+def wide_series():
+    """Six timepoints whose third has replicates 0 and 2e80 (variance 2e160)."""
+    groups = [np.array([1.0, 2.0]) + t for t in range(6)]
+    groups[2] = np.array([0.0, 2e80])
+    return TimeSeriesData("wide", TimeGrid(np.arange(6.0)), tuple(groups))
+
+
+@st.composite
+def shared_grid_panels(draw):
+    """1-40 series with 1-3 replicates per point on one random 3-25 point
+    grid, at a scale from 1e-4 to 1e6. One series may carry a replicate
+    spread near 1e80, which overflows the weight products, and one a single
+    replicate spiked to 1e150, which makes its windows degenerate."""
+    n = draw(st.integers(3, 25))
+    size = draw(st.integers(1, 40))
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 3.0)))
+    grid = TimeGrid(np.cumsum(np.r_[draw(st.floats(-5.0, 5.0)), gaps]))
+    scale = 10.0 ** draw(st.floats(-4.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(size):
+        level = rng.uniform(0.2, 2.0, n)
+        rows.append([scale * (v + 0.1 * rng.standard_normal(rng.integers(1, 4))) for v in level])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, n - 1))] = np.array([0.0, 2e80])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, n - 1))] = np.array([1e150])
+    return tuple(TimeSeriesData(f"s{i}", grid, tuple(groups)) for i, groups in enumerate(rows))
+
+
+def lone_outcome(data, kind, iterations, retain_history):
+    """The JSON record of ``run_pkf`` on one series, or its error as batch reports it."""
+    try:
+        result = run_pkf(data, kind, iterations=iterations, retain_history=retain_history)
+    except PathkfError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(result_record(result))
+
+
+class TestRunPkfBlock:
+    """Series that share a grid run as one stacked block, bitwise equal to
+    running each alone."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(shared_grid_panels(), st.sampled_from(list(ModelKind)), st.booleans())
+    def test_stacked_runs_equal_lone_runs(self, series, kind, retain_history):
+        lone = [lone_outcome(data, kind, 3, retain_history) for data in series]
+        config = RunConfig(model=kind, iterations=3, retain_history=retain_history)
+        summary = batch_run(config, series)  # blocks of at most 32; failed blocks re-run
+        got = [
+            o.error if o.error is not None else json.dumps(result_record(o.result))
+            for o in summary.outcomes
+        ]
+        assert got == lone
+        event(f"{summary.n_failed} failed, {'over' if len(series) > 32 else 'within'} one block")
+        ok = tuple(data for data, o in zip(series, summary.outcomes) if o.error is None)
+        if ok:
+            block = run_pkf_block(ok, kind, 3, retain_history)
+            records = [text for text in lone if text.startswith("{")]
+            assert [json.dumps(result_record(r)) for r in block] == records
+
+    def test_a_failing_series_fails_the_block_with_a_located_error(self):
+        grid = wide_series().grid
+        calm = TimeSeriesData("calm", grid, tuple(np.array([1.0, 2.0]) + t for t in range(6)))
+        with pytest.raises(NumericalOverflowError, match=r"^series 'wide': timepoint 2 "):
+            run_pkf_block((calm, wide_series(), calm), ModelKind.CONSTANT_REGULATION, 2)
+
+    def test_rejects_series_on_different_grids(self):
+        _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
+        with pytest.raises(InvalidDataError, match="share one time grid"):
+            run_pkf_block((data, wide_series()), ModelKind.BIRTH_DEATH)
+        with pytest.raises(InvalidDataError, match="at least one series"):
+            run_pkf_block((), ModelKind.BIRTH_DEATH)
 
 
 class TestKernelProperties:
