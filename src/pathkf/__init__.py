@@ -10,8 +10,6 @@ benchmark harness, and a CLI for batch processing of measurement panels.
 from .baselines import (
     AffineStepDynamics,
     SigmaPoints,
-    UT_DEFAULT,
-    UtParams,
     merwe_sigma_points,
     run_adaptive_kf,
     run_ipls,

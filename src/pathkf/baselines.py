@@ -12,7 +12,7 @@ isolate the algorithms themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +29,11 @@ from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, fit_spline_poster
 from .models import uniform_posterior  # noqa: F401  perfbench traces the fallback here too
 
 
-@dataclass(frozen=True)
-class UtParams:
-    """Scaled sigma-point parameters.
-
-    For a one-dimensional state the common alpha=1e-3 collapses the sigma
-    spread far below the data noise, so alpha defaults to 1 (points at one
-    standard deviation).
-    """
-
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float = 0.0
-
-
-UT_DEFAULT = UtParams()
+#: Sigma-point weights of a univariate state with the points at one standard
+#: deviation (alpha=1, beta=2, kappa=0): the common alpha=1e-3 collapses the
+#: spread far below the data noise.
+_MEAN_WEIGHTS = (0.0, 0.5, 0.5)
+_COV_WEIGHTS = (2.0, 0.5, 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,23 +58,14 @@ class SigmaPoints:
             object.__setattr__(self, name, arr)
 
 
-def merwe_sigma_points(
-    mean: float, variance: float, params: UtParams = UT_DEFAULT
-) -> SigmaPoints:
-    """Scaled sigma points for a univariate Gaussian."""
+def merwe_sigma_points(mean: float, variance: float) -> SigmaPoints:
+    """Sigma points for a univariate Gaussian, at ``mean`` and one standard
+    deviation either side."""
     if variance < 0:
         raise InvalidParameterError("variance must be non-negative")
-    lam = params.alpha**2 * (1.0 + params.kappa) - 1.0
-    if 1.0 + lam <= 0:
-        raise InvalidParameterError("sigma-point scaling requires alpha^2 (1 + kappa) > 0")
-    spread = math.sqrt((1.0 + lam) * variance)
+    spread = math.sqrt(variance)
     points = np.array([mean, mean + spread, mean - spread])
-    w_side = 1.0 / (2.0 * (1.0 + lam))
-    w0_mean = lam / (1.0 + lam)
-    w0_cov = w0_mean + 1.0 - params.alpha**2 + params.beta
-    mean_weights = np.array([w0_mean, w_side, w_side])
-    cov_weights = np.array([w0_cov, w_side, w_side])
-    return SigmaPoints(points, mean_weights, cov_weights)
+    return SigmaPoints(points, _MEAN_WEIGHTS, _COV_WEIGHTS)
 
 
 def _propagate(points: np.ndarray, f) -> np.ndarray:
@@ -120,11 +101,9 @@ def _finite_trajectory(grid, means: np.ndarray, variances: np.ndarray) -> Trajec
     return Trajectory(grid, means, variances)
 
 
-def unscented_transform(
-    estimate: GaussianEstimate, f, params: UtParams = UT_DEFAULT
-) -> GaussianEstimate:
+def unscented_transform(estimate: GaussianEstimate, f) -> GaussianEstimate:
     """Propagate a Gaussian through ``f`` via sigma points; exact for affine maps."""
-    pts = merwe_sigma_points(estimate.mean, estimate.variance, params)
+    pts = merwe_sigma_points(estimate.mean, estimate.variance)
     prop = _propagate(pts.points, f)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.sum(pts.mean_weights * prop))
@@ -139,9 +118,7 @@ def _cross_covariance(pts: SigmaPoints, prop: np.ndarray, mean_in: float) -> flo
     return float(np.sum(pts.cov_weights * (pts.points - mean_in) * (prop - mean_out)))
 
 
-def statistical_linearization(
-    mean: float, variance: float, f, params: UtParams = UT_DEFAULT
-) -> tuple[float, float, float]:
+def statistical_linearization(mean: float, variance: float, f) -> tuple[float, float, float]:
     """Sigma-point linear regression of ``f`` around a Gaussian.
 
     Returns ``(slope, intercept, residual_variance)`` with the slope the
@@ -149,7 +126,7 @@ def statistical_linearization(
     propagated mean. Exact (zero residual) for affine maps.
     """
     var = max(variance, VARIANCE_FLOOR)
-    pts = merwe_sigma_points(mean, var, params)
+    pts = merwe_sigma_points(mean, var)
     prop = _propagate(pts.points, f)
     mean_out = float(np.sum(pts.mean_weights * prop))
     var_out = float(np.sum(pts.cov_weights * (prop - mean_out) ** 2))
@@ -188,7 +165,7 @@ class FlowStepDynamics:
     kind: ModelKind
     z_means: np.ndarray
     z_vars: np.ndarray
-    scan: ScanGrid = field(default_factory=ScanGrid)
+    scan: ScanGrid = ScanGrid()
 
     def step_map(self, times: np.ndarray, ref_means: np.ndarray, index: int):
         """Transition map into ``index``, fitted on ``ref_means``."""
@@ -234,7 +211,6 @@ def run_adaptive_kf(
     data: TimeSeriesData,
     kind: ModelKind = ModelKind.BIRTH_DEATH,
     q: float = 1.0,
-    scan: ScanGrid = ScanGrid(),
 ) -> Trajectory:
     """Forward-only adaptive non-linear Kalman filter with constant ``q``.
 
@@ -250,7 +226,7 @@ def run_adaptive_kf(
     """
     grid = data.grid
     z_means, z_vars = data.summaries()
-    dynamics = FlowStepDynamics(kind, z_means, z_vars, scan)
+    dynamics = FlowStepDynamics(kind, z_means, z_vars)
     n = len(grid)
     f_means = np.empty(n)
     f_vars = np.empty(n)
@@ -288,7 +264,6 @@ def _ukf_forward(
     z_vars: np.ndarray,
     dynamics,
     q: float,
-    ut: UtParams,
 ) -> _ForwardPass:
     n = len(times)
     m = np.empty(n)
@@ -303,7 +278,7 @@ def _ukf_forward(
     for t in range(1, n):
         try:
             f = dynamics.step_map(times, m, t)
-            predicted = unscented_transform(GaussianEstimate(m[t - 1], p[t - 1]), f, ut)
+            predicted = unscented_transform(GaussianEstimate(m[t - 1], p[t - 1]), f)
         except NumericalOverflowError as exc:
             raise _overflow_at(exc, times, t) from exc
         maps[t] = f
@@ -315,14 +290,12 @@ def _ukf_forward(
     return _ForwardPass(m, p, m_pred, p_pred, tuple(maps))
 
 
-def _urts_backward(
-    times: np.ndarray, forward: _ForwardPass, ut: UtParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _urts_backward(times: np.ndarray, forward: _ForwardPass) -> tuple[np.ndarray, np.ndarray]:
     n = len(times)
     ms = forward.means.copy()
     ps = forward.variances.copy()
     for t in range(n - 2, -1, -1):
-        pts = merwe_sigma_points(forward.means[t], forward.variances[t], ut)
+        pts = merwe_sigma_points(forward.means[t], forward.variances[t])
         try:
             prop = _propagate(pts.points, forward.maps[t + 1])
         except NumericalOverflowError as exc:
@@ -336,46 +309,6 @@ def _urts_backward(
             VARIANCE_FLOOR,
         )
     return ms, ps
-
-
-def run_ukf(
-    data: TimeSeriesData,
-    kind: ModelKind = ModelKind.BIRTH_DEATH,
-    q: float = 1.0,
-    ut_params: UtParams = UT_DEFAULT,
-    scan: ScanGrid = ScanGrid(),
-    dynamics=None,
-) -> Trajectory:
-    """Unscented Kalman filter: sigma-point predict, Gaussian data update.
-
-    ``dynamics`` may inject custom per-step transition maps (an object with
-    ``step_map(times, ref_means, index)``); by default the ODE flows are
-    window-fitted on the filter's own past means.
-    """
-    grid = data.grid
-    z_means, z_vars = data.summaries()
-    if dynamics is None:
-        dynamics = FlowStepDynamics(kind, z_means, z_vars, scan)
-    forward = _ukf_forward(grid.times, z_means, z_vars, dynamics, q, ut_params)
-    return _finite_trajectory(grid, forward.means, forward.variances)
-
-
-def run_urts(
-    data: TimeSeriesData,
-    kind: ModelKind = ModelKind.BIRTH_DEATH,
-    q: float = 1.0,
-    ut_params: UtParams = UT_DEFAULT,
-    scan: ScanGrid = ScanGrid(),
-    dynamics=None,
-) -> Trajectory:
-    """Unscented RTS smoother: UKF forward pass, sigma-point backward pass."""
-    grid = data.grid
-    z_means, z_vars = data.summaries()
-    if dynamics is None:
-        dynamics = FlowStepDynamics(kind, z_means, z_vars, scan)
-    forward = _ukf_forward(grid.times, z_means, z_vars, dynamics, q, ut_params)
-    ms, ps = _urts_backward(grid.times, forward, ut_params)
-    return _finite_trajectory(grid, ms, ps)
 
 
 def _linear_rts_pass(
@@ -409,13 +342,70 @@ def _linear_rts_pass(
     return ms, ps
 
 
+def _unscented(
+    data: TimeSeriesData, kind: ModelKind, q: float, dynamics, smoothing_passes: int
+) -> Trajectory:
+    """The UKF forward pass, then ``smoothing_passes`` smoothing passes:
+    the sigma-point RTS pass, then the further IPLS iterations. No pass is
+    the UKF, one the URTS, more the IPLS."""
+    grid = data.grid
+    z_means, z_vars = data.summaries()
+    if dynamics is None:
+        dynamics = FlowStepDynamics(kind, z_means, z_vars)
+    forward = _ukf_forward(grid.times, z_means, z_vars, dynamics, q)
+    ms, ps = forward.means, forward.variances
+    if smoothing_passes:
+        ms, ps = _urts_backward(grid.times, forward)
+    n = len(grid)
+    for _ in range(1, smoothing_passes):
+        slopes = np.zeros(n)
+        intercepts = np.zeros(n)
+        noises = np.zeros(n)
+        for t in range(1, n):
+            try:
+                f = dynamics.step_map(grid.times, ms, t)
+                slope, intercept, residual = statistical_linearization(
+                    float(ms[t - 1]), float(ps[t - 1]), f
+                )
+            except NumericalOverflowError as exc:
+                raise _overflow_at(exc, grid.times, t) from exc
+            slopes[t] = slope
+            intercepts[t] = intercept
+            noises[t] = residual + q
+        ms, ps = _linear_rts_pass(grid.times, z_means, z_vars, slopes, intercepts, noises)
+    return _finite_trajectory(grid, ms, ps)
+
+
+def run_ukf(
+    data: TimeSeriesData,
+    kind: ModelKind = ModelKind.BIRTH_DEATH,
+    q: float = 1.0,
+    dynamics=None,
+) -> Trajectory:
+    """Unscented Kalman filter: sigma-point predict, Gaussian data update.
+
+    ``dynamics`` may inject custom per-step transition maps (an object with
+    ``step_map(times, ref_means, index)``); by default the ODE flows are
+    window-fitted on the filter's own past means.
+    """
+    return _unscented(data, kind, q, dynamics, 0)
+
+
+def run_urts(
+    data: TimeSeriesData,
+    kind: ModelKind = ModelKind.BIRTH_DEATH,
+    q: float = 1.0,
+    dynamics=None,
+) -> Trajectory:
+    """Unscented RTS smoother: UKF forward pass, sigma-point backward pass."""
+    return _unscented(data, kind, q, dynamics, 1)
+
+
 def run_ipls(
     data: TimeSeriesData,
     kind: ModelKind = ModelKind.BIRTH_DEATH,
     q: float = 1.0,
     iterations: int = 1,
-    ut_params: UtParams = UT_DEFAULT,
-    scan: ScanGrid = ScanGrid(),
     dynamics=None,
 ) -> Trajectory:
     """Iterated posterior linearization smoother.
@@ -429,29 +419,4 @@ def run_ipls(
     """
     if iterations < 1:
         raise InvalidParameterError("iterations must be at least 1")
-    grid = data.grid
-    z_means, z_vars = data.summaries()
-    if dynamics is None:
-        dynamics = FlowStepDynamics(kind, z_means, z_vars, scan)
-    forward = _ukf_forward(grid.times, z_means, z_vars, dynamics, q, ut_params)
-    ms, ps = _urts_backward(grid.times, forward, ut_params)
-
-    n = len(grid)
-    for _ in range(1, iterations):
-        slopes = np.zeros(n)
-        intercepts = np.zeros(n)
-        noises = np.zeros(n)
-        for t in range(1, n):
-            try:
-                f = dynamics.step_map(grid.times, ms, t)
-                slope, intercept, residual = statistical_linearization(
-                    float(ms[t - 1]), float(ps[t - 1]), f, ut_params
-                )
-            except NumericalOverflowError as exc:
-                raise _overflow_at(exc, grid.times, t) from exc
-            slopes[t] = slope
-            intercepts[t] = intercept
-            noises[t] = residual + q
-        ms, ps = _linear_rts_pass(grid.times, z_means, z_vars, slopes, intercepts, noises)
-    return _finite_trajectory(grid, ms, ps)
-
+    return _unscented(data, kind, q, dynamics, iterations)

@@ -17,7 +17,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import click
@@ -136,29 +136,29 @@ def read_series_csv(path: str) -> IngestResult:
 
 def write_series_csv(series: list[TimeSeriesData], path: str) -> None:
     """Write measurement series in the long-form CSV format."""
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["series_id", "time", "value"])
-            for data in series:
-                for t, group in zip(data.grid.times, data.samples):
-                    for value in group:
-                        writer.writerow([data.series_id, repr(float(t)), repr(float(value))])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_csv(
+        path,
+        ["series_id", "time", "value"],
+        (
+            [data.series_id, repr(float(t)), repr(float(value))]
+            for data in series
+            for t, group in zip(data.grid.times, data.samples)
+            for value in group
+        ),
+    )
 
 
 def write_truth_csv(truths: list[tuple[str, GroundTruth]], path: str) -> None:
     """Write ground-truth values as ``series_id,time,true_value``."""
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["series_id", "time", "true_value"])
-            for series_id, truth in truths:
-                for t, value in zip(truth.grid.times, truth.values):
-                    writer.writerow([series_id, repr(float(t)), repr(float(value))])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_csv(
+        path,
+        ["series_id", "time", "true_value"],
+        (
+            [series_id, repr(float(t)), repr(float(value))]
+            for series_id, truth in truths
+            for t, value in zip(truth.grid.times, truth.values)
+        ),
+    )
 
 
 def read_labels_csv(path: str) -> dict[str, str]:
@@ -257,27 +257,36 @@ def _write_json(record: dict, path: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV, one ``\\n``-terminated line each."""
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_result(result, path: str) -> None:
     """Serialize a result: JSON for trajectories/filter runs/summaries,
     CSV for benchmark tables."""
     if not isinstance(result, BenchmarkReport):
         _write_json(result_record(result), path)
         return
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["algorithm", "parameters", "mse", "error"])
-            for row in result.rows:
-                writer.writerow(
-                    [
-                        row.spec.algorithm,
-                        row.spec.params_text(),
-                        "" if row.mse is None else repr(row.mse),
-                        row.error or "",
-                    ]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_csv(
+        path,
+        ["algorithm", "parameters", "mse", "error"],
+        (
+            [
+                row.spec.algorithm,
+                row.spec.params_text(),
+                "" if row.mse is None else repr(row.mse),
+                row.error or "",
+            ]
+            for row in result.rows
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -294,8 +303,6 @@ class RunConfig:
     q: float | None = None
     jobs: int = 1
     retain_history: bool = False
-    input_path: str = ""
-    output_path: str = ""
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -359,16 +366,29 @@ def _grid_blocks(chunk: tuple[TimeSeriesData, ...]):
             yield run[start:start + PKF_BLOCK_ROWS]
 
 
+#: The logger of the spline fallback warnings, which a stacked block holds back.
+_models_logger = logging.getLogger("pathkf.models")
+
+
 def _execute_block(config: RunConfig, block: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
     """Outcomes of a run of series that share a grid. The PKF runs them as one
     stacked block; if that raises, each series runs alone, so every series
-    gets exactly the result or error it gets alone."""
+    gets exactly the result or error it gets alone. The block's model
+    warnings are emitted only if it succeeds, so that each warning is logged
+    once, by the run whose outcome is kept."""
     if config.algorithm == "pkf" and len(block) > 1:
+        held: list[logging.LogRecord] = []
+        hold = held.append  # a filter that returns None drops the record
+        _models_logger.addFilter(hold)
         try:
             results = run_pkf_block(block, config.model, config.iterations, config.retain_history)
         except Exception:  # some series fails: the lone runs say which, and how
-            pass
-        else:
+            results = None
+        finally:
+            _models_logger.removeFilter(hold)
+        if results is not None:
+            for record in held:
+                _models_logger.handle(record)
             return [SeriesOutcome(d.series_id, r, None) for d, r in zip(block, results)]
     return [_execute_series(config, data) for data in block]
 
@@ -440,51 +460,69 @@ def _load_config_file(path: str | None) -> dict:
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
 
+def _has_kind(value, kind: type) -> bool:
+    """Whether a JSON value is of ``kind``: ``float`` also accepts an
+    integer, and only ``bool`` accepts ``true``/``false``."""
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+
+
 def _resolve(flag_value, config: dict, key: str, default, kind: type = str):
     """Flags win over config-file values, which win over defaults.
 
-    A config-file value must be a JSON value of ``kind``; ``float`` also
-    accepts an integer, and only ``bool`` accepts ``true``/``false``.
+    A config-file value must be a JSON value of ``kind`` (see ``_has_kind``).
     """
     if flag_value is not None:
         return flag_value
     if key not in config:
         return default
     value = config[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+    if not _has_kind(value, kind):
         raise InvalidConfigError(f"config {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _schedule_from_config(raw, fallback: PiecewiseConstant) -> PiecewiseConstant:
+def _schedule_from_config(config: dict, key: str, fallback: PiecewiseConstant) -> PiecewiseConstant:
+    raw = config.get(key)
     if raw is None:
         return fallback
-    try:
-        return PiecewiseConstant(tuple(raw["breaks"]), tuple(raw["values"]))
-    except (KeyError, TypeError) as exc:
-        raise InvalidConfigError(f"bad schedule spec {raw!r}: {exc}") from exc
+    if not (
+        isinstance(raw, dict)
+        and all(
+            isinstance(raw.get(part), list) and all(_has_kind(v, float) for v in raw[part])
+            for part in ("breaks", "values")
+        )
+    ):
+        raise InvalidConfigError(
+            f"config {key!r} must be a schedule {{\"breaks\": [numbers], "
+            f"\"values\": [numbers]}}, got {raw!r}"
+        )
+    return PiecewiseConstant(tuple(raw["breaks"]), tuple(raw["values"]))
+
+
+#: The numeric config-file keys of each scenario, with their JSON kinds.
+_BIRTH_DEATH_KEYS = {"n0": float, "t_end": float, "dt": float, "replicates": int}
+_GENE_PANEL_KEYS = {
+    "n_genes": int, "n_timepoints": int, "spacing": float, "replicates": int, "noise_level": float,
+}
 
 
 def _birth_death_scenario(config: dict, seed: int | None) -> BirthDeathScenario:
     base = BirthDeathScenario()
-    overrides = {}
-    for field_ in fields(BirthDeathScenario):
-        if field_.name in ("birth", "death", "noise"):
-            overrides[field_.name] = _schedule_from_config(
-                config.get(field_.name), getattr(base, field_.name)
-            )
-        elif field_.name in config:
-            overrides[field_.name] = config[field_.name]
-    if seed is not None:
-        overrides["seed"] = seed
-    return replace(base, **overrides)
+    return replace(
+        base,
+        **{key: _resolve(None, config, key, getattr(base, key), kind)
+           for key, kind in _BIRTH_DEATH_KEYS.items()},
+        **{key: _schedule_from_config(config, key, getattr(base, key))
+           for key in ("birth", "death", "noise")},
+        seed=_resolve(seed, config, "seed", base.seed, int),
+    )
 
 
 def _gene_panel_scenario(config: dict, seed: int | None) -> GenePanelScenario:
     kwargs = {
-        key: config[key]
-        for key in ("n_genes", "n_timepoints", "spacing", "replicates", "noise_level")
+        key: _resolve(None, config, key, None, kind)
+        for key, kind in _GENE_PANEL_KEYS.items()
         if key in config
     }
     if seed is not None:
@@ -543,14 +581,7 @@ def simulate(scenario, seed, output, truth_path, labels_path, config_path):
         if truth_path:
             write_truth_csv([(data.series_id, truth) for truth, data in panel], truth_path)
         if labels_path:
-            try:
-                with open(labels_path, "w", newline="") as handle:
-                    writer = csv.writer(handle, lineterminator="\n")
-                    writer.writerow(["series_id", "label"])
-                    for gene_id, label in panel_labels(sc).items():
-                        writer.writerow([gene_id, label])
-            except OSError as exc:
-                raise IoError(f"cannot write {labels_path}: {exc}") from exc
+            _write_csv(labels_path, ["series_id", "label"], panel_labels(sc).items())
     click.echo(f"wrote {output}")
 
 
@@ -569,14 +600,14 @@ def _run_batch_command(
         q=None if q is None else float(q),
         jobs=_resolve(jobs, config_file, "jobs", 1, int),
         retain_history=_resolve(retain_history, config_file, "retain_history", False, bool),
-        input_path=_resolve(input_path, config_file, "input", ""),
-        output_path=_resolve(output, config_file, "output", ""),
     )
-    if not run_config.input_path or not run_config.output_path:
+    input_path = _resolve(input_path, config_file, "input", "")
+    output = _resolve(output, config_file, "output", "")
+    if not input_path or not output:
         raise InvalidConfigError("both --input and --output are required")
-    series, skipped = read_series_csv(run_config.input_path)
+    series, skipped = read_series_csv(input_path)
     summary = batch_run(run_config, series, skipped)
-    write_batch_results(summary, run_config.output_path)
+    write_batch_results(summary, output)
     if skipped:
         click.echo(f"skipped {len(skipped)} series with fewer than 3 timepoints", err=True)
     _echo_failures(summary)

@@ -22,7 +22,7 @@ import enum
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -291,7 +291,7 @@ class SplinePathModel:
     of paths on the grid; the outputs have their shape."""
 
     kind: ModelKind
-    scan: ScanGrid = field(default_factory=ScanGrid)
+    scan: ScanGrid = ScanGrid()
 
     def predict_path(
         self, grid: TimeGrid, means: np.ndarray, variances: np.ndarray

@@ -26,7 +26,7 @@ from .core import (
     Trajectory,
     _setstate_readonly,
 )
-from .models import ModelKind, ScanGrid, SplinePathModel
+from .models import ModelKind, SplinePathModel
 
 #: Default number of pathspace iterations.
 DEFAULT_ITERATIONS = 10
@@ -274,7 +274,6 @@ def run_pkf(
     iterations: int = DEFAULT_ITERATIONS,
     retain_history: bool = False,
     early_stop: bool = False,
-    scan: ScanGrid = ScanGrid(),
 ) -> PkfResult:
     """Run the pathspace filter for a fixed number of iterations.
 
@@ -291,7 +290,7 @@ def run_pkf(
     uncertainty drops below ``EARLY_STOP_RTOL``; retained results for
     completed iterations are unaffected.
     """
-    predictor = SplinePathModel(model, scan) if isinstance(model, ModelKind) else model
+    predictor = SplinePathModel(model) if isinstance(model, ModelKind) else model
     z_means, z_vars = data.summaries()
     steps, trace_dq, trace_vmax = _iterate(
         predictor, (data,), z_means, z_vars, iterations, early_stop
@@ -307,13 +306,12 @@ def run_pkf_block(
     kind: ModelKind = ModelKind.BIRTH_DEATH,
     iterations: int = DEFAULT_ITERATIONS,
     retain_history: bool = False,
-    scan: ScanGrid = ScanGrid(),
 ) -> list[PkfResult]:
     """Run the pathspace filter on several series that share one grid, as
     one ``(S, n)`` block through the loop of :func:`run_pkf`.
 
     Each result is bitwise equal to ``run_pkf(data, kind, iterations,
-    retain_history, scan=scan)`` on its series alone. If any series fails,
+    retain_history)`` on its series alone. If any series fails,
     the block raises the first error the stacked loop meets, which names
     one failing series; callers that must isolate failures re-run the series
     one at a time.
@@ -326,7 +324,7 @@ def run_pkf_block(
     z_means = np.stack([data.summaries()[0] for data in series])
     z_vars = np.stack([data.summaries()[1] for data in series])
     steps, trace_dq, trace_vmax = _iterate(
-        SplinePathModel(kind, scan), series, z_means, z_vars, iterations, False
+        SplinePathModel(kind), series, z_means, z_vars, iterations, False
     )
     trace_dq, trace_vmax = np.array(trace_dq), np.array(trace_vmax)
     results = []

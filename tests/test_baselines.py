@@ -15,8 +15,6 @@ from pathkf import (
     SigmaPoints,
     TimeGrid,
     TimeSeriesData,
-    UT_DEFAULT,
-    UtParams,
     merwe_sigma_points,
     run_adaptive_kf,
     run_ipls,
@@ -73,17 +71,13 @@ class TestUnscentedTransform:
 
 class TestSigmaPoints:
     def test_mean_weights_sum_to_one(self):
-        pts = merwe_sigma_points(3.0, 2.0, UT_DEFAULT)
+        pts = merwe_sigma_points(3.0, 2.0)
         assert abs(float(np.sum(pts.mean_weights)) - 1.0) <= 1e-12
         assert len(pts.points) == 3
 
     def test_default_params_place_points_at_one_sigma(self):
-        pts = merwe_sigma_points(0.0, 4.0, UT_DEFAULT)
+        pts = merwe_sigma_points(0.0, 4.0)
         np.testing.assert_allclose(sorted(pts.points), [-2.0, 0.0, 2.0], atol=1e-14)
-
-    def test_invalid_scaling_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            merwe_sigma_points(0.0, 1.0, UtParams(alpha=1.0, kappa=-1.0))
 
     def test_point_count_validated(self):
         with pytest.raises(Exception):

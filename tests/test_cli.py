@@ -1,6 +1,9 @@
 """Ingestion, serialization, batch execution, and the command-line surface."""
 
+import collections
+import csv
 import json
+import logging
 import multiprocessing
 import os
 import time
@@ -19,6 +22,7 @@ from pathkf import (
     TimeGrid,
     TimeSeriesData,
     run_pkf,
+    run_pkf_block,
     run_ukf,
     simulate_birth_death,
 )
@@ -45,6 +49,32 @@ from test_core import arrays_in
 def write_text(path, text):
     path.write_text(text)
     return str(path)
+
+
+#: Series ids for the round trip. The reader strips whitespace around an id,
+#: so none is drawn with leading or trailing whitespace.
+SERIES_IDS = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=6
+).filter(lambda s: s == s.strip())
+
+#: Measurements at scales 1e-6 to 1e8, of either sign.
+MEASUREMENTS = st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-6, 8))
+
+
+@st.composite
+def csv_panels(draw):
+    """``(series_id, times, groups)`` per series: 1-14 strictly increasing
+    times, each with 1-3 replicates; series of fewer than 3 times are short."""
+    panel = []
+    for series_id in draw(st.lists(SERIES_IDS, min_size=1, max_size=5, unique=True)):
+        times = sorted(draw(st.lists(
+            st.floats(-1e6, 1e6), min_size=1, max_size=14, unique=True
+        )))
+        groups = [
+            np.array(draw(st.lists(MEASUREMENTS, min_size=1, max_size=3))) for _ in times
+        ]
+        panel.append((series_id, times, groups))
+    return panel
 
 
 class TestReadSeriesCsv:
@@ -102,6 +132,35 @@ class TestReadSeriesCsv:
     def test_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
             read_series_csv(str(tmp_path / "nope.csv"))
+
+    @settings(
+        deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(csv_panels())
+    def test_write_read_round_trip_is_exact(self, tmp_path, panel):
+        long = [entry for entry in panel if len(entry[1]) >= 3]
+        short = [entry for entry in panel if len(entry[1]) < 3]
+        path = str(tmp_path / "rt.csv")
+        write_series_csv(
+            [TimeSeriesData(sid, TimeGrid(np.array(times)), tuple(groups))
+             for sid, times, groups in long],
+            path,
+        )
+        with open(path, "a", newline="") as handle:  # the writer takes full series only
+            csv.writer(handle, lineterminator="\n").writerows(
+                [sid, repr(t), repr(float(v))]
+                for sid, times, groups in short
+                for t, group in zip(times, groups)
+                for v in group
+            )
+        series, skipped = read_series_csv(path)
+        assert skipped == tuple(sid for sid, _, _ in short)
+        assert [data.series_id for data in series] == [sid for sid, _, _ in long]
+        for data, (_, times, groups) in zip(series, long):
+            assert data.grid.times.tobytes() == np.array(times).tobytes()
+            assert len(data.samples) == len(groups)
+            for back, group in zip(data.samples, groups):
+                assert back.tobytes() == group.tobytes()
 
 
 class TestWriteResult:
@@ -164,6 +223,23 @@ def panel_csv(tmp_path, n_series=4, broken=False):
     path = tmp_path / "panel.csv"
     path.write_text("\n".join(rows) + "\n")
     return str(path)
+
+
+def spiked(series_id, spike=None):
+    """Eight timepoints of two replicates; with ``spike``, both replicates of
+    the fifth are ``spike``."""
+    groups = [np.array([10.0 + i, 10.5 + i]) for i in range(8)]
+    if spike is not None:
+        groups[4] = np.array([spike, spike])
+    return TimeSeriesData(series_id, TimeGrid(np.arange(8.0)), tuple(groups))
+
+
+def warning_lines(caplog, action):
+    """The warning lines logged while ``action()`` runs, in order."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        action()
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestBatchRun:
@@ -233,6 +309,28 @@ class TestBatchRun:
         assert by_id["good"].error is None
         assert by_id["bad"].error is not None
         assert summary.n_failed == 1
+
+    def test_failed_block_logs_each_warning_once(self, caplog):
+        # s1 fails after logging degenerate-window warnings; calm and s3 pass
+        block = (spiked("s1", 1e154), spiked("calm"), spiked("s3", 1e80))
+        config = RunConfig(model=ModelKind.CONSTANT_REGULATION, iterations=3)
+        lone = [line for data in block
+                for line in warning_lines(caplog, lambda: batch_run(config, (data,)))]
+        outcomes = []
+        lines = warning_lines(caplog, lambda: outcomes.extend(batch_run(config, block).outcomes))
+        assert [o.error is None for o in outcomes] == [False, True, True]
+        assert lone and collections.Counter(lines) == collections.Counter(lone)
+
+    def test_successful_block_logs_its_warnings(self, caplog):
+        block = (spiked("w", 1e150), spiked("calm"), spiked("s3", 1e80))
+        config = RunConfig(model=ModelKind.CONSTANT_REGULATION, iterations=3)
+        stacked = warning_lines(
+            caplog, lambda: run_pkf_block(block, ModelKind.CONSTANT_REGULATION, 3)
+        )
+        outcomes = []
+        lines = warning_lines(caplog, lambda: outcomes.extend(batch_run(config, block).outcomes))
+        assert all(o.error is None for o in outcomes)
+        assert stacked and lines == stacked
 
     def test_baseline_matches_direct_call(self, tmp_path):
         series, _ = read_series_csv(panel_csv(tmp_path, n_series=2))
@@ -476,6 +574,36 @@ class TestCommands:
         )
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            *((command, config) for command in ("simulate", "bench") for config in (
+                {"n0": "abc"},
+                {"dt": "0.5"},
+                {"replicates": 2.5},
+                {"birth": {"breaks": [0], "values": ["x"]}},
+                {"seed": "7"},
+            )),
+            ("gene-panel", {"n_genes": "x"}),
+            ("gene-panel", {"spacing": "2"}),
+        ],
+    )
+    def test_bad_scenario_config_value_exits_2(self, tmp_path, command, config):
+        out = tmp_path / "out.csv"
+        args = {
+            "simulate": ["simulate", "--scenario", "birth-death"],
+            "gene-panel": ["simulate", "--scenario", "gene-panel"],
+            "bench": ["bench"],
+        }[command]
+        result = CliRunner().invoke(
+            main, [*args, "--output", str(out),
+                   "--config", write_text(tmp_path / "cfg.json", json.dumps(config))],
+        )
+        (key,) = config
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: config {key!r} must be ")
         assert not out.exists()
 
     def test_bench_trajectories_write_failure_exits_2(self, tmp_path):
