@@ -9,8 +9,6 @@ benchmark harness, and a CLI for batch processing of measurement panels.
 
 from .baselines import (
     AffineStepDynamics,
-    SigmaPoints,
-    merwe_sigma_points,
     run_adaptive_kf,
     run_ipls,
     run_ukf,

@@ -6,7 +6,9 @@ unscented Kalman filter, an unscented Rauch-Tung-Striebel smoother, and an
 iterated posterior linearization smoother. All consume the same
 per-timepoint data summaries and fit their step dynamics from
 right-endpoint windows of the same ODE families, so benchmark differences
-isolate the algorithms themselves.
+isolate the algorithms themselves. The last three share one Kalman forward
+update and one RTS backward pass, and differ only in the prediction step
+they hand to the forward update: unscented, or statistically linearized.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from .core import (
     VARIANCE_FLOOR,
     GaussianEstimate,
-    InvalidDataError,
     InvalidParameterError,
     NumericalOverflowError,
     TimeSeriesData,
@@ -29,43 +30,11 @@ from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, fit_spline_poster
 from .models import uniform_posterior  # noqa: F401  perfbench traces the fallback here too
 
 
-#: Sigma-point weights of a univariate state with the points at one standard
-#: deviation (alpha=1, beta=2, kappa=0): the common alpha=1e-3 collapses the
-#: spread far below the data noise.
-_MEAN_WEIGHTS = (0.0, 0.5, 0.5)
-_COV_WEIGHTS = (2.0, 0.5, 0.5)
-
-
-@dataclass(frozen=True, eq=False)
-class SigmaPoints:
-    """Sigma points with their mean and covariance weights."""
-
-    points: np.ndarray
-    mean_weights: np.ndarray
-    cov_weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wm = np.asarray(self.mean_weights, dtype=float)
-        wc = np.asarray(self.cov_weights, dtype=float)
-        if not (len(pts) == len(wm) == len(wc) == 3):
-            raise InvalidDataError("a univariate state uses exactly 3 sigma points")
-        if abs(float(np.sum(wm)) - 1.0) > 1e-12:
-            raise InvalidDataError("mean weights must sum to one")
-        for name, arr in (("points", pts), ("mean_weights", wm), ("cov_weights", wc)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def merwe_sigma_points(mean: float, variance: float) -> SigmaPoints:
-    """Sigma points for a univariate Gaussian, at ``mean`` and one standard
-    deviation either side."""
-    if variance < 0:
-        raise InvalidParameterError("variance must be non-negative")
-    spread = math.sqrt(variance)
-    points = np.array([mean, mean + spread, mean - spread])
-    return SigmaPoints(points, _MEAN_WEIGHTS, _COV_WEIGHTS)
+#: Sigma-point weights of a univariate state with the points at the mean and
+#: one standard deviation either side (alpha=1, beta=2, kappa=0): the common
+#: alpha=1e-3 collapses the spread far below the data noise.
+_MEAN_WEIGHTS = np.array([0.0, 0.5, 0.5])
+_COV_WEIGHTS = np.array([2.0, 0.5, 0.5])
 
 
 def _propagate(points: np.ndarray, f) -> np.ndarray:
@@ -79,6 +48,23 @@ def _propagate(points: np.ndarray, f) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalOverflowError("the step map left the finite range")
     return out
+
+
+def _sigma_moments(mean: float, variance: float, f) -> tuple[float, float, float]:
+    """Mean and variance of ``f(x)`` for ``x ~ N(mean, variance)``, and the
+    cross-covariance of ``x`` and ``f(x)``, from three sigma points.
+
+    This is the only sigma-point computation: the unscented prediction, the
+    smoother gain and the statistical linearization all read it.
+    """
+    spread = math.sqrt(variance)
+    points = np.array([mean, mean + spread, mean - spread])
+    prop = _propagate(points, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_out = float(np.sum(_MEAN_WEIGHTS * prop))
+        var_out = float(np.sum(_COV_WEIGHTS * (prop - mean_out) ** 2))
+        cross = float(np.sum(_COV_WEIGHTS * (points - mean) * (prop - mean_out)))
+    return mean_out, var_out, cross
 
 
 def _overflow_at(exc: NumericalOverflowError, times, t: int) -> NumericalOverflowError:
@@ -101,21 +87,19 @@ def _finite_trajectory(grid, means: np.ndarray, variances: np.ndarray) -> Trajec
     return Trajectory(grid, means, variances)
 
 
-def unscented_transform(estimate: GaussianEstimate, f) -> GaussianEstimate:
-    """Propagate a Gaussian through ``f`` via sigma points; exact for affine maps."""
-    pts = merwe_sigma_points(estimate.mean, estimate.variance)
-    prop = _propagate(pts.points, f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.sum(pts.mean_weights * prop))
-        variance = float(np.sum(pts.cov_weights * (prop - mean) ** 2))
+def _unscented_moments(estimate: GaussianEstimate, f) -> tuple[float, float, float]:
+    """``_sigma_moments`` of ``estimate`` with the output moments checked
+    finite and the output variance floored."""
+    mean, variance, cross = _sigma_moments(estimate.mean, estimate.variance, f)
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise NumericalOverflowError("the propagated moments left the finite range")
-    return GaussianEstimate(mean, max(variance, VARIANCE_FLOOR))
+    return mean, max(variance, VARIANCE_FLOOR), cross
 
 
-def _cross_covariance(pts: SigmaPoints, prop: np.ndarray, mean_in: float) -> float:
-    mean_out = float(np.sum(pts.mean_weights * prop))
-    return float(np.sum(pts.cov_weights * (pts.points - mean_in) * (prop - mean_out)))
+def unscented_transform(estimate: GaussianEstimate, f) -> GaussianEstimate:
+    """Propagate a Gaussian through ``f`` via sigma points; exact for affine maps."""
+    mean, variance, _ = _unscented_moments(estimate, f)
+    return GaussianEstimate(mean, variance)
 
 
 def statistical_linearization(mean: float, variance: float, f) -> tuple[float, float, float]:
@@ -126,11 +110,7 @@ def statistical_linearization(mean: float, variance: float, f) -> tuple[float, f
     propagated mean. Exact (zero residual) for affine maps.
     """
     var = max(variance, VARIANCE_FLOOR)
-    pts = merwe_sigma_points(mean, var)
-    prop = _propagate(pts.points, f)
-    mean_out = float(np.sum(pts.mean_weights * prop))
-    var_out = float(np.sum(pts.cov_weights * (prop - mean_out) ** 2))
-    cross = _cross_covariance(pts, prop, mean)
+    mean_out, var_out, cross = _sigma_moments(mean, var, f)
     slope = cross / var
     intercept = mean_out - slope * mean
     residual = max(var_out - slope**2 * var, 0.0)
@@ -249,130 +229,89 @@ def run_adaptive_kf(
     return _finite_trajectory(grid, f_means, f_vars)
 
 
-@dataclass(frozen=True, eq=False)
-class _ForwardPass:
-    means: np.ndarray
-    variances: np.ndarray
-    pred_means: np.ndarray
-    pred_variances: np.ndarray
-    maps: tuple
+def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, predict):
+    """The Kalman filter over the data summaries with the prediction step
+    ``predict(t, m, p) -> (m_pred, p_pred, cross)``.
 
-
-def _ukf_forward(
-    times: np.ndarray,
-    z_means: np.ndarray,
-    z_vars: np.ndarray,
-    dynamics,
-    q: float,
-) -> _ForwardPass:
+    ``predict`` reads the filter means ``m`` and variances ``p`` up to
+    ``t - 1`` and returns the predicted moments at ``t`` and the
+    cross-covariance of the states at ``t - 1`` and ``t``. Returns the filter
+    moments, the predicted moments and the cross-covariances, in the order
+    ``_rts_backward`` takes them.
+    """
     n = len(times)
-    m = np.empty(n)
-    p = np.empty(n)
-    m_pred = np.empty(n)
-    p_pred = np.empty(n)
-    maps: list = [None] * n
+    m, p, m_pred, p_pred, cross = (np.zeros(n) for _ in range(5))
     m[0] = z_means[0]
     p[0] = max(z_vars[0], VARIANCE_FLOOR)
-    m_pred[0] = m[0]
-    p_pred[0] = p[0]
     for t in range(1, n):
         try:
-            f = dynamics.step_map(times, m, t)
-            predicted = unscented_transform(GaussianEstimate(m[t - 1], p[t - 1]), f)
+            m_pred[t], p_pred[t], cross[t] = predict(t, m, p)
         except NumericalOverflowError as exc:
             raise _overflow_at(exc, times, t) from exc
-        maps[t] = f
-        m_pred[t] = predicted.mean
-        p_pred[t] = predicted.variance + q
         gain = p_pred[t] / (p_pred[t] + z_vars[t])
         m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
         p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
-    return _ForwardPass(m, p, m_pred, p_pred, tuple(maps))
+    return m, p, m_pred, p_pred, cross
 
 
-def _urts_backward(times: np.ndarray, forward: _ForwardPass) -> tuple[np.ndarray, np.ndarray]:
-    n = len(times)
-    ms = forward.means.copy()
-    ps = forward.variances.copy()
-    for t in range(n - 2, -1, -1):
-        pts = merwe_sigma_points(forward.means[t], forward.variances[t])
-        try:
-            prop = _propagate(pts.points, forward.maps[t + 1])
-        except NumericalOverflowError as exc:
-            raise _overflow_at(exc, times, t + 1) from exc
-        cross = _cross_covariance(pts, prop, forward.means[t])
-        gain = cross / forward.pred_variances[t + 1]
-        ms[t] = forward.means[t] + gain * (ms[t + 1] - forward.pred_means[t + 1])
-        ps[t] = max(
-            forward.variances[t]
-            + gain**2 * (ps[t + 1] - forward.pred_variances[t + 1]),
-            VARIANCE_FLOOR,
-        )
-    return ms, ps
-
-
-def _linear_rts_pass(
-    times: np.ndarray,
-    z_means: np.ndarray,
-    z_vars: np.ndarray,
-    slopes: np.ndarray,
-    intercepts: np.ndarray,
-    noises: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward KF and backward RTS with per-step affine dynamics."""
-    n = len(times)
-    m = np.empty(n)
-    p = np.empty(n)
-    m_pred = np.empty(n)
-    p_pred = np.empty(n)
-    m[0] = z_means[0]
-    p[0] = max(z_vars[0], VARIANCE_FLOOR)
-    for t in range(1, n):
-        m_pred[t] = slopes[t] * m[t - 1] + intercepts[t]
-        p_pred[t] = slopes[t] ** 2 * p[t - 1] + noises[t]
-        gain = p_pred[t] / (p_pred[t] + z_vars[t])
-        m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
-        p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
+def _rts_backward(m, p, m_pred, p_pred, cross) -> tuple[np.ndarray, np.ndarray]:
+    """The Rauch-Tung-Striebel backward pass over a ``_kalman_forward`` run."""
     ms = m.copy()
     ps = p.copy()
-    for t in range(n - 2, -1, -1):
-        gain = slopes[t + 1] * p[t] / p_pred[t + 1]
+    for t in range(len(m) - 2, -1, -1):
+        gain = cross[t + 1] / p_pred[t + 1]
         ms[t] = m[t] + gain * (ms[t + 1] - m_pred[t + 1])
         ps[t] = max(p[t] + gain**2 * (ps[t + 1] - p_pred[t + 1]), VARIANCE_FLOOR)
     return ms, ps
+
+
+def _unscented_predict(dynamics, times: np.ndarray, q: float):
+    """Sigma-point prediction through the dynamics fitted on the filter's
+    own past means."""
+
+    def predict(t, m, p):
+        f = dynamics.step_map(times, m, t)
+        mean, variance, cross = _unscented_moments(GaussianEstimate(m[t - 1], p[t - 1]), f)
+        return mean, variance + q, cross
+
+    return predict
+
+
+def _linearized_predict(dynamics, times: np.ndarray, q: float, ms: np.ndarray, ps: np.ndarray):
+    """Affine prediction from the statistical linearization of the dynamics,
+    fitted on the smoothed means ``ms``, around the smoothed posterior
+    ``(ms, ps)``; the linearization residual adds to ``q``."""
+
+    def predict(t, m, p):
+        f = dynamics.step_map(times, ms, t)
+        slope, intercept, residual = statistical_linearization(
+            float(ms[t - 1]), float(ps[t - 1]), f
+        )
+        prior = p[t - 1]
+        return slope * m[t - 1] + intercept, slope**2 * prior + (residual + q), slope * prior
+
+    return predict
 
 
 def _unscented(
     data: TimeSeriesData, kind: ModelKind, q: float, dynamics, smoothing_passes: int
 ) -> Trajectory:
     """The UKF forward pass, then ``smoothing_passes`` smoothing passes:
-    the sigma-point RTS pass, then the further IPLS iterations. No pass is
-    the UKF, one the URTS, more the IPLS."""
+    the RTS pass over the UKF, then the further IPLS iterations, each a
+    linearized forward pass and its RTS pass. No pass is the UKF, one the
+    URTS, more the IPLS."""
     grid = data.grid
     z_means, z_vars = data.summaries()
     if dynamics is None:
         dynamics = FlowStepDynamics(kind, z_means, z_vars)
-    forward = _ukf_forward(grid.times, z_means, z_vars, dynamics, q)
-    ms, ps = forward.means, forward.variances
+    predict = _unscented_predict(dynamics, grid.times, q)
+    forward = _kalman_forward(grid.times, z_means, z_vars, predict)
+    ms, ps = forward[:2]
     if smoothing_passes:
-        ms, ps = _urts_backward(grid.times, forward)
-    n = len(grid)
+        ms, ps = _rts_backward(*forward)
     for _ in range(1, smoothing_passes):
-        slopes = np.zeros(n)
-        intercepts = np.zeros(n)
-        noises = np.zeros(n)
-        for t in range(1, n):
-            try:
-                f = dynamics.step_map(grid.times, ms, t)
-                slope, intercept, residual = statistical_linearization(
-                    float(ms[t - 1]), float(ps[t - 1]), f
-                )
-            except NumericalOverflowError as exc:
-                raise _overflow_at(exc, grid.times, t) from exc
-            slopes[t] = slope
-            intercepts[t] = intercept
-            noises[t] = residual + q
-        ms, ps = _linear_rts_pass(grid.times, z_means, z_vars, slopes, intercepts, noises)
+        predict = _linearized_predict(dynamics, grid.times, q, ms, ps)
+        ms, ps = _rts_backward(*_kalman_forward(grid.times, z_means, z_vars, predict))
     return _finite_trajectory(grid, ms, ps)
 
 

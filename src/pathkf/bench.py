@@ -23,18 +23,16 @@ from .pkf import PkfResult, run_pkf
 from .synth import BirthDeathScenario, simulate_birth_death
 
 
-def mse(filter_trajectory: Trajectory, truth: GroundTruth) -> float:
-    """Mean squared error of the filter means against the true state."""
-    if not np.array_equal(filter_trajectory.grid.times, truth.grid.times):
-        raise InvalidDataError("filter and truth grids differ")
-    return float(np.mean((filter_trajectory.means - truth.values) ** 2))
-
-
 def squared_error_trace(filter_trajectory: Trajectory, truth: GroundTruth) -> np.ndarray:
-    """Per-timepoint squared error, for trace plots."""
+    """Per-timepoint squared error of the filter means against the true state."""
     if not np.array_equal(filter_trajectory.grid.times, truth.grid.times):
         raise InvalidDataError("filter and truth grids differ")
     return (filter_trajectory.means - truth.values) ** 2
+
+
+def mse(filter_trajectory: Trajectory, truth: GroundTruth) -> float:
+    """Mean squared error of the filter means against the true state."""
+    return float(np.mean(squared_error_trace(filter_trajectory, truth)))
 
 
 ALGORITHMS = ("pkf", "kf", "ukf", "urts", "ipls")
@@ -143,21 +141,18 @@ class BenchmarkReport:
 
 
 def run_benchmark(
-    scenario: BirthDeathScenario,
-    specs: tuple[AlgorithmSpec, ...] = (),
-    kind: ModelKind = ModelKind.BIRTH_DEATH,
+    scenario: BirthDeathScenario, specs: tuple[AlgorithmSpec, ...]
 ) -> BenchmarkReport:
-    """Generate the scenario once and run every spec on the identical data.
+    """Generate the birth/death scenario once and run every spec on the
+    identical data with the birth/death model.
 
     A failing row records its error and leaves the other rows untouched.
     """
-    if not specs:
-        specs = table_specs()
     truth, data = simulate_birth_death(scenario)
     rows = []
     for spec in specs:
         try:
-            result = run_spec(spec, data, kind)
+            result = run_spec(spec, data, ModelKind.BIRTH_DEATH)
             pkf_result = result if isinstance(result, PkfResult) else None
             trajectory = result if pkf_result is None else result.final.filter
             rows.append(

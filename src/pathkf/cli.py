@@ -525,6 +525,7 @@ def _gene_panel_scenario(config: dict, seed: int | None) -> GenePanelScenario:
         for key, kind in _GENE_PANEL_KEYS.items()
         if key in config
     }
+    seed = _resolve(seed, config, "seed", None, int)
     if seed is not None:
         kwargs["seed"] = seed
     return GenePanelScenario.default(**kwargs)

@@ -355,19 +355,13 @@ def classify_regime(
     return RegimeLabel.ACCURATE_MODEL_RELIABLE_DATA
 
 
-def classify_regimes(
-    result: PkfResult,
-    data: TimeSeriesData,
-    q_threshold: float | None = None,
-    v_threshold: float | None = None,
-) -> tuple[RegimeLabel, ...]:
-    """Per-timepoint regime labels, defaulting thresholds to series medians."""
+def classify_regimes(result: PkfResult, data: TimeSeriesData) -> tuple[RegimeLabel, ...]:
+    """Per-timepoint regime labels, thresholded at the series' medians of Q
+    and V(Z)."""
     _, z_vars = data.summaries()
     q = result.final.process_uncertainty
-    q_thr = q_threshold if q_threshold is not None else float(np.median(q))
-    v_thr = v_threshold if v_threshold is not None else float(np.median(z_vars))
-    q_thr = max(q_thr, VARIANCE_FLOOR)
-    v_thr = max(v_thr, VARIANCE_FLOOR)
+    q_thr = max(float(np.median(q)), VARIANCE_FLOOR)
+    v_thr = max(float(np.median(z_vars)), VARIANCE_FLOOR)
     return tuple(
         classify_regime(float(qi), float(vi), q_thr, v_thr)
         for qi, vi in zip(q, z_vars)

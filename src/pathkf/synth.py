@@ -10,7 +10,6 @@ flows; replicates are Gaussian draws fully determined by the seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .core import (
     TimeGrid,
     TimeSeriesData,
 )
+from .models import flow_birth_death, flow_const_reg
 
 #: Labels attached to panel genes.
 DYNAMIC_LABEL = "dynamic"
@@ -94,51 +94,25 @@ class BirthDeathScenario:
         return TimeGrid(self.dt * np.arange(n_steps + 1))
 
 
-def _piecewise_exponential(times: np.ndarray, n0: float, growth: PiecewiseConstant) -> np.ndarray:
-    """Exact integration of ``dN/dt = g(t) N`` with piecewise-constant ``g``."""
-    t_end = float(times[-1])
-    events = sorted({float(times[0]), *growth.change_points(float(times[0]), t_end)})
-    seg_starts = events
-    seg_values = [n0]
-    for a, b in zip(seg_starts, seg_starts[1:]):
-        seg_values.append(seg_values[-1] * math.exp(growth.value_at(a) * (b - a)))
-    out = np.empty_like(times)
-    for i, t in enumerate(times):
-        idx = int(np.searchsorted(seg_starts, t, side="right")) - 1
-        t0 = seg_starts[idx]
-        out[i] = seg_values[idx] * math.exp(growth.value_at(t0) * (t - t0))
-    return out
-
-
-def _piecewise_relaxation(
-    times: np.ndarray,
-    x0: float,
-    expression: PiecewiseConstant,
-    degradation: PiecewiseConstant,
+def _integrate_piecewise(
+    times: np.ndarray, x0: float, schedules: tuple[PiecewiseConstant, ...], flow
 ) -> np.ndarray:
-    """Exact integration of ``dX/dt = k_exp(t) - k_deg(t) X``, piecewise rates."""
-    t_end = float(times[-1])
-    events = sorted(
-        {
-            float(times[0]),
-            *expression.change_points(float(times[0]), t_end),
-            *degradation.change_points(float(times[0]), t_end),
-        }
-    )
+    """Exact integration from ``x0`` at ``times[0]`` of an ODE whose rates
+    are piecewise constant: ``flow(x, *rates, dt)`` is the closed form over
+    a span of constant ``rates``, one value from each schedule."""
+    t0, t_end = float(times[0]), float(times[-1])
+    events = sorted({t0, *(b for s in schedules for b in s.change_points(t0, t_end))})
+
+    def step(x, start, t):
+        return flow(x, *(s.value_at(start) for s in schedules), t - start)
+
     seg_values = [x0]
     for a, b in zip(events, events[1:]):
-        k_exp = expression.value_at(a)
-        k_deg = degradation.value_at(a)
-        steady = k_exp / k_deg
-        seg_values.append(steady + (seg_values[-1] - steady) * math.exp(-k_deg * (b - a)))
+        seg_values.append(step(seg_values[-1], a, b))
     out = np.empty_like(times)
     for i, t in enumerate(times):
         idx = int(np.searchsorted(events, t, side="right")) - 1
-        t0 = events[idx]
-        k_exp = expression.value_at(t0)
-        k_deg = degradation.value_at(t0)
-        steady = k_exp / k_deg
-        out[i] = steady + (seg_values[idx] - steady) * math.exp(-k_deg * (t - t0))
+        out[i] = step(seg_values[idx], events[idx], t)
     return out
 
 
@@ -147,14 +121,9 @@ def simulate_birth_death(
 ) -> tuple[GroundTruth, TimeSeriesData]:
     """Generate the population ground truth and its noisy replicates."""
     grid = scenario.grid()
-    growth = PiecewiseConstant(
-        tuple(sorted({*scenario.birth.breaks, *scenario.death.breaks})),
-        tuple(
-            scenario.birth.value_at(b) - scenario.death.value_at(b)
-            for b in sorted({*scenario.birth.breaks, *scenario.death.breaks})
-        ),
+    truth_values = _integrate_piecewise(
+        grid.times, scenario.n0, (scenario.birth, scenario.death), flow_birth_death
     )
-    truth_values = _piecewise_exponential(grid.times, scenario.n0, growth)
     rng = np.random.default_rng(scenario.seed)
     samples = tuple(
         rng.normal(truth_values[i], scenario.noise.value_at(float(t)), scenario.replicates)
@@ -254,8 +223,8 @@ def simulate_gene_panel(
     grid = TimeGrid(np.asarray(scenario.times, dtype=float))
     out = []
     for i, gene in enumerate(scenario.genes):
-        truth_values = _piecewise_relaxation(
-            grid.times, gene.x0, gene.expression, gene.degradation
+        truth_values = _integrate_piecewise(
+            grid.times, gene.x0, (gene.expression, gene.degradation), flow_const_reg
         )
         rng = np.random.default_rng([scenario.seed, i])
         samples = tuple(

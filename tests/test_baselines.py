@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathkf import (
     VARIANCE_FLOOR,
@@ -12,10 +14,8 @@ from pathkf import (
     ModelKind,
     NumericalOverflowError,
     ScanGrid,
-    SigmaPoints,
     TimeGrid,
     TimeSeriesData,
-    merwe_sigma_points,
     run_adaptive_kf,
     run_ipls,
     run_ukf,
@@ -69,21 +69,6 @@ class TestUnscentedTransform:
         assert np.isfinite(out.mean) and out.variance > 0
 
 
-class TestSigmaPoints:
-    def test_mean_weights_sum_to_one(self):
-        pts = merwe_sigma_points(3.0, 2.0)
-        assert abs(float(np.sum(pts.mean_weights)) - 1.0) <= 1e-12
-        assert len(pts.points) == 3
-
-    def test_default_params_place_points_at_one_sigma(self):
-        pts = merwe_sigma_points(0.0, 4.0)
-        np.testing.assert_allclose(sorted(pts.points), [-2.0, 0.0, 2.0], atol=1e-14)
-
-    def test_point_count_validated(self):
-        with pytest.raises(Exception):
-            SigmaPoints(np.zeros(2), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-
-
 class TestStatisticalLinearization:
     def test_affine_is_exact(self):
         slope, intercept, residual = statistical_linearization(2.0, 3.0, lambda x: 4.0 * x - 1.0)
@@ -124,21 +109,30 @@ class TestAdaptiveKF:
         assert np.all(np.isfinite(out.means))
 
 
-@pytest.fixture
-def affine_case():
-    """Noisy series plus affine dynamics shared by the oracle tests."""
-    rng = np.random.default_rng(15)
-    slope, intercept, q = 0.9, 4.0, 2.0
-    n = 30
+@st.composite
+def affine_cases(draw):
+    """A noisy series plus the affine dynamics that generated its truth."""
+    slope = draw(st.floats(0.5, 1.2))
+    intercept = draw(st.floats(-10.0, 10.0))
+    q = draw(st.floats(0.1, 10.0))
+    n = draw(st.integers(3, 30))
+    replicates = draw(st.integers(2, 8))
+    sd = draw(st.floats(0.5, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = np.empty(n)
     y[0] = 30.0
     for t in range(1, n):
         y[t] = slope * y[t - 1] + intercept
-    data = series_from_groups([rng.normal(y[t], 2.0, 6) for t in range(n)])
+    data = series_from_groups([rng.normal(y[t], sd, replicates) for t in range(n)])
     return data, AffineStepDynamics(slope, intercept), slope, intercept, q
 
 
+affine_property = settings(deadline=None, max_examples=100)
+
+
 class TestUnscentedKF:
+    @affine_property
+    @given(affine_cases())
     def test_affine_oracle(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
         out = run_ukf(data, ModelKind.BIRTH_DEATH, q=q, dynamics=dynamics)
@@ -161,6 +155,22 @@ class TestUnscentedKF:
 
 
 class TestUnscentedRTS:
+    def test_backward_pass_reuses_the_forward_sigma_points(self, monkeypatch):
+        # the smoother gain reads the cross-covariance of the forward
+        # prediction, so each step's sigma points are propagated once
+        import pathkf.baselines as baselines
+
+        calls = []
+        propagate = baselines._propagate
+
+        def counting(points, f):
+            calls.append(len(points))
+            return propagate(points, f)
+
+        monkeypatch.setattr(baselines, "_propagate", counting)
+        run_urts(random_series(np.random.default_rng(19), n=12), ModelKind.BIRTH_DEATH)
+        assert len(calls) == 11
+
     def test_last_point_equals_forward_estimate(self):
         rng = np.random.default_rng(17)
         data = random_series(rng)
@@ -169,6 +179,8 @@ class TestUnscentedRTS:
         assert smoothed.means[-1] == forward.means[-1]
         assert smoothed.variances[-1] == forward.variances[-1]
 
+    @affine_property
+    @given(affine_cases())
     def test_affine_oracle(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
         out = run_urts(data, ModelKind.BIRTH_DEATH, q=q, dynamics=dynamics)
@@ -187,6 +199,8 @@ class TestIpls:
         np.testing.assert_array_equal(ipls.means, urts.means)
         np.testing.assert_array_equal(ipls.variances, urts.variances)
 
+    @affine_property
+    @given(affine_cases())
     def test_affine_iterations_are_fixed_points(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
         one = run_ipls(data, ModelKind.BIRTH_DEATH, q=q, iterations=1, dynamics=dynamics)
@@ -194,6 +208,8 @@ class TestIpls:
         np.testing.assert_allclose(five.means, one.means, rtol=1e-8)
         np.testing.assert_allclose(five.variances, one.variances, rtol=1e-8)
 
+    @affine_property
+    @given(affine_cases())
     def test_affine_oracle(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
         out = run_ipls(data, ModelKind.BIRTH_DEATH, q=q, iterations=4, dynamics=dynamics)
@@ -202,8 +218,8 @@ class TestIpls:
         np.testing.assert_allclose(out.means, ms_ref, rtol=1e-8)
         np.testing.assert_allclose(out.variances, ps_ref, rtol=1e-8)
 
-    def test_iterations_validated(self, affine_case):
-        data, *_ = affine_case
+    def test_iterations_validated(self):
+        data = random_series(np.random.default_rng(15))
         with pytest.raises(InvalidParameterError):
             run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=0)
 

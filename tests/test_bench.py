@@ -142,6 +142,44 @@ class TestRunSpec:
             AlgorithmSpec("bad", "kf", **params)
 
 
+@st.composite
+def shifted_dyadic_series(draw):
+    """One series on a grid of multiples of 1/8, and the same series on that
+    grid shifted by a multiple of 1/8; every time difference is exact in both."""
+    n = draw(st.integers(3, 19))
+    steps = draw(st.lists(st.integers(1, 16), min_size=n - 1, max_size=n - 1))
+    ticks = draw(st.integers(-80, 80)) + np.cumsum([0, *steps])
+    shift = draw(st.integers(-80, 80).filter(bool))
+    scale = 10.0 ** draw(st.floats(-3.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = tuple(
+        scale * rng.uniform(0.5, 1.5) * (1 + 0.1 * rng.standard_normal(int(rng.integers(1, 4))))
+        for _ in range(n)
+    )
+    return tuple(
+        TimeSeriesData("s", TimeGrid(t / 8), groups) for t in (ticks, ticks + shift)
+    )
+
+
+class TestTimeShift:
+    @settings(deadline=None, max_examples=60)
+    @given(shifted_dyadic_series())
+    def test_results_do_not_depend_on_the_time_origin(self, pair):
+        for algorithm in ALGORITHMS:
+            spec = AlgorithmSpec(algorithm, algorithm, q=2.0, iterations=3)
+            for kind in ModelKind:
+                outcomes = []
+                for data in pair:
+                    try:
+                        result = run_spec(spec, data, kind)
+                    except Exception as exc:  # the same failure at either origin
+                        outcomes.append(type(exc))
+                        continue
+                    got = result.final.filter if isinstance(result, PkfResult) else result
+                    outcomes.append(got.means.tobytes() + got.variances.tobytes())
+                assert outcomes[0] == outcomes[1], (algorithm, kind)
+
+
 class TestPublishedBands:
     """MSE bands on the default scenario; wide because the reference grid,
     seed, and scan parameters were never published."""

@@ -522,6 +522,35 @@ class TestCommands:
         assert set(summary["label_means"]) == {"dynamic", "static"}
         assert len(summary["series"]) == 8
 
+    def test_gene_panel_config_seed_and_flag_override(self, tmp_path):
+        runner = CliRunner()
+
+        def simulate(name, config, *flags):
+            path = tmp_path / f"{name}.csv"
+            cfg = write_text(tmp_path / f"{name}.json", json.dumps(config))
+            result = runner.invoke(main, ["simulate", "--scenario", "gene-panel", *flags,
+                                          "--output", str(path), "--config", cfg])
+            assert result.exit_code == 0, result.output
+            return path.read_bytes()
+
+        from_config = simulate("config", {"seed": 3, "n_genes": 4})
+        assert from_config == simulate("flag", {"n_genes": 4}, "--seed", "3")
+        assert from_config != simulate("default", {"n_genes": 4})
+        assert simulate("both", {"seed": 3, "n_genes": 4}, "--seed", "5") == simulate(
+            "flag5", {"n_genes": 4}, "--seed", "5"
+        )
+
+    def test_overflowing_scenario_exits_2(self, tmp_path):
+        out = tmp_path / "out.csv"
+        config = {"birth": {"breaks": [0], "values": [100.0]}}
+        result = CliRunner().invoke(
+            main, ["simulate", "--output", str(out),
+                   "--config", write_text(tmp_path / "sc.json", json.dumps(config))],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: birth-death flow overflowed (")
+        assert not out.exists()
+
     def test_end_to_end_determinism(self, tmp_path):
         runner = CliRunner()
         args_a = ["simulate", "--seed", "11", "--output", str(tmp_path / "a.csv"),
@@ -588,6 +617,7 @@ class TestCommands:
             )),
             ("gene-panel", {"n_genes": "x"}),
             ("gene-panel", {"spacing": "2"}),
+            ("gene-panel", {"seed": "3"}),
         ],
     )
     def test_bad_scenario_config_value_exits_2(self, tmp_path, command, config):
