@@ -8,7 +8,6 @@ benchmark harness, and a CLI for batch processing of measurement panels.
 """
 
 from .baselines import (
-    AffineStepDynamics,
     run_adaptive_kf,
     run_ipls,
     run_ukf,
@@ -39,7 +38,6 @@ from .core import (
     TimeGrid,
     TimeSeriesData,
     Trajectory,
-    summarize_samples,
 )
 from .models import (
     ModelKind,
@@ -53,7 +51,6 @@ from .pkf import (
     PkfState,
     PkfWeights,
     RegimeLabel,
-    classify_regime,
     classify_regimes,
     pkf_weights,
     run_pkf,

@@ -14,13 +14,14 @@ they hand to the forward update: unscented, or statistically linearized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     VARIANCE_FLOOR,
     GaussianEstimate,
+    InvalidDataError,
     InvalidParameterError,
     NumericalOverflowError,
     TimeSeriesData,
@@ -38,13 +39,14 @@ _COV_WEIGHTS = np.array([2.0, 0.5, 0.5])
 
 
 def _propagate(points: np.ndarray, f) -> np.ndarray:
+    """``f`` applied to the sigma points in one call."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.asarray(f(points), dtype=float)
-    except (TypeError, ValueError):
-        out = np.array([float(f(x)) for x in points])
-    if out.shape != points.shape:
-        out = np.array([float(f(x)) for x in points])
+        if out.shape != points.shape:
+            raise ValueError(f"it maps shape {points.shape} to {out.shape}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"the step map must be elementwise over arrays: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise NumericalOverflowError("the step map left the finite range")
     return out
@@ -87,19 +89,28 @@ def _finite_trajectory(grid, means: np.ndarray, variances: np.ndarray) -> Trajec
     return Trajectory(grid, means, variances)
 
 
-def _unscented_moments(estimate: GaussianEstimate, f) -> tuple[float, float, float]:
-    """``_sigma_moments`` of ``estimate`` with the output moments checked
-    finite and the output variance floored."""
-    mean, variance, cross = _sigma_moments(estimate.mean, estimate.variance, f)
+def _finite_moments(mean: float, variance: float) -> None:
+    """The finiteness check of a :class:`GaussianEstimate`, without one."""
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise InvalidDataError("mean and variance must be finite")
+
+
+def _unscented_moments(mean: float, variance: float, f) -> tuple[float, float, float]:
+    """``_sigma_moments`` with the output moments checked finite and the
+    output variance floored."""
+    mean, variance, cross = _sigma_moments(mean, variance, f)
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise NumericalOverflowError("the propagated moments left the finite range")
     return mean, max(variance, VARIANCE_FLOOR), cross
 
 
 def unscented_transform(estimate: GaussianEstimate, f) -> GaussianEstimate:
-    """Propagate a Gaussian through ``f`` via sigma points; exact for affine maps."""
-    mean, variance, _ = _unscented_moments(estimate, f)
-    return GaussianEstimate(mean, variance)
+    """Propagate a Gaussian through ``f`` via sigma points; exact for affine maps.
+
+    ``f`` must be elementwise over arrays: it maps the three sigma points
+    in one call."""
+    mean, variance, _ = _unscented_moments(estimate.mean, estimate.variance, f)
+    return replace(estimate, mean=mean, variance=variance)
 
 
 def statistical_linearization(mean: float, variance: float, f) -> tuple[float, float, float]:
@@ -176,17 +187,6 @@ class FlowStepDynamics:
         return _Relaxation(steady, decay, float(fit.means[0]), float(fit.variances[0]))
 
 
-@dataclass(frozen=True)
-class AffineStepDynamics:
-    """Fixed affine transition ``x -> slope * x + intercept`` for every step."""
-
-    slope: float
-    intercept: float = 0.0
-
-    def step_map(self, times, ref_means, index):
-        return lambda x: self.slope * x + self.intercept
-
-
 def run_adaptive_kf(
     data: TimeSeriesData,
     kind: ModelKind = ModelKind.BIRTH_DEATH,
@@ -220,7 +220,8 @@ def run_adaptive_kf(
         v_model = VARIANCE_FLOOR
         if kind is ModelKind.CONSTANT_REGULATION:
             # non-finite window moments fail here, as they did in the scalar fit
-            v_model = GaussianEstimate(flow.mean, flow.variance).variance
+            _finite_moments(flow.mean, flow.variance)
+            v_model = flow.variance
         e_model = float(flow(f_means[t - 1]))
         b = v_model + q
         w = b / (b + z_vars[t])
@@ -271,7 +272,8 @@ def _unscented_predict(dynamics, times: np.ndarray, q: float):
 
     def predict(t, m, p):
         f = dynamics.step_map(times, m, t)
-        mean, variance, cross = _unscented_moments(GaussianEstimate(m[t - 1], p[t - 1]), f)
+        _finite_moments(m[t - 1], p[t - 1])
+        mean, variance, cross = _unscented_moments(m[t - 1], p[t - 1], f)
         return mean, variance + q, cross
 
     return predict
@@ -324,8 +326,9 @@ def run_ukf(
     """Unscented Kalman filter: sigma-point predict, Gaussian data update.
 
     ``dynamics`` may inject custom per-step transition maps (an object with
-    ``step_map(times, ref_means, index)``); by default the ODE flows are
-    window-fitted on the filter's own past means.
+    ``step_map(times, ref_means, index)``, whose maps are elementwise over
+    arrays); by default the ODE flows are window-fitted on the filter's own
+    past means.
     """
     return _unscented(data, kind, q, dynamics, 0)
 

@@ -191,9 +191,6 @@ class Trajectory:
 
     __setstate__ = _setstate_readonly
 
-    def estimate(self, index: int) -> GaussianEstimate:
-        return GaussianEstimate(float(self.means[index]), float(self.variances[index]))
-
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
@@ -235,19 +232,3 @@ def _summarize_replicates(
             variances[rows] = np.maximum(block.var(axis=1, ddof=1), VARIANCE_FLOOR)
     return means, variances
 
-
-def summarize_samples(samples) -> GaussianEstimate:
-    """Summarize raw replicate values into a Gaussian data estimate.
-
-    The mean is the arithmetic mean; the variance is the unbiased
-    (Bessel-corrected) sample variance for two or more replicates and the
-    variance floor for a single replicate. The variance is clamped below at
-    ``VARIANCE_FLOOR`` so downstream weight formulas never divide by zero.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise InvalidDataError("samples must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidDataError("samples must be finite")
-    (mean,), (variance,) = _summarize_replicates(arr, np.array([len(arr)]))
-    return GaussianEstimate(float(mean), float(variance))

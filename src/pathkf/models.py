@@ -85,7 +85,9 @@ class ScanGrid:
 
 
 def flow_birth_death(n0: float, k_birth: float, k_death: float, dt: float) -> float:
-    """Exact birth/death flow ``n0 * exp((k_birth - k_death) * dt)``."""
+    """Exact birth/death flow ``n0 * exp((k_birth - k_death) * dt)``; a
+    result that overflows or underflows to zero raises
+    :class:`NumericalOverflowError`."""
     if not all(math.isfinite(v) for v in (n0, k_birth, k_death, dt)):
         raise InvalidDataError("flow inputs must be finite")
     if n0 <= 0:
@@ -94,9 +96,10 @@ def flow_birth_death(n0: float, k_birth: float, k_death: float, dt: float) -> fl
         result = n0 * math.exp((k_birth - k_death) * dt)
     except OverflowError:
         result = math.inf
-    if not math.isfinite(result):
+    if not 0.0 < result < math.inf:
         raise NumericalOverflowError(
-            f"birth-death flow overflowed (n0={n0}, growth={k_birth - k_death}, dt={dt})"
+            f"birth-death flow {'underflowed' if result == 0.0 else 'overflowed'} "
+            f"(n0={n0}, growth={k_birth - k_death}, dt={dt})"
         )
     return result
 

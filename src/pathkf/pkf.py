@@ -31,9 +31,6 @@ from .models import ModelKind, SplinePathModel
 #: Default number of pathspace iterations.
 DEFAULT_ITERATIONS = 10
 
-#: Relative process-uncertainty change below which early stopping may halt.
-EARLY_STOP_RTOL = 1e-6
-
 
 class RegimeLabel(enum.Enum):
     """Quadrant of (process uncertainty, data variance)."""
@@ -143,6 +140,22 @@ class PkfResult:
     __setstate__ = _setstate_readonly
 
 
+def _weights(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of :func:`pkf_weights`, unchecked, as one ``(3, ...)``
+    array, and their denominator. An infinite denominator makes a weight NaN
+    or all three zero; a finite one gives weights on the simplex."""
+    ab, bc, ca = a * b, b * c, c * a
+    denom = ab + bc + ca
+    zero = denom == 0.0
+    weights = np.array((ab, ca, bc)) / np.where(zero, 1.0, denom)
+    return np.where(zero, 1.0 / 3.0, weights), denom
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """The row-major index of the first true entry of ``mask``."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+
+
 def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
     """Closed-form variance-minimizing weights, elementwise.
 
@@ -153,8 +166,7 @@ def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
     products vanish) yields the uniform split. The inputs are scalars or
     arrays of one shape, every entry finite and non-negative. Where a
     product or the denominator overflows (variances near 1e154 and up),
-    :class:`NumericalOverflowError` names the first such entry; numpy's
-    warnings, which precede it, are silenced inside :func:`run_pkf`.
+    :class:`NumericalOverflowError` names the first such entry.
     """
     a, b, c = _rows_within(
         (v_filter_prev, v_model_plus_q, v_data),
@@ -162,21 +174,18 @@ def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
         _FLOAT_MAX,
         "must be finite and non-negative",
     )
-    ab, bc, ca = a * b, b * c, c * a
-    denom = ab + bc + ca
-    zero = denom == 0.0
-    weights = np.array((ab, ca, bc)) / np.where(zero, 1.0, denom)
-    try:
-        return PkfWeights(*np.where(zero, 1.0 / 3.0, weights))
-    except InvalidParameterError:
-        # an infinite denominator (the sum of non-negative products is never
-        # NaN) makes a weight NaN or all three zero, which PkfWeights rejects
-        overflow = np.isinf(denom)
-        if not overflow.any():
-            raise
-        index = tuple(int(i) for i in np.unravel_index(np.argmax(overflow), overflow.shape))
+    weights, denom = _weights(a, b, c)
+    overflow = np.isinf(denom)
+    if overflow.any():
+        index = _first(overflow)
         where = f" at [{', '.join(map(str, index))}]" if index else ""
-        raise NumericalOverflowError(f"{_PRODUCTS_OVERFLOWED}{where}", index) from None
+        raise NumericalOverflowError(f"{_PRODUCTS_OVERFLOWED}{where}", index)
+    return PkfWeights(*weights)
+
+
+def _updated_q(q_prev, gain, loss):
+    """The update of :func:`update_process_uncertainty`, unchecked."""
+    return q_prev + gain * (loss - q_prev)
 
 
 def update_process_uncertainty(q_prev, w_data, w_model, loss):
@@ -193,7 +202,7 @@ def update_process_uncertainty(q_prev, w_data, w_model, loss):
         raise InvalidParameterError("w_data + w_model must lie in [0, 1]")
     if np.count_nonzero((q_prev < 0.0) | (loss < 0.0)):
         raise InvalidParameterError("q_prev and loss must be non-negative")
-    return q_prev + gain * (loss - q_prev)
+    return _updated_q(q_prev, gain, loss)
 
 
 def _where(series: tuple[TimeSeriesData, ...], index: tuple[int, ...]) -> str:
@@ -201,16 +210,23 @@ def _where(series: tuple[TimeSeriesData, ...], index: tuple[int, ...]) -> str:
     return series[index[0] if len(index) == 2 else 0]._where(int(index[-1]))
 
 
-def _iterate(predictor, series, z_means, z_vars, iterations: int, early_stop: bool):
+def _iterate(predictor, series, z_means, z_vars, iterations: int):
     """The filter iterations on the stacked summaries of ``series``, which
     share one grid: ``(n,)`` arrays for one series, ``(S, n)`` for a block,
     one series per row. Every step is elementwise or reduces along the last
     axis, so each row is bitwise equal to running its series alone.
 
+    The loop calls the unchecked kernels of :func:`pkf_weights` and
+    :func:`update_process_uncertainty`: their inputs are finite and
+    non-negative by construction, except the model variances that a custom
+    predictor returns. One test per iteration finds a bad model variance,
+    an overflowed weight denominator or a non-finite update, and raises the
+    error the public entry would.
+
     Returns ``(steps, max_abs_dq, max_filter_variance)``: ``steps`` holds
-    ``(iteration, means, variances, q, weights)`` after every iteration run,
-    and each trace one per-row array per iteration. ``early_stop`` applies
-    to one series only.
+    ``(iteration, means, variances, q, weights)`` after every iteration,
+    ``weights`` the ``(3, ...)`` array of :func:`_weights`, and each trace
+    one per-row array per iteration.
     """
     if iterations < 1:
         raise InvalidParameterError("iterations must be at least 1")
@@ -225,37 +241,41 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int, early_stop: bo
         for i in range(1, iterations + 1):
             m_means, m_vars = predictor.predict_path(grid, f_means, f_vars)
             b = m_vars + q
-            try:
-                weights = pkf_weights(f_vars, b, z_vars)
-            except NumericalOverflowError as exc:
-                raise NumericalOverflowError(
-                    f"{_where(series, exc.index)}: {_PRODUCTS_OVERFLOWED} at iteration {i}"
-                ) from None
-            w, wm, wf = weights.w_data, weights.w_model, weights.w_filter
+            weights, denom = _weights(f_vars, b, z_vars)
+            w, wm, wf = weights
             new_means = w * z_means + wm * m_means + wf * f_means
             new_vars = w**2 * z_vars + wm**2 * b + wf**2 * f_vars
-            new_q = update_process_uncertainty(q, w, wm, (m_means - z_means) ** 2)
+            new_q = _updated_q(q, w + wm, (m_means - z_means) ** 2)
 
             dq = np.abs(new_q - q).max(axis=-1)
             vmax = new_vars.max(axis=-1)
-            # q and the variances are finite and non-negative, so dq and vmax
-            # are finite exactly when every new Q and variance of their row
-            # is, and a sum is finite only if every term is
-            if not math.isfinite((dq + vmax).sum() + new_means.sum()):
+            # with b >= 0 the new variances are non-negative, so vmax is finite
+            # exactly when every new variance of its row is, and dq when every
+            # new Q is; a sum is finite only if every term is
+            total = (dq + vmax).sum() + new_means.sum() + denom.sum()
+            if not (b.min() >= 0.0 and math.isfinite(total)):  # NaN fails too
+                # raise as the public entries would, in their order: a custom
+                # model's variances, then the weights, then the update
+                _rows_within(
+                    (b,), ("v_model_plus_q",), _FLOAT_MAX, "must be finite and non-negative"
+                )
+                overflow = np.isinf(denom)
+                if overflow.any():
+                    raise NumericalOverflowError(
+                        f"{_where(series, _first(overflow))}: {_PRODUCTS_OVERFLOWED} "
+                        f"at iteration {i}"
+                    )
                 bad = ~(np.isfinite(new_q) & np.isfinite(new_means) & np.isfinite(new_vars))
                 if bad.any():  # else only the sum overflowed
-                    index = np.unravel_index(np.argmax(bad), bad.shape)
                     raise NumericalOverflowError(
-                        f"{_where(series, index)}: the filter update left the finite range "
-                        f"at iteration {i}"
+                        f"{_where(series, _first(bad))}: the filter update left the finite "
+                        f"range at iteration {i}"
                     )
             trace_dq.append(dq)
             trace_vmax.append(vmax)
 
             f_means, f_vars, q = new_means, new_vars, new_q
             steps.append((i, f_means, f_vars, q, weights))
-            if early_stop and dq / (q.max() + VARIANCE_FLOOR) < EARLY_STOP_RTOL:
-                break
     return steps, trace_dq, trace_vmax
 
 
@@ -263,9 +283,8 @@ def _state(grid, step, row: int | None = None) -> PkfState:
     """The state after one step of :func:`_iterate`, or of one row of it."""
     i, means, variances, q, weights = step
     if row is not None:
-        means, variances, q = means[row], variances[row], q[row]
-        weights = PkfWeights(weights.w_data[row], weights.w_model[row], weights.w_filter[row])
-    return PkfState(i, Trajectory(grid, means, variances), q, weights)
+        means, variances, q, weights = means[row], variances[row], q[row], weights[:, row]
+    return PkfState(i, Trajectory(grid, means, variances), q, PkfWeights(*weights))
 
 
 def run_pkf(
@@ -273,7 +292,6 @@ def run_pkf(
     model=ModelKind.BIRTH_DEATH,
     iterations: int = DEFAULT_ITERATIONS,
     retain_history: bool = False,
-    early_stop: bool = False,
 ) -> PkfResult:
     """Run the pathspace filter for a fixed number of iterations.
 
@@ -285,16 +303,11 @@ def run_pkf(
     Iteration zero initializes the path and the process uncertainty from
     the per-timepoint data summaries. Each subsequent iteration fits the
     model to the previous path, combines data/model/path with the
-    closed-form weights, and updates the process uncertainty. With
-    ``early_stop`` the loop halts once the relative change of the process
-    uncertainty drops below ``EARLY_STOP_RTOL``; retained results for
-    completed iterations are unaffected.
+    closed-form weights, and updates the process uncertainty.
     """
     predictor = SplinePathModel(model) if isinstance(model, ModelKind) else model
     z_means, z_vars = data.summaries()
-    steps, trace_dq, trace_vmax = _iterate(
-        predictor, (data,), z_means, z_vars, iterations, early_stop
-    )
+    steps, trace_dq, trace_vmax = _iterate(predictor, (data,), z_means, z_vars, iterations)
     if retain_history:
         history = tuple(_state(data.grid, step) for step in steps)
         return PkfResult(history[-1], history, trace_dq, trace_vmax)
@@ -323,9 +336,8 @@ def run_pkf_block(
         raise InvalidDataError("the series of a block must share one time grid")
     z_means = np.stack([data.summaries()[0] for data in series])
     z_vars = np.stack([data.summaries()[1] for data in series])
-    steps, trace_dq, trace_vmax = _iterate(
-        SplinePathModel(kind), series, z_means, z_vars, iterations, False
-    )
+    predictor = SplinePathModel(kind)
+    steps, trace_dq, trace_vmax = _iterate(predictor, series, z_means, z_vars, iterations)
     trace_dq, trace_vmax = np.array(trace_dq), np.array(trace_vmax)
     results = []
     for row in range(len(series)):
@@ -338,31 +350,21 @@ def run_pkf_block(
     return results
 
 
-def classify_regime(
-    q: float, v_data: float, q_threshold: float, v_threshold: float
-) -> RegimeLabel:
-    """Quadrant label for one timepoint; boundary values classify as high."""
-    if q_threshold <= 0 or v_threshold <= 0:
-        raise InvalidParameterError("thresholds must be positive")
-    high_q = q >= q_threshold
-    high_v = v_data >= v_threshold
-    if high_q and high_v:
-        return RegimeLabel.INACCURATE_MODEL_NOISY_DATA
-    if high_q:
-        return RegimeLabel.INACCURATE_MODEL_RELIABLE_DATA
-    if high_v:
-        return RegimeLabel.ACCURATE_MODEL_NOISY_DATA
-    return RegimeLabel.ACCURATE_MODEL_RELIABLE_DATA
-
-
 def classify_regimes(result: PkfResult, data: TimeSeriesData) -> tuple[RegimeLabel, ...]:
     """Per-timepoint regime labels, thresholded at the series' medians of Q
-    and V(Z)."""
+    and V(Z), each at least ``VARIANCE_FLOOR``; a value at its threshold
+    classifies as high."""
     _, z_vars = data.summaries()
     q = result.final.process_uncertainty
-    q_thr = max(float(np.median(q)), VARIANCE_FLOOR)
-    v_thr = max(float(np.median(z_vars)), VARIANCE_FLOOR)
-    return tuple(
-        classify_regime(float(qi), float(vi), q_thr, v_thr)
-        for qi, vi in zip(q, z_vars)
+    high_q = q >= max(float(np.median(q)), VARIANCE_FLOOR)
+    high_v = z_vars >= max(float(np.median(z_vars)), VARIANCE_FLOOR)
+    labels = np.select(
+        [high_q & high_v, high_q, high_v],
+        [
+            RegimeLabel.INACCURATE_MODEL_NOISY_DATA,
+            RegimeLabel.INACCURATE_MODEL_RELIABLE_DATA,
+            RegimeLabel.ACCURATE_MODEL_NOISY_DATA,
+        ],
+        RegimeLabel.ACCURATE_MODEL_RELIABLE_DATA,
     )
+    return tuple(labels)

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     GroundTruth,
     InvalidConfigError,
+    NumericalOverflowError,
     TimeGrid,
     TimeSeriesData,
 )
@@ -99,12 +100,16 @@ def _integrate_piecewise(
 ) -> np.ndarray:
     """Exact integration from ``x0`` at ``times[0]`` of an ODE whose rates
     are piecewise constant: ``flow(x, *rates, dt)`` is the closed form over
-    a span of constant ``rates``, one value from each schedule."""
+    a span of constant ``rates``, one value from each schedule. A flow that
+    leaves its range fails naming the time it was integrated to."""
     t0, t_end = float(times[0]), float(times[-1])
     events = sorted({t0, *(b for s in schedules for b in s.change_points(t0, t_end))})
 
     def step(x, start, t):
-        return flow(x, *(s.value_at(start) for s in schedules), t - start)
+        try:
+            return flow(x, *(s.value_at(start) for s in schedules), t - start)
+        except NumericalOverflowError as exc:
+            raise NumericalOverflowError(f"{exc} at t={t}") from None
 
     seg_values = [x0]
     for a, b in zip(events, events[1:]):

@@ -1,0 +1,165 @@
+"""One sha256 over the numeric behaviour of every algorithm.
+
+Run from the root of a checkout::
+
+    PYTHONPATH=src python tests/behaviour_digest.py
+
+It prints a single hex digest over the trajectories and the error strings
+of:
+
+- the baseline set: 500 mild and 150 harsh random series, both models,
+  ``q`` in {1, 10}, and ``kf``, ``ukf``, ``urts``, ``ipls`` with 1 and with
+  3 iterations (13,000 runs), plus all 12 rows of the method-comparison
+  table on ``BirthDeathScenario(seed=0..19)`` (240 runs);
+- the pathspace filter on the same 650 series, both models, as
+  ``run_pkf(retain_history=True)`` (every state of the history and both
+  traces) and as ``run_pkf_block`` on the blocks of ten consecutive
+  series, which share one grid.
+
+A refactor that must not change results gives the same digest before and
+after it. The script uses only public names that older commits have too,
+so it runs unchanged on them. pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import sys
+import warnings
+
+import numpy as np
+
+from pathkf import (
+    BirthDeathScenario,
+    ModelKind,
+    TimeGrid,
+    TimeSeriesData,
+    run_adaptive_kf,
+    run_benchmark,
+    run_ipls,
+    run_pkf,
+    run_ukf,
+    run_urts,
+    table_specs,
+)
+from pathkf.pkf import run_pkf_block
+
+N_MILD, N_HARSH, BLOCK = 500, 150, 10
+PKF_ITERATIONS = 4
+
+BASELINES = {
+    "kf": lambda data, kind, q: run_adaptive_kf(data, kind, q=q),
+    "ukf": lambda data, kind, q: run_ukf(data, kind, q=q),
+    "urts": lambda data, kind, q: run_urts(data, kind, q=q),
+    "ipls-1": lambda data, kind, q: run_ipls(data, kind, q=q, iterations=1),
+    "ipls-3": lambda data, kind, q: run_ipls(data, kind, q=q, iterations=3),
+}
+
+
+def random_series(rng: np.random.Generator, harsh: bool) -> list[TimeSeriesData]:
+    """One block of ``BLOCK`` series on one random grid.
+
+    Mild series are positive levels with a few percent of noise and 2-6
+    replicates. Harsh ones span scales from 1e-6 to 1e8, may go negative,
+    have 1-3 replicates, and now and then carry a spike up to 1e150 or a
+    replicate spread near 1e80, so that the overflow and degenerate-window
+    paths run too.
+    """
+    n = int(rng.integers(3, 26))
+    grid = TimeGrid(np.cumsum(np.r_[rng.uniform(-5.0, 5.0), rng.uniform(0.05, 2.0, n - 1)]))
+    block = []
+    for _ in range(BLOCK):
+        if harsh:
+            scale = 10.0 ** rng.uniform(-6.0, 8.0)
+            level = scale * rng.uniform(-0.5, 2.0, n)
+            groups = [v + scale * rng.standard_normal(rng.integers(1, 4)) for v in level]
+            if rng.random() < 0.3:
+                groups[rng.integers(n)] = np.array([10.0 ** rng.uniform(20.0, 150.0)])
+            if rng.random() < 0.2:
+                groups[rng.integers(n)] = np.array([0.0, 10.0 ** rng.uniform(60.0, 80.0)])
+        else:
+            level = rng.uniform(5.0, 100.0) * np.exp(np.cumsum(rng.normal(0.0, 0.2, n)))
+            groups = [v * (1.0 + 0.05 * rng.standard_normal(rng.integers(2, 7))) for v in level]
+        block.append(TimeSeriesData(f"s{len(block)}", grid, tuple(groups)))
+    return block
+
+
+class Digest:
+    """A sha256 over labelled runs: each run's arrays, or its error."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.runs = 0
+        self.errors = 0
+
+    def add(self, label: str, arrays=(), error: str | None = None) -> None:
+        self.runs += 1
+        self.sha.update(label.encode())
+        if error is not None:
+            self.errors += 1
+            self.sha.update(error.encode())
+        for arr in arrays:
+            self.sha.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+
+    def run(self, label: str, compute) -> None:
+        """Add the arrays ``compute()`` returns, or the error it raises."""
+        try:
+            arrays = compute()
+        except Exception as exc:  # a bare Python error is behaviour too
+            self.add(label, error=f"{type(exc).__name__}: {exc}")
+        else:
+            self.add(label, arrays)
+
+
+def moments(trajectory) -> tuple[np.ndarray, np.ndarray]:
+    return trajectory.means, trajectory.variances
+
+
+def pkf_arrays(result) -> list[np.ndarray]:
+    out = [result.max_abs_dq, result.max_filter_variance]
+    for state in result.history:
+        w = state.weights
+        out += [state.filter.means, state.filter.variances, state.process_uncertainty,
+                w.w_data, w.w_model, w.w_filter]
+    return out
+
+
+def main() -> int:
+    logging.disable(logging.CRITICAL)
+    warnings.simplefilter("ignore")
+    rng = np.random.default_rng(20240611)
+    blocks = [random_series(rng, False) for _ in range(N_MILD // BLOCK)]
+    blocks += [random_series(rng, True) for _ in range(N_HARSH // BLOCK)]
+    digest = Digest()
+    with np.errstate(all="ignore"):
+        for b, block in enumerate(blocks):
+            for kind in ModelKind:
+                for s, data in enumerate(block):
+                    for q in (1.0, 10.0):
+                        for name, run in BASELINES.items():
+                            digest.run(
+                                f"{b}/{s} {kind.value} {name} q={q}",
+                                lambda: moments(run(data, kind, q)),
+                            )
+                    digest.run(
+                        f"{b}/{s} {kind.value} pkf",
+                        lambda: pkf_arrays(run_pkf(data, kind, PKF_ITERATIONS, True)),
+                    )
+                digest.run(f"{b} {kind.value} block", lambda: [
+                    a for result in run_pkf_block(tuple(block), kind, PKF_ITERATIONS, True)
+                    for a in pkf_arrays(result)
+                ])
+        for seed in range(20):
+            for row in run_benchmark(BirthDeathScenario(seed=seed), table_specs()).rows:
+                label = f"table {seed} {row.spec.label}"
+                if row.trajectory is None:
+                    digest.add(label, error=row.error)
+                else:
+                    digest.add(label, moments(row.trajectory))
+    print(f"{digest.sha.hexdigest()}  ({digest.runs} runs, {digest.errors} errors)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

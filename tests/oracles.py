@@ -5,8 +5,9 @@ code under test: fixed-step numerical integration instead of analytic
 flows, exhaustive grid search instead of closed-form minimizers, plain
 scalar Kalman recursions instead of sigma-point machinery, a plain-float
 pathspace-filter step instead of the array kernel, one replicate group at a
-time instead of the stacked summary kernel, and one three-point window at a
-time instead of the spline-posterior kernel.
+time instead of the stacked summary kernel, one three-point window at a
+time instead of the spline-posterior kernel, and one regime label at a time
+instead of the array selection.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathkf import (
     InvalidDataError,
     InvalidParameterError,
     ModelKind,
+    RegimeLabel,
     ScanGrid,
 )
 from pathkf.models import POSITIVE_VALUE_FLOOR
@@ -138,6 +140,36 @@ def pkf_step(t: int, prev_state, data, model):
     loss = (model.estimate.mean - data.mean) ** 2
     q_new = q_prev + (w + wm) * (loss - q_prev)
     return ScalarEstimate(mean, variance), ScalarWeights(w, wm, wf), q_new
+
+
+def classify_regime(
+    q: float, v_data: float, q_threshold: float, v_threshold: float
+) -> RegimeLabel:
+    """Quadrant label for one timepoint; boundary values classify as high."""
+    if q_threshold <= 0 or v_threshold <= 0:
+        raise InvalidParameterError("thresholds must be positive")
+    high_q = q >= q_threshold
+    high_v = v_data >= v_threshold
+    if high_q and high_v:
+        return RegimeLabel.INACCURATE_MODEL_NOISY_DATA
+    if high_q:
+        return RegimeLabel.INACCURATE_MODEL_RELIABLE_DATA
+    if high_v:
+        return RegimeLabel.ACCURATE_MODEL_NOISY_DATA
+    return RegimeLabel.ACCURATE_MODEL_RELIABLE_DATA
+
+
+@dataclass(frozen=True)
+class AffineStepDynamics:
+    """Fixed affine transition ``x -> slope * x + intercept`` for every step,
+    the dynamics of :func:`linear_kf` and :func:`linear_rts`, for injection
+    into the sigma-point baselines."""
+
+    slope: float
+    intercept: float = 0.0
+
+    def step_map(self, times, ref_means, index):
+        return lambda x: self.slope * x + self.intercept
 
 
 def linear_kf(times, z_means, z_vars, slope, intercept, q, floor=1e-9):

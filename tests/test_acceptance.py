@@ -28,12 +28,12 @@ from pathkf import (
     simulate_gene_panel,
     table_specs,
 )
-from pathkf.baselines import AffineStepDynamics
 from pathkf.cli import RunConfig, batch_run, read_series_csv, write_batch_results, write_series_csv
 import pathkf.models
 from pathkf.models import ScanGrid, SplinePathModel, flow_birth_death, flow_const_reg
 
 from oracles import (
+    AffineStepDynamics,
     FitPosition,
     LinearPathModel,
     brute_force_weights,

@@ -1,5 +1,7 @@
 """Baseline filters/smoothers: unscented machinery and oracle equivalences."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from pathkf import (
     VARIANCE_FLOOR,
-    AffineStepDynamics,
     DegeneratePosteriorError,
     GaussianEstimate,
     InvalidParameterError,
@@ -26,7 +27,7 @@ from pathkf import (
 
 from pathkf.baselines import FlowStepDynamics
 
-from oracles import linear_kf, linear_rts
+from oracles import AffineStepDynamics, linear_kf, linear_rts
 
 
 def series_from_groups(groups, times=None):
@@ -62,11 +63,16 @@ class TestUnscentedTransform:
         out = unscented_transform(GaussianEstimate(1.0, 0.0), lambda x: x)
         assert out.variance == VARIANCE_FLOOR
 
-    def test_scalar_callable_supported(self):
-        import math
-
-        out = unscented_transform(GaussianEstimate(1.0, 0.25), lambda x: math.exp(x))
-        assert np.isfinite(out.mean) and out.variance > 0
+    @pytest.mark.parametrize(
+        "step_map, problem",
+        [(math.exp, ""), (lambda x: 5.0, r"it maps shape \(3,\) to \(\)$")],
+        ids=["math.exp", "constant"],
+    )
+    def test_step_map_must_be_elementwise_over_arrays(self, step_map, problem):
+        with pytest.raises(
+            InvalidParameterError, match=f"^the step map must be elementwise over arrays: {problem}"
+        ):
+            unscented_transform(GaussianEstimate(1.0, 0.25), step_map)
 
 
 class TestStatisticalLinearization:

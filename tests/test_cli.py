@@ -551,6 +551,21 @@ class TestCommands:
         assert result.stderr.startswith("error: birth-death flow overflowed (")
         assert not out.exists()
 
+    def test_underflowing_scenario_exits_2_naming_the_time(self, tmp_path):
+        # the population underflows to 0 in the first segment, which ends at
+        # the default birth break t=5
+        out = tmp_path / "out.csv"
+        config = {"death": {"breaks": [0], "values": [1000.0]}}
+        result = CliRunner().invoke(
+            main, ["simulate", "--output", str(out),
+                   "--config", write_text(tmp_path / "sc.json", json.dumps(config))],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: birth-death flow underflowed (n0=100.0, growth=-999.95, dt=5.0) at t=5.0\n"
+        )
+        assert not out.exists()
+
     def test_end_to_end_determinism(self, tmp_path):
         runner = CliRunner()
         args_a = ["simulate", "--seed", "11", "--output", str(tmp_path / "a.csv"),

@@ -20,7 +20,6 @@ from pathkf import (
     classify_regimes,
     q_ratio_summary,
     run_pkf,
-    summarize_samples,
 )
 from pathkf.bench import ALGORITHMS, AlgorithmSpec, run_spec
 
@@ -39,53 +38,52 @@ def arrays_in(obj):
     return []
 
 
-class TestSummarizeSamples:
+def summary_of(samples) -> tuple[float, float]:
+    """The summary of one replicate group, as the middle timepoint of a series."""
+    grid = TimeGrid([0.0, 1.0, 2.0])
+    means, variances = TimeSeriesData("s", grid, ([0.0], samples, [0.0])).summaries()
+    return float(means[1]), float(variances[1])
+
+
+class TestSummaries:
     def test_identical_replicates_clamp_to_floor(self):
-        est = summarize_samples([1.0, 1.0, 1.0])
-        assert est.mean == 1.0
-        assert est.variance == VARIANCE_FLOOR
+        assert summary_of([1.0, 1.0, 1.0]) == (1.0, VARIANCE_FLOOR)
 
     def test_bessel_corrected_variance(self):
-        est = summarize_samples([0.0, 2.0])
-        assert est.mean == 1.0
-        assert est.variance == 2.0
+        assert summary_of([0.0, 2.0]) == (1.0, 2.0)
 
     def test_single_replicate_uses_floor(self):
-        est = summarize_samples([5.0])
-        assert est.mean == 5.0
-        assert est.variance == VARIANCE_FLOOR
+        assert summary_of([5.0]) == (5.0, VARIANCE_FLOOR)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidDataError):
-            summarize_samples([])
+            summary_of([])
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidDataError):
-            summarize_samples([1.0, np.nan])
+            summary_of([1.0, np.nan])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         values = rng.normal(3.0, 2.0, 25)
         shuffled = values.copy()
         rng.shuffle(shuffled)
-        a = summarize_samples(values)
-        b = summarize_samples(shuffled)
-        np.testing.assert_allclose([a.mean, a.variance], [b.mean, b.variance], rtol=1e-12)
+        np.testing.assert_allclose(summary_of(values), summary_of(shuffled), rtol=1e-12)
 
     def test_variance_floor_and_finite_for_random_inputs(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             n = int(rng.integers(1, 30))
-            est = summarize_samples(rng.normal(0.0, 10.0, n))
-            assert est.variance >= VARIANCE_FLOOR
-            assert np.isfinite(est.mean) and np.isfinite(est.variance)
+            mean, variance = summary_of(rng.normal(0.0, 10.0, n))
+            assert variance >= VARIANCE_FLOOR
+            assert np.isfinite(mean) and np.isfinite(variance)
 
     def test_mean_converges_at_sampling_rate(self):
         # 5-sigma band on the standard error of the mean at n = 10_000
         rng = np.random.default_rng(2)
         mu, sigma, n = 7.0, 3.0, 10_000
-        est = summarize_samples(rng.normal(mu, sigma, n))
-        assert abs(est.mean - mu) <= 5.0 * sigma / np.sqrt(n)
+        mean, _ = summary_of(rng.normal(mu, sigma, n))
+        assert abs(mean - mu) <= 5.0 * sigma / np.sqrt(n)
 
 
 class TestTypes:
@@ -124,11 +122,6 @@ class TestTypes:
         means, variances = data.summaries()
         np.testing.assert_allclose(means, [1.0, 5.0, 1.0])
         np.testing.assert_allclose(variances, [2.0, VARIANCE_FLOOR, VARIANCE_FLOOR])
-
-    def test_trajectory_estimates_round_trip(self):
-        grid = TimeGrid([0.0, 1.0, 2.0])
-        traj = Trajectory(grid, [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
-        assert traj.estimate(1) == GaussianEstimate(2.0, 0.2)
 
     @pytest.mark.parametrize(
         "samples, problem",
@@ -187,9 +180,6 @@ class TestSeriesSummaries:
         groups = random_layout(n, seed, log_scale)
         grid = TimeGrid(np.arange(n, dtype=float))
         means, variances = TimeSeriesData("s", grid, groups).summaries()
-        one_by_one = [summarize_samples(g) for g in groups]
-        assert means.tobytes() == np.array([e.mean for e in one_by_one]).tobytes()
-        assert variances.tobytes() == np.array([e.variance for e in one_by_one]).tobytes()
         oracle = np.array([replicate_summary(g) for g in groups])
         assert means.tobytes() == oracle[:, 0].tobytes()
         assert variances.tobytes() == oracle[:, 1].tobytes()

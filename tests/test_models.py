@@ -70,6 +70,10 @@ class TestFlows:
         with pytest.raises(NumericalOverflowError):
             flow_birth_death(1e300, 10.0, 0.0, 1000.0)
 
+    def test_birth_death_underflow(self):
+        with pytest.raises(NumericalOverflowError, match=r"^birth-death flow underflowed \("):
+            flow_birth_death(100.0, 0.0, 1000.0, 5.0)
+
     def test_birth_death_rejects_nonpositive_population(self):
         with pytest.raises(InvalidDataError):
             flow_birth_death(0.0, 0.1, 0.0, 1.0)

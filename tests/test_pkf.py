@@ -19,13 +19,13 @@ from pathkf import (
     ModelKind,
     NumericalOverflowError,
     PathkfError,
+    PkfResult,
     PkfWeights,
     RegimeLabel,
     SplinePathModel,
     TimeGrid,
     TimeSeriesData,
     Trajectory,
-    classify_regime,
     classify_regimes,
     pkf_weights,
     run_pkf,
@@ -35,7 +35,13 @@ from pathkf import (
 from pathkf.cli import RunConfig, batch_run, result_record
 from pathkf.pkf import PkfState, run_pkf_block
 
-from oracles import LinearPathModel, ModelPrediction, brute_force_weights, pkf_step
+from oracles import (
+    LinearPathModel,
+    ModelPrediction,
+    brute_force_weights,
+    classify_regime,
+    pkf_step,
+)
 
 POSITIVE = st.floats(1e-6, 1e6)
 NON_NEGATIVE = st.floats(0.0, 1e6)
@@ -58,6 +64,20 @@ def random_series(draw):
         for _ in range(n)
     )
     return TimeSeriesData("random", TimeGrid(np.cumsum(np.r_[0.0, steps])), groups)
+
+
+@st.composite
+def random_blocks(draw):
+    """1-6 series like :func:`random_series` on one shared grid."""
+    n = draw(st.integers(3, 12))
+    grid = TimeGrid(np.cumsum(np.r_[0.0, draw(arrays(float, n - 1, elements=st.floats(0.1, 1.0)))]))
+    return tuple(
+        TimeSeriesData(f"random{i}", grid, tuple(
+            np.array(draw(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3)))
+            for _ in range(n)
+        ))
+        for i in range(draw(st.integers(1, 6)))
+    )
 
 
 class TestPkfWeights:
@@ -296,20 +316,6 @@ class TestRunPkf:
         q = state.process_uncertainty
         np.testing.assert_allclose(q, loss, rtol=0.1, atol=1e-2)
 
-    def test_early_stop_matches_fixed_run_prefix(self):
-        _, data = simulate_birth_death(BirthDeathScenario(t_end=4.0, replicates=10))
-        fixed = run_pkf(data, ModelKind.BIRTH_DEATH, iterations=6, retain_history=True)
-        stopped = run_pkf(
-            data, ModelKind.BIRTH_DEATH, iterations=6, retain_history=True, early_stop=True
-        )
-        k = len(stopped.history)
-        assert k <= 6
-        for s_fixed, s_stop in zip(fixed.history[:k], stopped.history):
-            np.testing.assert_array_equal(s_fixed.filter.means, s_stop.filter.means)
-            np.testing.assert_array_equal(
-                s_fixed.process_uncertainty, s_stop.process_uncertainty
-            )
-
     def test_linear_model_beats_sample_mean(self):
         # quick two-seed version of the optimality property
         slope, intercept = 0.9, 2.0
@@ -360,6 +366,20 @@ class TestRunPkf:
             r"finite range at iteration 1$",
         ):
             run_pkf(data, SpikingModel(), iterations=iterations)
+
+    @pytest.mark.parametrize("variance", [np.nan, -1.0, np.inf])
+    def test_a_custom_model_variance_outside_the_range_is_rejected(self, variance):
+        class BadVarianceModel:
+            def predict_path(self, grid, means, variances):
+                model_vars = np.full(len(grid), VARIANCE_FLOOR)
+                model_vars[2] = variance
+                return np.asarray(means, dtype=float), model_vars
+
+        _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
+        with pytest.raises(
+            InvalidParameterError, match=r"^v_model_plus_q\[2\]=.* must be finite and non-negative$"
+        ):
+            run_pkf(data, BadVarianceModel(), iterations=2)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_overflowing_weight_products_name_series_iteration_and_timepoint(self, kind):
@@ -529,6 +549,76 @@ class TestKernelProperties:
             previous = state.filter.variances
 
 
+def replay(kind, grid, z_means, z_vars, iterations):
+    """The iterations of ``run_pkf`` through the public entries, one step at
+    a time: ``(means, variances, q, weights)`` after each."""
+    f_means, f_vars, q = z_means, z_vars, z_vars
+    for _ in range(iterations):
+        m_means, m_vars = SplinePathModel(kind).predict_path(grid, f_means, f_vars)
+        b = m_vars + q
+        w = pkf_weights(f_vars, b, z_vars)
+        q = update_process_uncertainty(q, w.w_data, w.w_model, (m_means - z_means) ** 2)
+        f_means = w.w_data * z_means + w.w_model * m_means + w.w_filter * f_means
+        f_vars = w.w_data**2 * z_vars + w.w_model**2 * b + w.w_filter**2 * f_vars
+        yield f_means, f_vars, q, w
+
+
+def state_bytes(means, variances, q, weights, row=...) -> list[bytes]:
+    """The bytes of a state's arrays, or of one row of stacked ones."""
+    arrays = (means, variances, q, weights.w_data, weights.w_model, weights.w_filter)
+    return [a[row].tobytes() for a in arrays]
+
+
+def history_bytes(state) -> list[bytes]:
+    return state_bytes(
+        state.filter.means, state.filter.variances, state.process_uncertainty, state.weights
+    )
+
+
+class TestOneFormula:
+    """The loop runs the formulas of the public entries, without their checks."""
+
+    def test_the_loop_calls_no_checked_entry(self, monkeypatch):
+        import pathkf.pkf as pkf
+
+        calls = []
+
+        def spy(name):
+            real = getattr(pkf, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(pkf, name, wrapped)
+
+        for name in ("pkf_weights", "update_process_uncertainty", "PkfWeights"):
+            spy(name)
+        _, data = simulate_birth_death(BirthDeathScenario(t_end=3.0, replicates=4))
+        run_pkf(data, ModelKind.BIRTH_DEATH, iterations=5)
+        assert calls == ["PkfWeights"]  # the final state's
+        calls.clear()
+        run_pkf(data, ModelKind.BIRTH_DEATH, iterations=5, retain_history=True)
+        assert calls == ["PkfWeights"] * 5
+        calls.clear()
+        run_pkf_block((data, data, data), ModelKind.BIRTH_DEATH, iterations=5)
+        assert calls == ["PkfWeights"] * 3
+
+    @settings(deadline=None, max_examples=60)
+    @given(random_blocks(), st.sampled_from(list(ModelKind)), st.integers(1, 6))
+    def test_public_entries_reproduce_the_history_bitwise(self, block, kind, iterations):
+        grid = block[0].grid
+        lone = run_pkf(block[0], kind, iterations, retain_history=True).history
+        replayed = replay(kind, grid, *block[0].summaries(), iterations)
+        assert [history_bytes(s) for s in lone] == [state_bytes(*step) for step in replayed]
+        stacked = run_pkf_block(block, kind, iterations, retain_history=True)
+        z_means = np.stack([data.summaries()[0] for data in block])
+        z_vars = np.stack([data.summaries()[1] for data in block])
+        for i, step in enumerate(replay(kind, grid, z_means, z_vars, iterations)):
+            for row, result in enumerate(stacked):
+                assert history_bytes(result.history[i]) == state_bytes(*step, row=row)
+
+
 class TestNonUniformGrid:
     def test_filters_run_on_irregular_times(self):
         rng = np.random.default_rng(33)
@@ -549,6 +639,22 @@ class TestNonUniformGrid:
         assert float(np.max(rel)) < 0.05
 
 
+@st.composite
+def regime_cases(draw):
+    """A series and a final Q drawn from a few values each, so that many
+    entries tie with their median, and with Q's median now and then at or
+    below ``VARIANCE_FLOOR``, where the threshold is clamped."""
+    n = draw(st.integers(3, 15))
+    # variances: the floor (one replicate, or equal ones), 0.005, 0.5, 2
+    groups = [[1.0], [2.0, 2.0], [0.0, 0.1], [0.0, 1.0], [0.0, 2.0]]
+    data = TimeSeriesData("regimes", TimeGrid(np.arange(float(n))), tuple(
+        np.array(draw(st.sampled_from(groups))) for _ in range(n)
+    ))
+    values = st.sampled_from([0.0, 1e-12, VARIANCE_FLOOR, 0.5, 2.0, 7.0])
+    q = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return data, q
+
+
 class TestRegimes:
     def test_quadrants(self):
         assert classify_regime(0.1, 0.1, 1.0, 1.0) is RegimeLabel.ACCURATE_MODEL_RELIABLE_DATA
@@ -562,6 +668,22 @@ class TestRegimes:
     def test_thresholds_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             classify_regime(1.0, 1.0, 0.0, 1.0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(regime_cases())
+    def test_selection_equals_the_scalar_oracle(self, case):
+        data, q = case
+        n = len(q)
+        result = PkfResult(
+            make_state(data.grid, np.zeros(n), np.ones(n), q), None, np.zeros(1), np.ones(1)
+        )
+        _, z_vars = data.summaries()
+        q_thr = max(float(np.median(q)), VARIANCE_FLOOR)
+        v_thr = max(float(np.median(z_vars)), VARIANCE_FLOOR)
+        event(f"Q threshold {'clamped' if q_thr == VARIANCE_FLOOR else 'at the median'}")
+        event(f"{'some' if np.any(q == q_thr) else 'no'} Q ties")
+        expected = tuple(classify_regime(a, b, q_thr, v_thr) for a, b in zip(q, z_vars))
+        assert classify_regimes(result, data) == expected
 
     def test_series_level_defaults_to_medians(self, pkf_converged, benchmark_data):
         _, data = benchmark_data
