@@ -113,6 +113,18 @@ def unscented_transform(estimate: GaussianEstimate, f) -> GaussianEstimate:
     return replace(estimate, mean=mean, variance=variance)
 
 
+def _squared(slope: float) -> float:
+    """``slope**2``, with Python's ``OverflowError`` past about 1.3e154
+    raised as :class:`NumericalOverflowError`, which the filter pass places
+    at its timepoint."""
+    try:
+        return slope**2
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"the linearization slope {slope} overflowed when squared"
+        ) from None
+
+
 def statistical_linearization(mean: float, variance: float, f) -> tuple[float, float, float]:
     """Sigma-point linear regression of ``f`` around a Gaussian.
 
@@ -124,7 +136,7 @@ def statistical_linearization(mean: float, variance: float, f) -> tuple[float, f
     mean_out, var_out, cross = _sigma_moments(mean, var, f)
     slope = cross / var
     intercept = mean_out - slope * mean
-    residual = max(var_out - slope**2 * var, 0.0)
+    residual = max(var_out - _squared(slope) * var, 0.0)
     return slope, intercept, residual
 
 
@@ -290,7 +302,7 @@ def _linearized_predict(dynamics, times: np.ndarray, q: float, ms: np.ndarray, p
             float(ms[t - 1]), float(ps[t - 1]), f
         )
         prior = p[t - 1]
-        return slope * m[t - 1] + intercept, slope**2 * prior + (residual + q), slope * prior
+        return slope * m[t - 1] + intercept, _squared(slope) * prior + (residual + q), slope * prior
 
     return predict
 

@@ -209,18 +209,25 @@ def _decile_edges(values) -> np.ndarray:
     """The 0th, 10th, ..., 100th percentiles of ``values``, equal to
     ``np.percentile(values, np.linspace(0, 100, 11))`` bit for bit.
 
-    It follows numpy's default linear method on a sorted copy: position
-    ``(n - 1) * q`` between the order statistics ``a`` and ``b`` around it,
-    interpolated as ``a + (b - a) * t`` below ``t = 0.5`` and as
-    ``b - (b - a) * (1 - t)`` from there on. ``np.percentile`` itself imports
-    ``numpy.ma`` (about 1.2 MB) on its first call.
+    It follows numpy's default linear method step by step: the copy is
+    partitioned at the same order statistics, so that ties of ``-0.0`` and
+    ``0.0`` land where numpy's partition puts them; ``position = (n - 1) * q``
+    lies between the entries ``a`` and ``b`` around it (both the last entry
+    from ``n - 1`` on), interpolated as ``a + (b - a) * t`` below ``t = 0.5``
+    and as ``b - (b - a) * (1 - t)`` from there on. ``np.percentile`` and
+    ``np.unique`` import ``numpy.ma`` (about 1.2 MB) on their first call.
     """
-    ordered = np.sort(np.asarray(values, dtype=float))
-    last = len(ordered) - 1
-    position = last * (np.linspace(0.0, 100.0, 11) / 100)
-    low = np.minimum(np.floor(position), last).astype(np.intp)
+    ordered = np.array(values, dtype=float)
+    position = (len(ordered) - 1) * (np.linspace(0.0, 100.0, 11) / 100)
+    low = np.floor(position)
+    high = low + 1
+    top = position >= len(ordered) - 1
+    low[top] = high[top] = -1
+    low, high = low.astype(np.intp), high.astype(np.intp)
+    kth = np.sort(np.concatenate(([0, -1], low, high)))
+    ordered.partition(kth[np.r_[True, kth[1:] != kth[:-1]]])  # np.unique imports numpy.ma
     t = position - low
-    a, b = ordered[low], ordered[np.minimum(low + 1, last)]
+    a, b = ordered[low], ordered[high]
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 

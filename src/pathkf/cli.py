@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import click
@@ -247,11 +248,84 @@ def result_record(result) -> dict:
     raise InvalidConfigError(f"cannot serialize {type(result).__name__}")
 
 
+def _json_float(value: float) -> str:
+    """A float as ``json`` spells it: ``float.__repr__``, or ``NaN`` and
+    ``Infinity``, which JSON itself does not have."""
+    if value != value:
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at ``indent``: the
+    same type tests in the same order, and the same bytes. A list of floats,
+    the bulk of every record, is one join of ``float.__repr__``; text with
+    an ``n`` holds a ``nan`` or ``inf``, and is spelled again item by item."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = ",\n" + inner
+        try:
+            text = sep.join(map(float.__repr__, value))
+        except TypeError:  # not every item is a float
+            text = sep.join(_json_text(item, inner) for item in value)
+        else:
+            if "n" in text:
+                text = sep.join(map(_json_float, value))
+        return f"[\n{inner}{text}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{\n" + ",\n".join(
+            f"{inner}{_json_key(key)}: {_json_text(item, inner)}" for key, item in value.items()
+        ) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key; every record keys its dicts by strings."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_chunks(value, indent: str = "", depth: int = 2):
+    """The text of :func:`_json_text` in pieces: one per item of a non-empty
+    dict down to ``depth`` levels, so that a batch document is held one
+    series record at a time."""
+    if depth and isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}\n{inner}{_json_key(key)}: "
+            yield from _json_chunks(item, inner, depth - 1)
+            sep = ","
+        yield f"\n{indent}}}"
+    else:
+        yield _json_text(value, indent)
+
+
 def _write_json(record: dict, path: str) -> None:
-    """Write ``record`` as indented JSON plus a newline."""
+    """Write ``record`` as indented JSON plus a newline: the bytes of
+    ``json.dump(record, handle, indent=2)``."""
     try:
         with open(path, "w") as handle:
-            json.dump(record, handle, indent=2)
+            handle.writelines(_json_chunks(record))
             handle.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

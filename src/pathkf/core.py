@@ -9,6 +9,7 @@ threads and processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,13 +54,12 @@ class DegeneratePosteriorError(PathkfError):
 
 
 def _setstate_readonly(self, state: dict) -> None:
-    """``__setstate__`` of every value type: pickle rebuilds numpy arrays
-    writable, so each array in ``state`` (or in a tuple there) is marked
+    """``__setstate__`` of the value types pickled by their state: pickle
+    rebuilds numpy arrays writable, so each array in ``state`` is marked
     read-only again before the instance takes it."""
     for value in state.values():
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
-                item.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     self.__dict__.update(state)
 
 
@@ -150,14 +150,25 @@ class TimeSeriesData:
             raise InvalidDataError(
                 f"{self._where(int(np.argmin(summarized)))}: mean and variance must be finite"
             )
+        self._attach(values, ends.tolist(), means, variances)
+
+    def _attach(self, values: np.ndarray, ends: list[int], means, variances) -> None:
+        """Hold the groups as read-only views of ``values``, split at ``ends``,
+        and the summaries as read-only arrays."""
         for arr in (values, means, variances):
             arr.setflags(write=False)
-        bounds = [0, *ends.tolist()]
+        bounds = [0, *ends]
         samples = tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_summaries", (means, variances))
 
-    __setstate__ = _setstate_readonly
+    def __reduce__(self):
+        """Pickle as one values array, the group ends and the two summaries:
+        a pool task ships one array instead of one per replicate group, and
+        the copy is rebuilt without checking or summarizing again."""
+        ends = list(itertools.accumulate(map(len, self.samples)))
+        return _rebuild_series, (self.series_id, self.grid, self._values, ends, *self._summaries)
 
     def _where(self, index: int) -> str:
         return f"series {self.series_id!r}: timepoint {index} (t={float(self.grid.times[index])})"
@@ -169,6 +180,15 @@ class TimeSeriesData:
         call returns the same two objects.
         """
         return self._summaries
+
+
+def _rebuild_series(series_id, grid, values, ends, means, variances) -> TimeSeriesData:
+    """Unpickle a :class:`TimeSeriesData` from its ``__reduce__`` parts."""
+    data = object.__new__(TimeSeriesData)
+    object.__setattr__(data, "series_id", series_id)
+    object.__setattr__(data, "grid", grid)
+    data._attach(values, ends, means, variances)
+    return data
 
 
 @dataclass(frozen=True, eq=False)

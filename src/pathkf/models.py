@@ -232,21 +232,37 @@ def fit_spline_posterior(
                 times.tobytes(), ia.tobytes() + ib.tobytes() + targets.tobytes(), scan
             )
             xa, xb = anchors.take(ia, axis=-1), anchors.take(ib, axis=-1)
-            steady = (xb[..., None] - xa[..., None] * decay) / denom
-            predictions = steady + (xa[..., None] - steady) * relax
+            # (xb - xa * decay) / denom, then steady + (xa - steady) * relax,
+            # each step written into a fresh buffer: never into an input
+            steady = np.multiply(xa[..., None], decay)
+            np.subtract(xb[..., None], steady, out=steady)
+            np.divide(steady, denom, out=steady)
+            predictions = np.subtract(xa[..., None], steady)
+            np.multiply(predictions, relax, out=predictions)
+            np.add(steady, predictions, out=predictions)
         scale = 2.0 * np.maximum(variances, VARIANCE_FLOOR)
-        losses = (predictions - means[..., None]) ** 2 / scale[..., None]
-        log_weights = -losses
-        peak = np.max(log_weights, axis=-1, keepdims=True)
-        raw = np.exp(log_weights - peak)
-        weights = raw / raw.sum(axis=-1, keepdims=True)
-        weights = weights / weights.sum(axis=-1, keepdims=True)
-        degenerate = ~np.isfinite(peak[..., 0])
+        # the losses (p - mean)^2 / scale, then in the same buffer the weights
+        # exp(min(loss) - loss), twice normalized: the peak log-weight shift
+        # (-loss) - max(-loss) without the negation, which is exact in IEEE
+        weights = np.subtract(predictions, means[..., None])
+        np.square(weights, out=weights)
+        np.divide(weights, scale[..., None], out=weights)
+        low = np.min(weights, axis=-1, keepdims=True)
+        np.subtract(low, weights, out=weights)
+        np.exp(weights, out=weights)
+        np.divide(weights, weights.sum(axis=-1, keepdims=True), out=weights)
+        np.divide(weights, weights.sum(axis=-1, keepdims=True), out=weights)
+        degenerate = ~np.isfinite(low[..., 0])
         fallback = degenerate.any()
         if fallback:
             weights[degenerate] = uniform_posterior(predictions.shape[-1])
-        out_means = np.sum(weights * predictions, axis=-1)
-        out_vars = np.sum(weights * (predictions - out_means[..., None]) ** 2, axis=-1)
+        # the moments sum(w * p) and sum((p - mean)^2 * w) in one scratch buffer
+        scratch = np.multiply(weights, predictions)
+        out_means = np.sum(scratch, axis=-1)
+        np.subtract(predictions, out_means[..., None], out=scratch)
+        np.square(scratch, out=scratch)
+        np.multiply(scratch, weights, out=scratch)
+        out_vars = np.sum(scratch, axis=-1)
         # a sum is finite only if every entry is, and a non-finite steady state
         # or prediction makes the moments non-finite: this clears every stage
         clean = variances.min() >= 0.0 and math.isfinite(

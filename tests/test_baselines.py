@@ -249,6 +249,35 @@ class TestOverflow:
         with pytest.raises(NumericalOverflowError, match="step map .* at timepoint 4 "):
             run(data, ModelKind.BIRTH_DEATH)
 
+    def test_squared_slope_overflow_is_typed(self):
+        # a slope past 1.3e154 overflows when squared, which Python's float
+        # power raises as a bare OverflowError
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalOverflowError, match="^the linearization slope 1e\\+160 overflowed when squared$"
+        ):
+            statistical_linearization(0.0, 1.0, lambda x: 1e160 * x)
+
+    def test_ipls_slope_overflow_names_the_timepoint(self):
+        # a harsh random series (scale 1e6, negative replicates) on which the
+        # second IPLS pass linearizes a birth/death step with slope 5e167
+        times = [-3.661572234964936, -2.220310945795246, -1.6351601806403253,
+                 -0.5328172083503464, 0.4390469999524971, 0.5608061164946417, 2.096066734669735]
+        groups = [
+            [1457828.8227068083, -2811262.074891367, 579300.886682014],
+            [539580.0896358466, -324274.1014440257],
+            [7554549.111105378],
+            [5797649.958461251, 9747714.405635882, 5730533.880392902],
+            [7808527.1866751285, 5138033.678575799, 5475500.754097922],
+            [3253599.062590794, -349804.218832487],
+            [2339550.601284883],
+        ]
+        data = series_from_groups(groups, times=times)
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalOverflowError,
+            match=r"^the linearization slope \S+ overflowed when squared at timepoint 6 \(t=2\.09",
+        ):
+            run_ipls(data, ModelKind.BIRTH_DEATH, q=10.0, iterations=3)
+
 
 def test_const_reg_step_fit_failure_names_the_timepoint():
     # anchors of opposite sign near the float limit and a high-rate scan give

@@ -1,5 +1,9 @@
 """Benchmark harness: metric, report determinism, ratio summary."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,3 +295,17 @@ class TestDecileEdges:
                 values = np.round(values)  # ties
             expected = np.percentile(values, self.DECILES)
             assert _decile_edges(values).tobytes() == expected.tobytes()
+
+    def test_signed_zero_ties(self):
+        values = np.array([-0.0, -0.0, -0.0, 0.0] + [-0.0] * 9)
+        assert _decile_edges(values).tobytes() == np.percentile(values, self.DECILES).tobytes()
+
+    def test_imports_no_masked_arrays(self):
+        # numpy.ma, which np.percentile and np.unique import, adds about 1.2 MB
+        # to every process that writes a ratio summary
+        code = (
+            "import sys; from pathkf.bench import _decile_edges; _decile_edges([3.0, 1.0, 2.0]); "
+            "sys.exit('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -210,6 +210,44 @@ class TestWriteResult:
         assert lines[1] == "s,0.0,1.25"
 
 
+#: Floats of every magnitude, subnormals, both zeros, NaN and both infinities,
+#: some as ``np.float64``.
+JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-320, 300)),
+)
+JSON_SCALARS = st.one_of(
+    st.text(), st.integers(-(2**70), 2**70), st.booleans(), st.none(), JSON_FLOATS,
+)
+JSON_RECORDS = st.recursive(
+    JSON_SCALARS | st.lists(JSON_FLOATS, max_size=12),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.text(max_size=8), JSON_RECORDS, max_size=4) | JSON_RECORDS)
+    def test_bytes_equal_json_dump_with_indent_2(self, tmp_path, record):
+        path = tmp_path / "r.json"
+        pathkf.cli._write_json(record, str(path))
+        assert path.read_text() == json.dumps(record, indent=2) + "\n"
+
+    def test_batch_document_equals_json_dump(self, tmp_path):
+        summary = batch_run(RunConfig(iterations=2), (spiked("a"), spiked("b", 1e300), spiked("c")), ("s",))
+        assert summary.n_failed == 1
+        path = tmp_path / "b.json"
+        write_batch_results(summary, str(path))
+        series = {
+            o.series_id: {"error": o.error} if o.error else result_record(o.result)
+            for o in summary.outcomes
+        }
+        expected = json.dumps({"skipped": ["s"], "series": series}, indent=2) + "\n"
+        assert path.read_text() == expected
+
+
 def panel_csv(tmp_path, n_series=4, broken=False):
     rows = ["series_id,time,value"]
     rng = np.random.default_rng(0)

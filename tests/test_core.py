@@ -162,6 +162,26 @@ class TestTypes:
             assert arrays, type(value).__name__
             assert not any(a.flags.writeable for a in arrays), type(value).__name__
 
+    def test_series_pickles_as_one_values_array(self):
+        data = TimeSeriesData("s", TimeGrid(np.arange(14.0)), random_layout(14, 3, 2.0))
+        payload = pickle.dumps(data)
+        back = pickle.loads(payload)
+        assert back.series_id == data.series_id
+        assert back.grid.times.tobytes() == data.grid.times.tobytes()
+        assert [g.tobytes() for g in back.samples] == [g.tobytes() for g in data.samples]
+        for got, want in zip(back.summaries(), data.summaries()):
+            assert got.tobytes() == want.tobytes()
+        arrays = [*back.samples, *back.summaries(), back.grid.times]
+        assert not any(a.flags.writeable for a in arrays)
+        # the fields one by one, as a default dataclass pickle would ship them
+        fields = (data.series_id, data.grid, data.samples, data.summaries())
+        assert len(payload) < len(pickle.dumps(fields))
+
+    def test_unpickling_skips_the_checks_and_summaries(self, monkeypatch):
+        payload = pickle.dumps(TimeSeriesData("s", TimeGrid(np.arange(4.0)), random_layout(4, 1, 0.0)))
+        monkeypatch.setattr(pathkf.core, "_summarize_replicates", None)
+        assert pickle.loads(payload).summaries()[0].shape == (4,)
+
 
 def random_layout(n, seed, log_scale):
     """``n`` replicate groups of 1-120 values at scale ``10**log_scale``."""

@@ -624,3 +624,57 @@ class TestKernelAgainstScalarFit:
             assert messages == ["degenerate spline posterior at t=3.0; using uniform weights"]
             assert np.all(fit.weights[row] == fit.weights[row][0])
             np.testing.assert_allclose(fit.weights[row], 1.0 / 200, rtol=1e-15)
+
+
+class TestKernelBuffers:
+    """The const-reg kernel works in a few reused buffers and never writes
+    into what it is given."""
+
+    @staticmethod
+    def block(rows, n):
+        rng = np.random.default_rng(12)
+        times = np.cumsum(rng.uniform(0.5, 2.0, n))
+        means = rng.uniform(0.5, 2.0, (rows, n))
+        variances = rng.uniform(0.01, 0.1, (rows, n))
+        return times, means, variances
+
+    def test_peak_allocation_is_a_few_scan_buffers(self):
+        import tracemalloc
+
+        rows, n = 32, 14
+        times, means, variances = self.block(rows, n)
+        model = SplinePathModel(CONST_REG)
+        model.predict_path(TimeGrid(times), means, variances)  # build the memoized tables
+        buffer = rows * n * model.scan.num * 8
+        tracemalloc.start()
+        try:
+            kernel(CONST_REG, model.scan, times, *pathkf.models._centered_windows(n),
+                   means, means, variances)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * buffer
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_inputs_are_read_only_and_unchanged(self, kind):
+        times, means, variances = self.block(5, 9)
+        means[2, 4] = 1e150  # one degenerate window, which takes the uniform fallback
+        for arr in (times, means, variances):
+            arr.setflags(write=False)
+        before = [arr.tobytes() for arr in (times, means, variances)]
+        windows = pathkf.models._centered_windows(9)
+        fits = [
+            kernel(kind, ScanGrid(), times, *windows, anchors, means, variances)
+            for anchors in (means, means.copy())  # `anchors is means`, as predict_path calls
+        ]
+        assert [arr.tobytes() for arr in (times, means, variances)] == before
+        for got, want in zip(fits[0], fits[1]):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+        if kind is CONST_REG:
+            # the memoized grid tables stay read-only, and so unchanged
+            tables = pathkf.models._const_reg_tables(
+                times.tobytes(), b"".join(i.tobytes() for i in windows), ScanGrid()
+            )
+            assert not any(table.flags.writeable for table in tables)
