@@ -9,15 +9,18 @@ all in full float precision so write/read round trips are exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import logging
 import math
+import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -26,6 +29,7 @@ import numpy as np
 
 from .bench import (
     ALGORITHMS,
+    BLOCK_ROWS,
     AlgorithmSpec,
     BenchmarkReport,
     QRatioSummary,
@@ -43,7 +47,7 @@ from .core import (
     Trajectory,
 )
 from .models import ModelKind
-from .pkf import PkfResult, PkfState, run_pkf_block
+from .pkf import DEFAULT_ITERATIONS, PkfResult, PkfState
 from .pkf import run_pkf  # noqa: F401  perfbench traces calls at pathkf.cli.run_pkf
 from .synth import (
     BirthDeathScenario,
@@ -80,6 +84,34 @@ class IngestResult(NamedTuple):
     skipped: tuple[str, ...]
 
 
+def _csv_rows(path: str, header: list[str]):
+    """``(line, series_id, other fields)`` for each row of the CSV file at
+    ``path``, whose header must be ``header`` (``series_id`` first).
+
+    Blank and whitespace-only lines are skipped. A row with the wrong number
+    of fields or an empty ``series_id`` fails naming its 1-based line.
+    """
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ParseError(1, f"expected header '{','.join(header)}'")
+        for row in reader:
+            line = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise ParseError(line, f"expected {len(header)} fields, got {len(row)}")
+            series_id = row[0].strip()
+            if not series_id:
+                raise ParseError(line, "empty series_id")
+            yield line, series_id, row[1:]
+
+
 def read_series_csv(path: str) -> IngestResult:
     """Parse a long-form measurement CSV into one series per ``series_id``.
 
@@ -87,51 +119,27 @@ def read_series_csv(path: str) -> IngestResult:
     sorted per series. Series with fewer than three timepoints are skipped
     and reported, never silently dropped.
     """
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
     groups: dict[str, dict[float, list[float]]] = {}
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["series_id", "time", "value"]:
-            raise ParseError(1, "expected header 'series_id,time,value'")
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(line, f"expected 3 fields, got {len(row)}")
-            series_id = row[0].strip()
-            if not series_id:
-                raise ParseError(line, "empty series_id")
-            try:
-                t = float(row[1])
-                value = float(row[2])
-            except ValueError as exc:
-                raise ParseError(line, f"non-numeric field: {exc}") from exc
-            if not (math.isfinite(t) and math.isfinite(value)):
-                raise ParseError(line, "non-finite time or value")
-            groups.setdefault(series_id, {}).setdefault(t, []).append(value)
+    for line, series_id, (t_text, value_text) in _csv_rows(path, ["series_id", "time", "value"]):
+        try:
+            t = float(t_text)
+            value = float(value_text)
+        except ValueError as exc:
+            raise ParseError(line, f"non-numeric field: {exc}") from exc
+        if not (math.isfinite(t) and math.isfinite(value)):
+            raise ParseError(line, "non-finite time or value")
+        groups.setdefault(series_id, {}).setdefault(t, []).append(value)
 
     series = []
     skipped = []
     for series_id, by_time in groups.items():
         if len(by_time) < 3:
-            logger.warning(
-                "skipping series %r: only %d timepoint(s)", series_id, len(by_time)
-            )
+            logger.warning("skipping series %r: only %d timepoint(s)", series_id, len(by_time))
             skipped.append(series_id)
             continue
         times = sorted(by_time)
-        series.append(
-            TimeSeriesData(
-                series_id,
-                TimeGrid(np.asarray(times)),
-                tuple(np.asarray(by_time[t]) for t in times),
-            )
-        )
+        samples = tuple(np.asarray(by_time[t]) for t in times)
+        series.append(TimeSeriesData(series_id, TimeGrid(np.asarray(times)), samples))
     return IngestResult(tuple(series), tuple(skipped))
 
 
@@ -163,23 +171,12 @@ def write_truth_csv(truths: list[tuple[str, GroundTruth]], path: str) -> None:
 
 
 def read_labels_csv(path: str) -> dict[str, str]:
-    """Parse a ``series_id,label`` CSV."""
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    """Parse a ``series_id,label`` CSV; each ``series_id`` may appear once."""
     labels: dict[str, str] = {}
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["series_id", "label"]:
-            raise ParseError(1, "expected header 'series_id,label'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(reader.line_num, f"expected 2 fields, got {len(row)}")
-            labels[row[0].strip()] = row[1].strip()
+    for line, series_id, (label,) in _csv_rows(path, ["series_id", "label"]):
+        if series_id in labels:
+            raise ParseError(line, f"repeated series_id {series_id!r}")
+        labels[series_id] = label.strip()
     return labels
 
 
@@ -320,26 +317,47 @@ def _json_chunks(value, indent: str = "", depth: int = 2):
         yield _json_text(value, indent)
 
 
+@contextlib.contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """A text handle whose contents replace ``path`` when the block ends:
+    a temporary file in the same directory, with the mode ``open(path, "w")``
+    would leave, moved into place by ``os.replace``. On a failure it is
+    removed and ``path`` keeps its old bytes; an ``OSError`` is raised as
+    ``IoError``."""
+    target = os.path.realpath(path)  # through a symlink, as ``open(path, "w")`` writes
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        try:
+            with open(temp, "x", newline=newline) as handle:
+                yield handle
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(temp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+            raise
+    except OSError as exc:
+        # name the target, as opening it directly would, not the temporary file
+        named = OSError(exc.errno, exc.strerror, path) if exc.filename else exc
+        raise IoError(f"cannot write {path}: {named}") from exc
+
+
 def _write_json(record: dict, path: str) -> None:
     """Write ``record`` as indented JSON plus a newline: the bytes of
     ``json.dump(record, handle, indent=2)``."""
-    try:
-        with open(path, "w") as handle:
-            handle.writelines(_json_chunks(record))
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _replacing(path) as handle:
+        handle.writelines(_json_chunks(record))
+        handle.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write ``header`` and then ``rows`` as CSV, one ``\\n``-terminated line each."""
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _replacing(path, newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_result(result, path: str) -> None:
@@ -373,7 +391,7 @@ class RunConfig:
 
     algorithm: str = "pkf"
     model: ModelKind = ModelKind.BIRTH_DEATH
-    iterations: int = 10
+    iterations: int = DEFAULT_ITERATIONS
     q: float | None = None
     jobs: int = 1
     retain_history: bool = False
@@ -418,57 +436,44 @@ class BatchSummary:
 WORKER_DIED = "BrokenProcessPool: a worker process died"
 
 
-def _execute_series(config: RunConfig, data: TimeSeriesData) -> SeriesOutcome:
-    try:
-        result = run_spec(config.spec(), data, config.model, config.retain_history)
-        return SeriesOutcome(data.series_id, result, None)
-    except Exception as exc:  # per-series isolation
-        return SeriesOutcome(data.series_id, None, f"{type(exc).__name__}: {exc}")
-
-
-#: Most series in one stacked PKF block: past about 32 rows the (S, n, 200)
-#: scan temporaries no longer fit a 2 MiB L2 cache.
-PKF_BLOCK_ROWS = 32
-
-
-def _grid_blocks(chunk: tuple[TimeSeriesData, ...]):
-    """Runs of consecutive series with equal grid bytes, each at most
-    ``PKF_BLOCK_ROWS`` long, in input order."""
-    for _, run in itertools.groupby(chunk, key=lambda data: data.grid.times.tobytes()):
-        run = tuple(run)
-        for start in range(0, len(run), PKF_BLOCK_ROWS):
-            yield run[start:start + PKF_BLOCK_ROWS]
-
-
-#: The logger of the spline fallback warnings, which a stacked block holds back.
+#: The logger of the spline fallback warnings, which a block holds back.
 _models_logger = logging.getLogger("pathkf.models")
 
 
 def _execute_block(config: RunConfig, block: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
-    """Outcomes of a run of series that share a grid. The PKF runs them as one
-    stacked block; if that raises, each series runs alone, so every series
-    gets exactly the result or error it gets alone. The block's model
-    warnings are emitted only if it succeeds, so that each warning is logged
+    """Outcomes of a run of series that share a grid, from one ``run_spec``
+    call. If that raises, a lone series records the error, and each series
+    of a longer block runs again as a block of one, so every series gets
+    exactly the result or error it gets alone. The model warnings of a
+    longer block that fails are dropped, so that each warning is logged
     once, by the run whose outcome is kept."""
-    if config.algorithm == "pkf" and len(block) > 1:
-        held: list[logging.LogRecord] = []
-        hold = held.append  # a filter that returns None drops the record
-        _models_logger.addFilter(hold)
-        try:
-            results = run_pkf_block(block, config.model, config.iterations, config.retain_history)
-        except Exception:  # some series fails: the lone runs say which, and how
-            results = None
-        finally:
-            _models_logger.removeFilter(hold)
-        if results is not None:
-            for record in held:
-                _models_logger.handle(record)
-            return [SeriesOutcome(d.series_id, r, None) for d, r in zip(block, results)]
-    return [_execute_series(config, data) for data in block]
+    held: list[logging.LogRecord] = []
+    hold = held.append  # a filter that returns None drops the record
+    _models_logger.addFilter(hold)
+    try:
+        results, error = run_spec(config.spec(), block, config.model, config.retain_history), None
+    except Exception as exc:  # per-series isolation
+        results, error = [None], f"{type(exc).__name__}: {exc}"
+    finally:
+        _models_logger.removeFilter(hold)
+    if error is not None and len(block) > 1:  # the lone runs say which series fails, and how
+        return [outcome for data in block for outcome in _execute_block(config, (data,))]
+    for record in held:
+        _models_logger.handle(record)
+    return [SeriesOutcome(d.series_id, r, error) for d, r in zip(block, results)]
 
 
 def _execute_chunk(config: RunConfig, chunk: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
-    return [outcome for block in _grid_blocks(chunk) for outcome in _execute_block(config, block)]
+    """Outcomes in input order: each run of consecutive series with equal
+    grid bytes goes to ``_execute_block`` in blocks of the algorithm's
+    ``BLOCK_ROWS``."""
+    rows = BLOCK_ROWS[config.algorithm]
+    outcomes = []
+    for _, run in itertools.groupby(chunk, key=lambda data: data.grid.times.tobytes()):
+        run = tuple(run)
+        for start in range(0, len(run), rows):
+            outcomes += _execute_block(config, run[start:start + rows])
+    return outcomes
 
 
 def batch_run(
@@ -541,25 +546,27 @@ def _has_kind(value, kind: type) -> bool:
     return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
 
 
-def _resolve(flag_value, config: dict, key: str, default, kind: type = str):
-    """Flags win over config-file values, which win over defaults.
+def _resolve(flag_value, config: dict, key: str, kind: type = str):
+    """The flag if given, else the config-file value, else ``None``: unset,
+    so that the default of the class it configures applies.
 
     A config-file value must be a JSON value of ``kind`` (see ``_has_kind``).
     """
     if flag_value is not None:
         return flag_value
     if key not in config:
-        return default
+        return None
     value = config[key]
     if not _has_kind(value, kind):
         raise InvalidConfigError(f"config {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _schedule_from_config(config: dict, key: str, fallback: PiecewiseConstant) -> PiecewiseConstant:
+def _schedule_from_config(config: dict, key: str) -> PiecewiseConstant | None:
+    """The schedule at ``key``, or ``None`` if it is missing or null."""
     raw = config.get(key)
     if raw is None:
-        return fallback
+        return None
     if not (
         isinstance(raw, dict)
         and all(
@@ -574,6 +581,11 @@ def _schedule_from_config(config: dict, key: str, fallback: PiecewiseConstant) -
     return PiecewiseConstant(tuple(raw["breaks"]), tuple(raw["values"]))
 
 
+def _given(**settings) -> dict:
+    """The settings that are set, for a constructor whose defaults fill in the rest."""
+    return {key: value for key, value in settings.items() if value is not None}
+
+
 #: The numeric config-file keys of each scenario, with their JSON kinds.
 _BIRTH_DEATH_KEYS = {"n0": float, "t_end": float, "dt": float, "replicates": int}
 _GENE_PANEL_KEYS = {
@@ -582,27 +594,18 @@ _GENE_PANEL_KEYS = {
 
 
 def _birth_death_scenario(config: dict, seed: int | None) -> BirthDeathScenario:
-    base = BirthDeathScenario()
-    return replace(
-        base,
-        **{key: _resolve(None, config, key, getattr(base, key), kind)
-           for key, kind in _BIRTH_DEATH_KEYS.items()},
-        **{key: _schedule_from_config(config, key, getattr(base, key))
-           for key in ("birth", "death", "noise")},
-        seed=_resolve(seed, config, "seed", base.seed, int),
-    )
+    return BirthDeathScenario(**_given(
+        **{key: _resolve(None, config, key, kind) for key, kind in _BIRTH_DEATH_KEYS.items()},
+        **{key: _schedule_from_config(config, key) for key in ("birth", "death", "noise")},
+        seed=_resolve(seed, config, "seed", int),
+    ))
 
 
 def _gene_panel_scenario(config: dict, seed: int | None) -> GenePanelScenario:
-    kwargs = {
-        key: _resolve(None, config, key, None, kind)
-        for key, kind in _GENE_PANEL_KEYS.items()
-        if key in config
-    }
-    seed = _resolve(seed, config, "seed", None, int)
-    if seed is not None:
-        kwargs["seed"] = seed
-    return GenePanelScenario.default(**kwargs)
+    return GenePanelScenario.default(**_given(
+        **{key: _resolve(None, config, key, kind) for key, kind in _GENE_PANEL_KEYS.items()},
+        seed=_resolve(seed, config, "seed", int),
+    ))
 
 
 def _echo_failures(summary: BatchSummary) -> None:
@@ -664,20 +667,20 @@ def _run_batch_command(
     algorithm, model, iterations, q, input_path, output, jobs, retain_history, config_path,
 ) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
     config_file = _load_config_file(config_path)
-    q = _resolve(q, config_file, "q", None, float)
-    model = _resolve(model, config_file, "model", "birth-death")
-    if model not in MODEL_CHOICES:
+    q = _resolve(q, config_file, "q", float)
+    model = _resolve(model, config_file, "model")
+    if model not in (None, *MODEL_CHOICES):
         raise InvalidConfigError(f"unknown model {model!r}")
-    run_config = RunConfig(
-        algorithm=_resolve(algorithm, config_file, "algorithm", "pkf"),
-        model=MODEL_CHOICES[model],
-        iterations=_resolve(iterations, config_file, "iterations", 10, int),
+    run_config = RunConfig(**_given(
+        algorithm=_resolve(algorithm, config_file, "algorithm"),
+        model=MODEL_CHOICES.get(model),
+        iterations=_resolve(iterations, config_file, "iterations", int),
         q=None if q is None else float(q),
-        jobs=_resolve(jobs, config_file, "jobs", 1, int),
-        retain_history=_resolve(retain_history, config_file, "retain_history", False, bool),
-    )
-    input_path = _resolve(input_path, config_file, "input", "")
-    output = _resolve(output, config_file, "output", "")
+        jobs=_resolve(jobs, config_file, "jobs", int),
+        retain_history=_resolve(retain_history, config_file, "retain_history", bool),
+    ))
+    input_path = _resolve(input_path, config_file, "input")
+    output = _resolve(output, config_file, "output")
     if not input_path or not output:
         raise InvalidConfigError("both --input and --output are required")
     series, skipped = read_series_csv(input_path)

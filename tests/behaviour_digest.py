@@ -14,7 +14,13 @@ of:
 - the pathspace filter on the same 650 series, both models, as
   ``run_pkf(retain_history=True)`` (every state of the history and both
   traces) and as ``run_pkf_block`` on the blocks of ten consecutive
-  series, which share one grid.
+  series, which share one grid;
+- the command-line path, ``pathkf.cli.batch_run`` at ``jobs=1`` on the same
+  blocks of ten, both models: ``pkf`` with 4 iterations (keeping its
+  history), ``kf``, ``ukf`` and ``urts`` at ``q`` in {1, 10}, and ``ipls``
+  at ``q`` in {1, 10} with 3 iterations. Each outcome adds its JSON record
+  (``result_record``) or its error string, and each batch adds the warning
+  lines it logged under the ``pathkf`` logger, in order.
 
 A refactor that must not change results gives the same digest before and
 after it. The script uses only public names that older commits have too,
@@ -24,6 +30,7 @@ so it runs unchanged on them. pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import sys
 import warnings
@@ -43,6 +50,7 @@ from pathkf import (
     run_urts,
     table_specs,
 )
+from pathkf.cli import RunConfig, batch_run, result_record
 from pathkf.pkf import run_pkf_block
 
 N_MILD, N_HARSH, BLOCK = 500, 150, 10
@@ -55,6 +63,13 @@ BASELINES = {
     "ipls-1": lambda data, kind, q: run_ipls(data, kind, q=q, iterations=1),
     "ipls-3": lambda data, kind, q: run_ipls(data, kind, q=q, iterations=3),
 }
+
+#: (algorithm, q, iterations, retain_history) of each command-line batch.
+CLI_RUNS = (
+    ("pkf", None, PKF_ITERATIONS, True),
+    *((name, q, 1, False) for name in ("kf", "ukf", "urts") for q in (1.0, 10.0)),
+    *(("ipls", q, 3, False) for q in (1.0, 10.0)),
+)
 
 
 def random_series(rng: np.random.Generator, harsh: bool) -> list[TimeSeriesData]:
@@ -102,6 +117,12 @@ class Digest:
         for arr in arrays:
             self.sha.update(np.ascontiguousarray(arr, dtype=float).tobytes())
 
+    def add_text(self, label: str, text: str, error: bool = False) -> None:
+        self.runs += 1
+        self.errors += error
+        self.sha.update(label.encode())
+        self.sha.update(text.encode())
+
     def run(self, label: str, compute) -> None:
         """Add the arrays ``compute()`` returns, or the error it raises."""
         try:
@@ -123,6 +144,45 @@ def pkf_arrays(result) -> list[np.ndarray]:
         out += [state.filter.means, state.filter.variances, state.process_uncertainty,
                 w.w_data, w.w_model, w.w_filter]
     return out
+
+
+class WarningLines(logging.Handler):
+    """Collects the messages logged at warning level or above."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.lines: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.lines.append(record.getMessage())
+
+
+def add_cli_batches(digest: Digest, blocks) -> None:
+    """Every block through ``batch_run`` under each of ``CLI_RUNS``."""
+    logging.disable(logging.NOTSET)
+    package_logger = logging.getLogger("pathkf")
+    warned = WarningLines()
+    package_logger.addHandler(warned)
+    package_logger.propagate = False
+    try:
+        for b, block in enumerate(blocks):
+            for kind in ModelKind:
+                for algorithm, q, iterations, history in CLI_RUNS:
+                    config = RunConfig(algorithm=algorithm, model=kind, iterations=iterations,
+                                       q=q, retain_history=history)
+                    label = f"{b} {kind.value} cli {algorithm} q={q}"
+                    for o in batch_run(config, tuple(block)).outcomes:
+                        if o.error is None:
+                            digest.add_text(f"{label} {o.series_id}",
+                                            json.dumps(result_record(o.result)))
+                        else:
+                            digest.add_text(f"{label} {o.series_id}", o.error, error=True)
+                    digest.sha.update("\n".join(warned.lines).encode())
+                    warned.lines.clear()
+    finally:
+        package_logger.removeHandler(warned)
+        package_logger.propagate = True
+        logging.disable(logging.CRITICAL)
 
 
 def main() -> int:
@@ -157,6 +217,7 @@ def main() -> int:
                     digest.add(label, error=row.error)
                 else:
                     digest.add(label, moments(row.trajectory))
+        add_cli_batches(digest, blocks)
     print(f"{digest.sha.hexdigest()}  ({digest.runs} runs, {digest.errors} errors)")
     return 0
 

@@ -129,7 +129,7 @@ class TestRunSpec:
             "urts": lambda: run_urts(data, kind, 2.5),
             "ipls": lambda: run_ipls(data, kind, 2.5, 3),
         }[algorithm]()
-        result = run_spec(spec, data, kind)
+        result = run_spec(spec, (data,), kind)[0]
         got = result.final.filter if isinstance(result, PkfResult) else result
         assert got.means.tobytes() == direct.means.tobytes()
         assert got.variances.tobytes() == direct.variances.tobytes()
@@ -137,8 +137,9 @@ class TestRunSpec:
     def test_pkf_keeps_history_on_request(self):
         _, data = simulate_birth_death(small_scenario())
         spec = AlgorithmSpec("pkf-i2", "pkf", iterations=2)
-        assert run_spec(spec, data, ModelKind.BIRTH_DEATH).history is None
-        assert len(run_spec(spec, data, ModelKind.BIRTH_DEATH, retain_history=True).history) == 2
+        assert run_spec(spec, (data,), ModelKind.BIRTH_DEATH)[0].history is None
+        kept = run_spec(spec, (data,), ModelKind.BIRTH_DEATH, retain_history=True)[0]
+        assert len(kept.history) == 2
 
     @pytest.mark.parametrize("params", [{"q": -1.0}, {"q": float("nan")}, {"iterations": 0}])
     def test_spec_rejects_bad_parameters(self, params):
@@ -175,7 +176,7 @@ class TestTimeShift:
                 outcomes = []
                 for data in pair:
                     try:
-                        result = run_spec(spec, data, kind)
+                        result = run_spec(spec, (data,), kind)[0]
                     except Exception as exc:  # the same failure at either origin
                         outcomes.append(type(exc))
                         continue

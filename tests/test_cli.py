@@ -2,10 +2,12 @@
 
 import collections
 import csv
+import errno
 import json
 import logging
 import multiprocessing
 import os
+import stat
 import time
 
 import numpy as np
@@ -35,6 +37,7 @@ from pathkf.cli import (
     RunConfig,
     batch_run,
     main,
+    read_labels_csv,
     read_series_csv,
     result_record,
     write_batch_results,
@@ -163,6 +166,22 @@ class TestReadSeriesCsv:
                 assert back.tobytes() == group.tobytes()
 
 
+class TestReadLabelsCsv:
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = write_text(tmp_path / "l.csv", "series_id,label\na,up\n   \nb,flat\n")
+        assert read_labels_csv(path) == {"a": "up", "b": "flat"}
+
+    def test_empty_series_id_names_its_line(self, tmp_path):
+        path = write_text(tmp_path / "l.csv", "series_id,label\na,up\n  ,flat\n")
+        with pytest.raises(ParseError, match=r"^line 3: empty series_id$"):
+            read_labels_csv(path)
+
+    def test_repeated_series_id_names_its_line(self, tmp_path):
+        path = write_text(tmp_path / "l.csv", "series_id,label\na,up\nb,flat\n a ,down\n")
+        with pytest.raises(ParseError, match=r"^line 4: repeated series_id 'a'$"):
+            read_labels_csv(path)
+
+
 class TestWriteResult:
     def test_trajectory_round_trip(self, tmp_path):
         _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
@@ -234,6 +253,45 @@ class TestJsonWriter:
         path = tmp_path / "r.json"
         pathkf.cli._write_json(record, str(path))
         assert path.read_text() == json.dumps(record, indent=2) + "\n"
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.json"
+        path.write_text("old\n")
+        chunks = pathkf.cli._json_chunks
+
+        def failing(record):
+            yield next(chunks(record))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(pathkf.cli, "_json_chunks", failing)
+        with pytest.raises(IoError, match="^cannot write .*No space left on device"):
+            pathkf.cli._write_json({"a": [1.0, 2.0], "b": 3}, str(path))
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_unserializable_record_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            pathkf.cli._write_json({"a": object()}, str(tmp_path / "r.json"))
+        assert os.listdir(tmp_path) == []
+
+    def test_written_file_keeps_what_open_would(self, tmp_path):
+        reference = tmp_path / "reference.json"
+        open(reference, "w").close()
+        fresh = tmp_path / "fresh.json"
+        pathkf.cli._write_json({}, str(fresh))
+        assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        pathkf.cli._write_csv(str(existing), ["a"], [["1"]])
+        assert existing.read_text() == "a\n1\n"
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+        link = tmp_path / "link.csv"
+        link.symlink_to(existing)
+        pathkf.cli._write_csv(str(link), ["b"], [])
+        assert link.is_symlink()
+        assert existing.read_text() == "b\n"
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
 
     def test_batch_document_equals_json_dump(self, tmp_path):
         summary = batch_run(RunConfig(iterations=2), (spiked("a"), spiked("b", 1e300), spiked("c")), ("s",))
@@ -312,11 +370,11 @@ class TestBatchRun:
         assert runner.invoke(main, args + ["--output", out1]).exit_code == 0
         run_spec = pathkf.cli.run_spec
 
-        def dying(spec, data, *rest):
-            if data.series_id == "g5":
+        def dying(spec, series, *rest):
+            if any(data.series_id == "g5" for data in series):
                 time.sleep(1.0)  # the other worker finishes g0-g4 meanwhile
                 os._exit(1)
-            return run_spec(spec, data, *rest)
+            return run_spec(spec, series, *rest)
 
         monkeypatch.setattr(pathkf.cli, "run_spec", dying)
         result = runner.invoke(main, args + ["--jobs", "2", "--output", out2])
@@ -369,6 +427,20 @@ class TestBatchRun:
         lines = warning_lines(caplog, lambda: outcomes.extend(batch_run(config, block).outcomes))
         assert all(o.error is None for o in outcomes)
         assert stacked and lines == stacked
+
+    def test_a_failing_baseline_series_and_its_neighbours_run_once(self, monkeypatch):
+        calls = collections.Counter()
+        run_ipls = pathkf.baselines.run_ipls
+
+        def counted(data, *args):
+            calls[data.series_id] += 1
+            return run_ipls(data, *args)
+
+        monkeypatch.setattr(pathkf.baselines, "run_ipls", counted)
+        panel = (spiked("a"), spiked("bad", 1e300), spiked("c"))
+        summary = batch_run(RunConfig(algorithm="ipls"), panel)
+        assert [o.error is None for o in summary.outcomes] == [True, False, True]
+        assert calls == {"a": 1, "bad": 1, "c": 1}
 
     def test_baseline_matches_direct_call(self, tmp_path):
         series, _ = read_series_csv(panel_csv(tmp_path, n_series=2))
@@ -440,7 +512,54 @@ class TestJobsInvariance:
         assert written["series"] == {}
 
 
+#: Bad config-file values with their errors, in the order the checks run:
+#: the file holding the values of one entry and of every entry after it
+#: reports that entry's error. Where two entries set one key, the earlier
+#: one's value is in the file.
+_SCHEDULE = 'a schedule {"breaks": [numbers], "values": [numbers]}'
+CONFIG_ERRORS = {
+    ("run",): [
+        ("q", "x", "config 'q' must be a number, got 'x'"),
+        ("model", 3, "config 'model' must be a string, got 3"),
+        ("model", "nope", "unknown model 'nope'"),
+        ("algorithm", 3, "config 'algorithm' must be a string, got 3"),
+        ("iterations", 1.5, "config 'iterations' must be an integer, got 1.5"),
+        ("jobs", "2", "config 'jobs' must be an integer, got '2'"),
+        ("retain_history", 1, "config 'retain_history' must be true or false, got 1"),
+        ("algorithm", "nope", "unknown algorithm 'nope'"),
+        ("jobs", 0, "jobs must be at least 1"),
+        ("iterations", 0, "iterations must be at least 1"),
+        ("input", 3, "config 'input' must be a string, got 3"),
+        ("output", 3, "config 'output' must be a string, got 3"),
+    ],
+    ("simulate",): [
+        ("n0", "a", "config 'n0' must be a number, got 'a'"),
+        ("replicates", 1.5, "config 'replicates' must be an integer, got 1.5"),
+        ("birth", 3, f"config 'birth' must be {_SCHEDULE}, got 3"),
+        ("noise", {"breaks": [0.0]}, f"config 'noise' must be {_SCHEDULE}, got {{'breaks': [0.0]}}"),
+        ("seed", "x", "config 'seed' must be an integer, got 'x'"),
+        ("dt", 0.0, "dt and t_end must be positive"),
+    ],
+    ("simulate", "--scenario", "gene-panel"): [
+        ("n_genes", 1.5, "config 'n_genes' must be an integer, got 1.5"),
+        ("noise_level", "a", "config 'noise_level' must be a number, got 'a'"),
+        ("seed", "x", "config 'seed' must be an integer, got 'x'"),
+        ("replicates", 0, "replicates must be at least 1"),
+    ],
+}
+
+
 class TestCommands:
+    @pytest.mark.parametrize("command", list(CONFIG_ERRORS))
+    def test_config_errors_report_in_a_fixed_order(self, tmp_path, command):
+        entries = CONFIG_ERRORS[command]
+        output = ["--output", str(tmp_path / "out.csv")] if command[0] == "simulate" else []
+        for i, (key, _, message) in enumerate(entries):
+            config = {k: value for k, value, _ in reversed(entries[i:])}
+            path = write_text(tmp_path / "config.json", json.dumps(config))
+            result = CliRunner().invoke(main, [*command, "--config", path, *output])
+            assert (result.exit_code, result.output) == (2, f"error: {message}\n"), key
+
     def test_simulate_run_round_trip(self, tmp_path):
         runner = CliRunner()
         data_path = str(tmp_path / "data.csv")

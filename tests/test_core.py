@@ -229,5 +229,5 @@ class TestSeriesSummaries:
         classify_regimes(result, data)
         q_ratio_summary([("all", result, data)])
         for name in ALGORITHMS:
-            run_spec(AlgorithmSpec(name, name), data, ModelKind.BIRTH_DEATH)
+            run_spec(AlgorithmSpec(name, name), (data,), ModelKind.BIRTH_DEATH)[0]
         assert calls == [6]

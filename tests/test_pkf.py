@@ -28,10 +28,15 @@ from pathkf import (
     Trajectory,
     classify_regimes,
     pkf_weights,
+    run_adaptive_kf,
+    run_ipls,
     run_pkf,
+    run_ukf,
+    run_urts,
     simulate_birth_death,
     update_process_uncertainty,
 )
+from pathkf.bench import ALGORITHMS, BLOCK_ROWS, run_spec
 from pathkf.cli import RunConfig, batch_run, result_record
 from pathkf.pkf import PkfState, run_pkf_block
 
@@ -469,10 +474,21 @@ def shared_grid_panels(draw):
     return tuple(TimeSeriesData(f"s{i}", grid, tuple(groups)) for i, groups in enumerate(rows))
 
 
-def lone_outcome(data, kind, iterations, retain_history):
-    """The JSON record of ``run_pkf`` on one series, or its error as batch reports it."""
+#: The direct public call of each algorithm on one series: 3 iterations,
+#: and q = 2.5 for the baselines.
+LONE_RUNS = {
+    "pkf": lambda data, kind, history: run_pkf(data, kind, iterations=3, retain_history=history),
+    "kf": lambda data, kind, _: run_adaptive_kf(data, kind, 2.5),
+    "ukf": lambda data, kind, _: run_ukf(data, kind, 2.5),
+    "urts": lambda data, kind, _: run_urts(data, kind, 2.5),
+    "ipls": lambda data, kind, _: run_ipls(data, kind, 2.5, 3),
+}
+
+
+def lone_outcome(algorithm, data, kind, retain_history):
+    """The JSON record of the direct call on one series, or its error as batch reports it."""
     try:
-        result = run_pkf(data, kind, iterations=iterations, retain_history=retain_history)
+        result = LONE_RUNS[algorithm](data, kind, retain_history)
     except PathkfError as exc:
         return f"{type(exc).__name__}: {exc}"
     return json.dumps(result_record(result))
@@ -482,21 +498,24 @@ class TestRunPkfBlock:
     """Series that share a grid run as one stacked block, bitwise equal to
     running each alone."""
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @settings(deadline=None, max_examples=40)
     @given(shared_grid_panels(), st.sampled_from(list(ModelKind)), st.booleans())
-    def test_stacked_runs_equal_lone_runs(self, series, kind, retain_history):
-        lone = [lone_outcome(data, kind, 3, retain_history) for data in series]
-        config = RunConfig(model=kind, iterations=3, retain_history=retain_history)
-        summary = batch_run(config, series)  # blocks of at most 32; failed blocks re-run
+    def test_stacked_runs_equal_lone_runs(self, algorithm, series, kind, retain_history):
+        lone = [lone_outcome(algorithm, data, kind, retain_history) for data in series]
+        q = None if algorithm == "pkf" else 2.5
+        config = RunConfig(algorithm, kind, 3, q, retain_history=retain_history)
+        summary = batch_run(config, series)  # blocks of BLOCK_ROWS; failed blocks re-run
         got = [
             o.error if o.error is not None else json.dumps(result_record(o.result))
             for o in summary.outcomes
         ]
         assert got == lone
-        event(f"{summary.n_failed} failed, {'over' if len(series) > 32 else 'within'} one block")
+        rows = BLOCK_ROWS[algorithm]
+        event(f"{summary.n_failed} failed, {'over' if len(series) > rows else 'within'} one block")
         ok = tuple(data for data, o in zip(series, summary.outcomes) if o.error is None)
         if ok:
-            block = run_pkf_block(ok, kind, 3, retain_history)
+            block = run_spec(config.spec(), ok, kind, retain_history)
             records = [text for text in lone if text.startswith("{")]
             assert [json.dumps(result_record(r)) for r in block] == records
 
