@@ -234,11 +234,12 @@ def run_adaptive_kf(
             # non-finite window moments fail here, as they did in the scalar fit
             _finite_moments(flow.mean, flow.variance)
             v_model = flow.variance
-        e_model = float(flow(f_means[t - 1]))
-        b = v_model + q
-        w = b / (b + z_vars[t])
-        f_means[t] = w * z_means[t] + (1.0 - w) * e_model
-        f_vars[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite_trajectory names the step
+            e_model = float(flow(f_means[t - 1]))
+            b = v_model + q
+            w = b / (b + z_vars[t])
+            f_means[t] = w * z_means[t] + (1.0 - w) * e_model
+            f_vars[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
     return _finite_trajectory(grid, f_means, f_vars)
 
 

@@ -165,7 +165,7 @@ def run_benchmark(
             pkf_result = result if isinstance(result, PkfResult) else None
             trajectory = result if pkf_result is None else result.final.filter
             sq_errors = squared_error_trace(trajectory, truth)
-            row = BenchmarkRow(spec, mse(trajectory, truth), trajectory, sq_errors, pkf_result)
+            row = BenchmarkRow(spec, float(np.mean(sq_errors)), trajectory, sq_errors, pkf_result)
         except Exception as exc:  # isolate per-row failures
             row = BenchmarkRow(spec, None, None, None, error=f"{type(exc).__name__}: {exc}")
         rows.append(row)
@@ -250,34 +250,39 @@ def q_ratio_summary(
                 mean_data_variance=float(np.mean(z_vars)),
             )
         )
+    return _group_ratios(tuple(entries))
 
+
+def _group_ratios(entries: tuple[QRatioEntry, ...]) -> QRatioSummary:
+    """The summary of ``entries``: the mean log ratio of each label, overall
+    and within each decile bin of the mean data variance. Bin ``d`` holds
+    the variances from its lower edge up to, but not including, its upper
+    one; the last bin also holds its upper edge, the largest variance."""
     labels = sorted({e.label for e in entries})
-    label_means = {
-        lab: float(np.mean([e.log_ratio for e in entries if e.label == lab]))
-        for lab in labels
-    }
+    codes = {label: code for code, label in enumerate(labels)}
+    label_codes = np.array([codes[e.label] for e in entries])
+    masks = {label: label_codes == code for label, code in codes.items()}
+    ratios = np.array([e.log_ratio for e in entries])
+    label_means = {label: float(np.mean(ratios[mask])) for label, mask in masks.items()}
 
     variances = np.array([e.mean_data_variance for e in entries])
     edges = _decile_edges(variances)
+    deciles = np.searchsorted(edges[1:-1], variances, side="right")
     bins = []
     for d in range(10):
-        lo, hi = edges[d], edges[d + 1]
-        if d < 9:
-            in_bin = [e for e, v in zip(entries, variances) if lo <= v < hi]
-        else:
-            in_bin = [e for e, v in zip(entries, variances) if lo <= v <= hi]
-        bin_label_means = {
-            lab: float(np.mean([e.log_ratio for e in in_bin if e.label == lab]))
-            for lab in labels
-            if any(e.label == lab for e in in_bin)
-        }
+        in_bin = deciles == d
+        bin_masks = {label: in_bin & mask for label, mask in masks.items()}
         bins.append(
             QRatioBin(
                 decile=d,
-                variance_low=float(lo),
-                variance_high=float(hi),
-                label_means=bin_label_means,
-                count=len(in_bin),
+                variance_low=float(edges[d]),
+                variance_high=float(edges[d + 1]),
+                label_means={
+                    label: float(np.mean(ratios[mask]))
+                    for label, mask in bin_masks.items()
+                    if mask.any()
+                },
+                count=int(np.count_nonzero(in_bin)),
             )
         )
-    return QRatioSummary(tuple(entries), label_means, tuple(bins))
+    return QRatioSummary(entries, label_means, tuple(bins))

@@ -301,22 +301,6 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _json_chunks(value, indent: str = "", depth: int = 2):
-    """The text of :func:`_json_text` in pieces: one per item of a non-empty
-    dict down to ``depth`` levels, so that a batch document is held one
-    series record at a time."""
-    if depth and isinstance(value, dict) and value:
-        inner = indent + "  "
-        sep = "{"
-        for key, item in value.items():
-            yield f"{sep}\n{inner}{_json_key(key)}: "
-            yield from _json_chunks(item, inner, depth - 1)
-            sep = ","
-        yield f"\n{indent}}}"
-    else:
-        yield _json_text(value, indent)
-
-
 @contextlib.contextmanager
 def _replacing(path: str, newline: str | None = None):
     """A text handle whose contents replace ``path`` when the block ends:
@@ -348,7 +332,7 @@ def _write_json(record: dict, path: str) -> None:
     """Write ``record`` as indented JSON plus a newline: the bytes of
     ``json.dump(record, handle, indent=2)``."""
     with _replacing(path) as handle:
-        handle.writelines(_json_chunks(record))
+        handle.write(_json_text(record, ""))
         handle.write("\n")
 
 
@@ -485,12 +469,18 @@ def batch_run(
 
     Series run on a worker pool of ``config.jobs`` processes; results come
     back in input order, so output is identical at any parallelism degree.
-    Per-series failures are isolated and reported in the summary. If a
-    worker process dies, every series whose outcome had not arrived fails
-    with ``WORKER_DIED``; the others keep their outcomes.
+    Each series id may appear once. Per-series failures are isolated and
+    reported in the summary. If a worker process dies, every series whose
+    outcome had not arrived fails with ``WORKER_DIED``; the others keep
+    their outcomes.
     """
     if not series:
         raise InvalidConfigError("no series to process")
+    seen: set[str] = set()
+    for data in series:  # each names one record of the results document
+        if data.series_id in seen:
+            raise InvalidConfigError(f"repeated series_id {data.series_id!r}")
+        seen.add(data.series_id)
     if config.jobs == 1:
         return BatchSummary(tuple(_execute_chunk(config, series)), tuple(skipped))
     size = max(1, len(series) // (config.jobs * 4))
@@ -507,17 +497,18 @@ def batch_run(
 
 
 def write_batch_results(summary: BatchSummary, path: str) -> None:
-    """One JSON document holding every series outcome, in input order."""
-    record = {
-        "skipped": list(summary.skipped),
-        "series": {
-            o.series_id: (
-                {"error": o.error} if o.error is not None else result_record(o.result)
-            )
-            for o in summary.outcomes
-        },
-    }
-    _write_json(record, path)
+    """One JSON document holding every series outcome, in input order: the
+    bytes of ``json.dump({"skipped": [...], "series": {...}}, indent=2)``
+    and a newline, written one series record at a time, each built as it is
+    written."""
+    with _replacing(path) as handle:
+        handle.write(f'{{\n  "skipped": {_json_text(list(summary.skipped), "  ")},\n  "series": ')
+        sep = "{"
+        for o in summary.outcomes:
+            record = {"error": o.error} if o.error is not None else result_record(o.result)
+            handle.write(f"{sep}\n    {_json_key(o.series_id)}: {_json_text(record, '    ')}")
+            sep = ","
+        handle.write("\n  }\n}\n" if summary.outcomes else "{}\n}\n")
 
 
 def _load_config_file(path: str | None) -> dict:

@@ -20,7 +20,8 @@ of:
   history), ``kf``, ``ukf`` and ``urts`` at ``q`` in {1, 10}, and ``ipls``
   at ``q`` in {1, 10} with 3 iterations. Each outcome adds its JSON record
   (``result_record``) or its error string, and each batch adds the warning
-  lines it logged under the ``pathkf`` logger, in order.
+  lines it logged under the ``pathkf`` logger, in order, and the bytes of
+  the results document that ``write_batch_results`` writes for it.
 
 A refactor that must not change results gives the same digest before and
 after it. The script uses only public names that older commits have too,
@@ -32,7 +33,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -50,7 +53,7 @@ from pathkf import (
     run_urts,
     table_specs,
 )
-from pathkf.cli import RunConfig, batch_run, result_record
+from pathkf.cli import RunConfig, batch_run, result_record, write_batch_results
 from pathkf.pkf import run_pkf_block
 
 N_MILD, N_HARSH, BLOCK = 500, 150, 10
@@ -164,6 +167,8 @@ def add_cli_batches(digest: Digest, blocks) -> None:
     warned = WarningLines()
     package_logger.addHandler(warned)
     package_logger.propagate = False
+    directory = tempfile.TemporaryDirectory()
+    document = os.path.join(directory.name, "batch.json")
     try:
         for b, block in enumerate(blocks):
             for kind in ModelKind:
@@ -171,7 +176,8 @@ def add_cli_batches(digest: Digest, blocks) -> None:
                     config = RunConfig(algorithm=algorithm, model=kind, iterations=iterations,
                                        q=q, retain_history=history)
                     label = f"{b} {kind.value} cli {algorithm} q={q}"
-                    for o in batch_run(config, tuple(block)).outcomes:
+                    summary = batch_run(config, tuple(block))
+                    for o in summary.outcomes:
                         if o.error is None:
                             digest.add_text(f"{label} {o.series_id}",
                                             json.dumps(result_record(o.result)))
@@ -179,10 +185,14 @@ def add_cli_batches(digest: Digest, blocks) -> None:
                             digest.add_text(f"{label} {o.series_id}", o.error, error=True)
                     digest.sha.update("\n".join(warned.lines).encode())
                     warned.lines.clear()
+                    write_batch_results(summary, document)
+                    with open(document, "rb") as handle:
+                        digest.sha.update(handle.read())
     finally:
         package_logger.removeHandler(warned)
         package_logger.propagate = True
         logging.disable(logging.CRITICAL)
+        directory.cleanup()
 
 
 def main() -> int:

@@ -6,8 +6,9 @@ flows, exhaustive grid search instead of closed-form minimizers, plain
 scalar Kalman recursions instead of sigma-point machinery, a plain-float
 pathspace-filter step instead of the array kernel, one replicate group at a
 time instead of the stacked summary kernel, one three-point window at a
-time instead of the spline-posterior kernel, and one regime label at a time
-instead of the array selection.
+time instead of the spline-posterior kernel, one regime label at a time
+instead of the array selection, and one list scan per ratio-summary bin and
+label instead of one binning of the whole summary.
 """
 
 from __future__ import annotations
@@ -539,3 +540,30 @@ def relaxation_step(posterior: SplinePosterior, delta: float) -> tuple[float, fl
     k_deg = float(posterior.k1_grid[best])
     steady = float(posterior.k2_values[best]) / k_deg
     return steady, math.exp(-k_deg * delta)
+
+
+def q_ratio_groups(entries) -> tuple[dict, list[tuple]]:
+    """Reference for the ratio summary's groups: the mean log ratio of each
+    label, and ``(decile, low, high, count, label means)`` of each bin of
+    the mean data variance between ``np.percentile``'s decile edges, from
+    one list scan per bin and per label."""
+    labels = sorted({e.label for e in entries})
+    label_means = {
+        lab: float(np.mean([e.log_ratio for e in entries if e.label == lab])) for lab in labels
+    }
+    variances = np.array([e.mean_data_variance for e in entries])
+    edges = np.percentile(variances, np.linspace(0.0, 100.0, 11))
+    bins = []
+    for d in range(10):
+        lo, hi = edges[d], edges[d + 1]
+        if d < 9:
+            in_bin = [e for e, v in zip(entries, variances) if lo <= v < hi]
+        else:
+            in_bin = [e for e, v in zip(entries, variances) if lo <= v <= hi]
+        bin_label_means = {
+            lab: float(np.mean([e.log_ratio for e in in_bin if e.label == lab]))
+            for lab in labels
+            if any(e.label == lab for e in in_bin)
+        }
+        bins.append((d, float(lo), float(hi), len(in_bin), bin_label_means))
+    return label_means, bins

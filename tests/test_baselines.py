@@ -1,6 +1,8 @@
 """Baseline filters/smoothers: unscented machinery and oracle equivalences."""
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pathkf import (
     InvalidParameterError,
     ModelKind,
     NumericalOverflowError,
+    PathkfError,
     ScanGrid,
     TimeGrid,
     TimeSeriesData,
@@ -277,6 +280,18 @@ class TestOverflow:
             match=r"^the linearization slope \S+ overflowed when squared at timepoint 6 \(t=2\.09",
         ):
             run_ipls(data, ModelKind.BIRTH_DEATH, q=10.0, iterations=3)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("algorithm", ["kf", "ukf", "urts", "ipls"])
+    def test_failing_run_emits_no_runtime_warning(self, algorithm, kind):
+        # the kf's birth/death model mean overflows at timepoint 2; every run
+        # either succeeds or raises a typed error, and numpy warns of nothing
+        data = series_from_groups([[v] for v in (1e-300, 1e200, 1e-300, 1e200)])
+        run = {"kf": run_adaptive_kf, "ukf": run_ukf, "urts": run_urts,
+               "ipls": lambda *args: run_ipls(*args, iterations=3)}[algorithm]
+        with warnings.catch_warnings(), contextlib.suppress(PathkfError):
+            warnings.simplefilter("error")
+            run(data, kind, 1.0)
 
 
 def test_const_reg_step_fit_failure_names_the_timepoint():

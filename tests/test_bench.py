@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,8 +34,10 @@ from pathkf import (
     GenePanelScenario,
     panel_labels,
 )
-from pathkf.bench import ALGORITHMS, _decile_edges, run_spec
+from pathkf.bench import ALGORITHMS, QRatioEntry, _decile_edges, _group_ratios, run_spec
 from pathkf.pkf import PkfResult, PkfState
+
+from oracles import q_ratio_groups
 
 
 def small_scenario(seed=1):
@@ -262,6 +264,39 @@ class TestQRatioSummary:
             results.append((labels[data.series_id], res, data))
         summary = q_ratio_summary(results)
         assert summary.label_means["dynamic"] > summary.label_means["static"]
+
+
+#: Ratio-summary entries whose variances tie, repeat decile edges, or are
+#: signed zeros or the variance floor.
+RATIO_ENTRIES = st.lists(
+    st.builds(
+        QRatioEntry,
+        series_id=st.just("s"),
+        label=st.sampled_from(["a", "b", "c"]),
+        log_ratio=st.floats(-30.0, 30.0),
+        mean_data_variance=st.sampled_from([0.0, -0.0, 1e-9, 2.0, 3.0]) | st.floats(1e-9, 1e9),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestRatioGroups:
+    """The ratio summary's label means and bins equal the list-scan oracle
+    bit for bit: each variance lands in the same bin."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(RATIO_ENTRIES)
+    @example([QRatioEntry("s", "a", 0.5, 2.0)])  # a single series
+    @example([QRatioEntry("s", "a", 1.0, -0.0), QRatioEntry("s", "b", 2.0, 0.0)] * 3)
+    def test_equals_the_list_scans(self, entries):
+        summary = _group_ratios(tuple(entries))
+        label_means, bins = q_ratio_groups(entries)
+        got = [(b.decile, b.variance_low, b.variance_high, b.count, b.label_means)
+               for b in summary.bins]
+        assert repr(summary.label_means) == repr(label_means)  # repr tells -0.0 from 0.0
+        assert repr(got) == repr(bins)
+        assert sum(b.count for b in summary.bins) == len(entries)
 
 
 class TestDecileEdges:

@@ -3,6 +3,7 @@
 import collections
 import csv
 import errno
+import functools
 import json
 import logging
 import multiprocessing
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from pathkf import (
     BirthDeathScenario,
     GroundTruth,
+    InvalidConfigError,
     ModelKind,
     PathkfError,
     TimeGrid,
@@ -32,9 +34,11 @@ import pathkf.cli
 from pathkf.bench import BenchmarkReport
 from pathkf.cli import (
     WORKER_DIED,
+    BatchSummary,
     IoError,
     ParseError,
     RunConfig,
+    SeriesOutcome,
     batch_run,
     main,
     read_labels_csv,
@@ -246,6 +250,23 @@ JSON_RECORDS = st.recursive(
 )
 
 
+@functools.cache
+def batch_results():
+    """One series' PKF result without and with its history, and its UKF trajectory."""
+    data = spiked("a")
+    return (
+        run_pkf(data, ModelKind.BIRTH_DEATH, 2),
+        run_pkf(data, ModelKind.BIRTH_DEATH, 2, retain_history=True),
+        run_ukf(data, ModelKind.BIRTH_DEATH),
+    )
+
+
+#: ``(result, error)`` of one series outcome: a result, or a failure.
+BATCH_OUTCOMES = st.integers(0, 2).map(lambda i: (batch_results()[i], None)) | st.text().map(
+    lambda error: (None, error)
+)
+
+
 class TestJsonWriter:
     @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.dictionaries(st.text(max_size=8), JSON_RECORDS, max_size=4) | JSON_RECORDS)
@@ -255,19 +276,31 @@ class TestJsonWriter:
         assert path.read_text() == json.dumps(record, indent=2) + "\n"
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "r.json"
+        # the disk fills up while the second series record is written
+        path = tmp_path / "b.json"
         path.write_text("old\n")
-        chunks = pathkf.cli._json_chunks
+        summary = batch_run(RunConfig(iterations=1), (spiked("a"), spiked("b"), spiked("c")))
+        written = []
 
-        def failing(record):
-            yield next(chunks(record))
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        def opening(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
 
-        monkeypatch.setattr(pathkf.cli, "_json_chunks", failing)
+            def filling(text):
+                if '\n    "b": ' in text:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+                return write(text)
+
+            handle.write = filling
+            return handle
+
+        monkeypatch.setattr(pathkf.cli, "open", opening, raising=False)
         with pytest.raises(IoError, match="^cannot write .*No space left on device"):
-            pathkf.cli._write_json({"a": [1.0, 2.0], "b": 3}, str(path))
+            write_batch_results(summary, str(path))
+        assert any('\n    "a": ' in text for text in written)
         assert path.read_text() == "old\n"
-        assert os.listdir(tmp_path) == ["r.json"]
+        assert os.listdir(tmp_path) == ["b.json"]
 
     def test_unserializable_record_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):
@@ -293,16 +326,23 @@ class TestJsonWriter:
         assert existing.read_text() == "b\n"
         assert stat.S_IMODE(existing.stat().st_mode) == 0o640
 
-    def test_batch_document_equals_json_dump(self, tmp_path):
-        summary = batch_run(RunConfig(iterations=2), (spiked("a"), spiked("b", 1e300), spiked("c")), ("s",))
-        assert summary.n_failed == 1
+    @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.dictionaries(st.text(max_size=6), BATCH_OUTCOMES, max_size=6),
+        st.lists(st.text(max_size=6), max_size=3),
+    )
+    def test_batch_document_equals_json_dump(self, tmp_path, outcomes, skipped):
+        summary = BatchSummary(
+            tuple(SeriesOutcome(i, result, error) for i, (result, error) in outcomes.items()),
+            tuple(skipped),
+        )
+        series = {
+            i: {"error": error} if error is not None else result_record(result)
+            for i, (result, error) in outcomes.items()
+        }
+        expected = json.dumps({"skipped": skipped, "series": series}, indent=2) + "\n"
         path = tmp_path / "b.json"
         write_batch_results(summary, str(path))
-        series = {
-            o.series_id: {"error": o.error} if o.error else result_record(o.result)
-            for o in summary.outcomes
-        }
-        expected = json.dumps({"skipped": ["s"], "series": series}, indent=2) + "\n"
         assert path.read_text() == expected
 
 
@@ -384,6 +424,11 @@ class TestBatchRun:
         assert pooled.pop("g5") == {"error": WORKER_DIED}
         serial.pop("g5")
         assert pooled == serial
+
+    def test_repeated_series_id_rejected(self):
+        series = (spiked("g"), spiked("h"), spiked("g", 50.0))
+        with pytest.raises(InvalidConfigError, match="^repeated series_id 'g'$"):
+            batch_run(RunConfig(iterations=1), series)
 
     def test_skipped_series_reported_others_complete(self, tmp_path):
         path = panel_csv(tmp_path, n_series=3, broken=True)
