@@ -27,7 +27,6 @@ from .bench import (
 )
 from .core import (
     VARIANCE_FLOOR,
-    DegeneratePosteriorError,
     GaussianEstimate,
     GroundTruth,
     InvalidConfigError,

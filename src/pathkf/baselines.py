@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     VARIANCE_FLOOR,
     GaussianEstimate,
-    InvalidDataError,
     InvalidParameterError,
     NumericalOverflowError,
     TimeSeriesData,
@@ -87,12 +86,6 @@ def _finite_trajectory(grid, means: np.ndarray, variances: np.ndarray) -> Trajec
             f"filter estimate left the finite range at timepoint {t} (t={grid.times[t]})"
         )
     return Trajectory(grid, means, variances)
-
-
-def _finite_moments(mean: float, variance: float) -> None:
-    """The finiteness check of a :class:`GaussianEstimate`, without one."""
-    if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise InvalidDataError("mean and variance must be finite")
 
 
 def _unscented_moments(mean: float, variance: float, f) -> tuple[float, float, float]:
@@ -171,7 +164,8 @@ class FlowStepDynamics:
     scan: ScanGrid = ScanGrid()
 
     def step_map(self, times: np.ndarray, ref_means: np.ndarray, index: int):
-        """Transition map into ``index``, fitted on ``ref_means``."""
+        """Transition map into ``index``, fitted on ``ref_means``. A fit whose
+        posterior mean left the finite range raises :class:`NumericalOverflowError`."""
         if index < 2:
             return lambda x: x
         delta = float(times[index] - times[index - 1])
@@ -189,8 +183,10 @@ class FlowStepDynamics:
         into = np.array([index])
         fit = fit_spline_posterior(
             self.kind, self.scan, times, into - 2, into - 1, into, ref_means,
-            self.z_means[into], self.z_vars[into], check_moments=False,
+            self.z_means[into], self.z_vars[into],
         )
+        if not math.isfinite(fit.means[0]):  # the callers name the timepoint
+            raise NumericalOverflowError("the model fit left the finite range")
         best = int(np.argmax(fit.weights[0]))
         k_deg = float(fit.k_deg[0, best])
         # k_exp / k_deg as the scalar fit derived it; reading steady differs in the last bit
@@ -229,11 +225,7 @@ def run_adaptive_kf(
             flow = dynamics.step_map(grid.times, z_means, t)
         except NumericalOverflowError as exc:
             raise _overflow_at(exc, grid.times, t) from exc
-        v_model = VARIANCE_FLOOR
-        if kind is ModelKind.CONSTANT_REGULATION:
-            # non-finite window moments fail here, as they did in the scalar fit
-            _finite_moments(flow.mean, flow.variance)
-            v_model = flow.variance
+        v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
         with np.errstate(over="ignore", invalid="ignore"):  # _finite_trajectory names the step
             e_model = float(flow(f_means[t - 1]))
             b = v_model + q
@@ -257,14 +249,16 @@ def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, 
     m, p, m_pred, p_pred, cross = (np.zeros(n) for _ in range(5))
     m[0] = z_means[0]
     p[0] = max(z_vars[0], VARIANCE_FLOOR)
-    for t in range(1, n):
-        try:
-            m_pred[t], p_pred[t], cross[t] = predict(t, m, p)
-        except NumericalOverflowError as exc:
-            raise _overflow_at(exc, times, t) from exc
-        gain = p_pred[t] / (p_pred[t] + z_vars[t])
-        m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
-        p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
+    # what overflows here fails the next step map or _finite_trajectory
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, n):
+            try:
+                m_pred[t], p_pred[t], cross[t] = predict(t, m, p)
+            except NumericalOverflowError as exc:
+                raise _overflow_at(exc, times, t) from exc
+            gain = p_pred[t] / (p_pred[t] + z_vars[t])
+            m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
+            p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
     return m, p, m_pred, p_pred, cross
 
 
@@ -272,10 +266,11 @@ def _rts_backward(m, p, m_pred, p_pred, cross) -> tuple[np.ndarray, np.ndarray]:
     """The Rauch-Tung-Striebel backward pass over a ``_kalman_forward`` run."""
     ms = m.copy()
     ps = p.copy()
-    for t in range(len(m) - 2, -1, -1):
-        gain = cross[t + 1] / p_pred[t + 1]
-        ms[t] = m[t] + gain * (ms[t + 1] - m_pred[t + 1])
-        ps[t] = max(p[t] + gain**2 * (ps[t + 1] - p_pred[t + 1]), VARIANCE_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _kalman_forward
+        for t in range(len(m) - 2, -1, -1):
+            gain = cross[t + 1] / p_pred[t + 1]
+            ms[t] = m[t] + gain * (ms[t + 1] - m_pred[t + 1])
+            ps[t] = max(p[t] + gain**2 * (ps[t + 1] - p_pred[t + 1]), VARIANCE_FLOOR)
     return ms, ps
 
 
@@ -285,7 +280,6 @@ def _unscented_predict(dynamics, times: np.ndarray, q: float):
 
     def predict(t, m, p):
         f = dynamics.step_map(times, m, t)
-        _finite_moments(m[t - 1], p[t - 1])
         mean, variance, cross = _unscented_moments(m[t - 1], p[t - 1], f)
         return mean, variance + q, cross
 

@@ -511,7 +511,10 @@ def write_batch_results(summary: BatchSummary, path: str) -> None:
         handle.write("\n  }\n}\n" if summary.outcomes else "{}\n}\n")
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, keys) -> dict:
+    """The JSON object at ``path``, or ``{}`` without one. It may hold only
+    ``keys``, the keys its command reads; the first other key is rejected
+    before any value is read."""
     if path is None:
         return {}
     try:
@@ -523,6 +526,9 @@ def _load_config_file(path: str | None) -> dict:
         raise InvalidConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise InvalidConfigError("config file must hold a JSON object")
+    for key in loaded:
+        if key not in keys:
+            raise InvalidConfigError(f"unknown config key {key!r}")
     return loaded
 
 
@@ -582,12 +588,22 @@ _BIRTH_DEATH_KEYS = {"n0": float, "t_end": float, "dt": float, "replicates": int
 _GENE_PANEL_KEYS = {
     "n_genes": int, "n_timepoints": int, "spacing": float, "replicates": int, "noise_level": float,
 }
+_SCHEDULE_KEYS = ("birth", "death", "noise")
+
+#: Every config-file key of each scenario, for ``simulate`` (``bench`` runs
+#: birth-death).
+_SCENARIO_KEYS = {
+    "birth-death": {*_BIRTH_DEATH_KEYS, *_SCHEDULE_KEYS, "seed"},
+    "gene-panel": {*_GENE_PANEL_KEYS, "seed"},
+}
+#: Every config-file key of ``run``, ``batch`` and ``convergence``.
+_RUN_KEYS = {"algorithm", "model", "iterations", "q", "jobs", "retain_history", "input", "output"}
 
 
 def _birth_death_scenario(config: dict, seed: int | None) -> BirthDeathScenario:
     return BirthDeathScenario(**_given(
         **{key: _resolve(None, config, key, kind) for key, kind in _BIRTH_DEATH_KEYS.items()},
-        **{key: _schedule_from_config(config, key) for key in ("birth", "death", "noise")},
+        **{key: _schedule_from_config(config, key) for key in _SCHEDULE_KEYS},
         seed=_resolve(seed, config, "seed", int),
     ))
 
@@ -636,7 +652,7 @@ def main(verbose: bool):
 @click.option("--config", "config_path", default=None, help="JSON scenario configuration.")
 def simulate(scenario, seed, output, truth_path, labels_path, config_path):
     """Generate synthetic data and write it as CSV."""
-    config = _load_config_file(config_path)
+    config = _load_config_file(config_path, _SCENARIO_KEYS[scenario])
     if scenario == "birth-death":
         sc = _birth_death_scenario(config, seed)
         truth, data = simulate_birth_death(sc)
@@ -657,7 +673,7 @@ def simulate(scenario, seed, output, truth_path, labels_path, config_path):
 def _run_batch_command(
     algorithm, model, iterations, q, input_path, output, jobs, retain_history, config_path,
 ) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
-    config_file = _load_config_file(config_path)
+    config_file = _load_config_file(config_path, _RUN_KEYS)
     q = _resolve(q, config_file, "q", float)
     model = _resolve(model, config_file, "model")
     if model not in (None, *MODEL_CHOICES):
@@ -746,7 +762,7 @@ def batch(algorithm, labels_path, summary_path, **options):
 @click.option("--config", "config_path", default=None, help="JSON scenario configuration.")
 def bench(seed, output, trajectories_path, config_path):
     """Reproduce the method-comparison table on the synthetic benchmark."""
-    config = _load_config_file(config_path)
+    config = _load_config_file(config_path, _SCENARIO_KEYS["birth-death"])
     scenario = _birth_death_scenario(config, seed)
     report = run_benchmark(scenario, table_specs())
     write_result(report, output)

@@ -49,10 +49,6 @@ class NumericalOverflowError(PathkfError):
         self.index = index
 
 
-class DegeneratePosteriorError(PathkfError):
-    """Every candidate in a posterior scan received zero weight."""
-
-
 def _setstate_readonly(self, state: dict) -> None:
     """``__setstate__`` of the value types pickled by their state: pickle
     rebuilds numpy arrays writable, so each array in ``state`` is marked
@@ -144,7 +140,8 @@ class TimeSeriesData:
         if not finite.all():
             first = int(np.searchsorted(ends, np.argmin(finite), side="right"))
             raise InvalidDataError(f"{self._where(first)}: samples must be finite")
-        means, variances = _summarize_replicates(values, counts)
+        with np.errstate(over="ignore", invalid="ignore"):  # a spread past the range fails below
+            means, variances = _summarize_replicates(values, counts)
         summarized = np.isfinite(means) & np.isfinite(variances)
         if not summarized.all():
             raise InvalidDataError(

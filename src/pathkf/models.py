@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import (
     VARIANCE_FLOOR,
-    DegeneratePosteriorError,
     InvalidDataError,
     InvalidParameterError,
     NumericalOverflowError,
@@ -148,21 +147,6 @@ def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid):
     return tables
 
 
-#: What a window fails with, by the stage that fails first: the target
-#: estimate, the anchors, the steady state, the predictions, then the
-#: posterior moments. These are the errors of the scalar window fit, which
-#: has already logged the uniform-weights warning from stage 4 on.
-_WINDOW_FAILURES = (
-    (InvalidDataError, "mean and variance must be finite"),
-    (InvalidDataError, "variance must be non-negative"),
-    (InvalidDataError, "window times and values must be finite"),
-    (InvalidParameterError, "k_deg too small: the anchor decay denominator underflowed"),
-    (DegeneratePosteriorError, "model fit failed at timepoint {index} (t={time}): "
-     "spline predictions left the finite range"),
-    (InvalidDataError, "mean and variance must be finite"),
-)
-
-
 class SplineFit(NamedTuple):
     """The spline posterior of every window of a layout, one row per window:
     weights, the scanned ``k_deg`` and steady state ``k_exp / k_deg`` of each
@@ -183,8 +167,7 @@ def uniform_posterior(num: int) -> np.ndarray:
 
 
 def fit_spline_posterior(
-    kind: ModelKind, scan: ScanGrid, times, ia, ib, targets, anchors, means, variances,
-    *, check_moments: bool = True,
+    kind: ModelKind, scan: ScanGrid, times, ia, ib, targets, anchors, means, variances
 ) -> SplineFit:
     """Spline posterior of every window of a layout, as one array kernel.
 
@@ -205,9 +188,9 @@ def fit_spline_posterior(
     and every reduction runs along the last, C-contiguous axis.
 
     A window whose weights all vanish falls back to :func:`uniform_posterior`
-    (logged). Any deeper failure raises the error of ``_WINDOW_FAILURES`` for
-    the first failing window, in row-major order; ``check_moments=False``
-    leaves the moments unchecked, for callers that read only the weights.
+    (logged). The kernel raises nothing of its own: a window whose steady
+    state or predictions left the finite range gets non-finite moments, and
+    the caller, which knows the series and the timepoint, checks what it reads.
 
     Birth/death predictions do not depend on the scanned parameter, so its
     posterior collapses to the closed form ``va * exp(growth * (t - ta))``
@@ -263,41 +246,12 @@ def fit_spline_posterior(
         np.square(scratch, out=scratch)
         np.multiply(scratch, weights, out=scratch)
         out_vars = np.sum(scratch, axis=-1)
-        # a sum is finite only if every entry is, and a non-finite steady state
-        # or prediction makes the moments non-finite: this clears every stage
-        clean = variances.min() >= 0.0 and math.isfinite(
-            means.sum() + variances.sum() + xa.sum() + xb.sum() + out_means.sum() + out_vars.sum()
-        )
-
-    # windows in row-major order: the j-th has target targets[j % len(targets)]
-    first, stage, warned = degenerate.size, -1, degenerate
-    if not clean:
-        bad_predictions = ~np.all(np.isfinite(predictions), axis=-1)
-        failures = [  # one row per entry of _WINDOW_FAILURES
-            ~(np.isfinite(means) & np.isfinite(variances)),
-            variances < 0,
-            ~(np.isfinite(xa) & np.isfinite(xb)),
-            np.zeros_like(degenerate) if steady is None else ~np.all(np.isfinite(steady), axis=-1),
-            bad_predictions,
-        ]
-        if check_moments:
-            failures.append(~(np.isfinite(out_means) & np.isfinite(out_vars)))
-        failures = np.stack(failures).reshape(len(failures), -1)
-        failed = failures.any(axis=0)
-        if failed.any():
-            first = int(np.argmax(failed))
-            stage = int(np.argmax(failures[:, first]))
-        warned = degenerate | bad_predictions
-    if fallback or stage >= 0:
-        for j in np.flatnonzero(warned.reshape(-1)[: first + 1 if stage >= 4 else first]):
+    if fallback:  # windows in row-major order: the j-th targets targets[j % len(targets)]
+        for j in np.flatnonzero(degenerate.reshape(-1)):
             logger.warning(
                 "degenerate spline posterior at t=%s; using uniform weights",
                 times[targets[j % len(targets)]],
             )
-    if stage >= 0:
-        target = targets[first % len(targets)]
-        error, message = _WINDOW_FAILURES[stage]
-        raise error(message.format(index=target, time=times[target]))
     return SplineFit(weights, k_deg, steady, out_means, np.maximum(out_vars, VARIANCE_FLOOR))
 
 

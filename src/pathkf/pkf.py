@@ -218,10 +218,11 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
 
     The loop calls the unchecked kernels of :func:`pkf_weights` and
     :func:`update_process_uncertainty`: their inputs are finite and
-    non-negative by construction, except the model variances that a custom
-    predictor returns. One test per iteration finds a bad model variance,
-    an overflowed weight denominator or a non-finite update, and raises the
-    error the public entry would.
+    non-negative by construction, except the model moments, which a fit
+    that overflowed leaves non-finite and a custom predictor may return
+    negative. One test per iteration finds a non-finite model prediction, a
+    negative model variance, an overflowed weight denominator or a
+    non-finite update, and raises the error the public entry would.
 
     Returns ``(steps, max_abs_dq, max_filter_variance)``: ``steps`` holds
     ``(iteration, means, variances, q, weights)`` after every iteration,
@@ -254,8 +255,14 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
             # new Q is; a sum is finite only if every term is
             total = (dq + vmax).sum() + new_means.sum() + denom.sum()
             if not (b.min() >= 0.0 and math.isfinite(total)):  # NaN fails too
-                # raise as the public entries would, in their order: a custom
-                # model's variances, then the weights, then the update
+                # the model's moments, then as the public entries would, in
+                # their order: the model variances, the weights, the update
+                bad = ~(np.isfinite(m_means) & np.isfinite(m_vars))
+                if bad.any():
+                    raise NumericalOverflowError(
+                        f"{_where(series, _first(bad))}: the model prediction left the finite "
+                        f"range at iteration {i}"
+                    )
                 _rows_within(
                     (b,), ("v_model_plus_q",), _FLOAT_MAX, "must be finite and non-negative"
                 )

@@ -87,6 +87,9 @@ class BirthDeathScenario:
             raise InvalidConfigError("dt and t_end must be positive")
         if self.replicates < 1:
             raise InvalidConfigError("replicates must be at least 1")
+        for value in self.noise.values:
+            if not value >= 0:
+                raise InvalidConfigError(f"noise values must be non-negative, got {value}")
         for schedule in (self.birth, self.death, self.noise):
             schedule.check_covers(0.0, self.t_end)
 
@@ -167,6 +170,10 @@ class GenePanelScenario:
             raise InvalidConfigError("replicates must be at least 1")
         t_end = self.times[-1]
         for gene in self.genes:
+            if not gene.noise_sd >= 0:
+                raise InvalidConfigError(
+                    f"{gene.gene_id} noise_sd must be non-negative, got {gene.noise_sd}"
+                )
             gene.expression.check_covers(self.times[0], t_end)
             gene.degradation.check_covers(self.times[0], t_end)
 
@@ -183,10 +190,16 @@ class GenePanelScenario:
         """Half-dynamic, half-static panel with randomized per-gene rates.
 
         Static genes hold constant rates and start at steady state; dynamic
-        genes step their expression rate at a random interior timepoint.
-        Noise standard deviation is ``noise_level`` times the initial steady
-        state.
+        genes step their expression rate at a random interior timepoint, from
+        the fourth on. Noise standard deviation is ``noise_level`` times the
+        initial steady state.
         """
+        if n_timepoints < 4:
+            raise InvalidConfigError(f"n_timepoints must be at least 4, got {n_timepoints}")
+        if not spacing > 0:
+            raise InvalidConfigError(f"spacing must be positive, got {spacing}")
+        if not noise_level >= 0:
+            raise InvalidConfigError(f"noise_level must be non-negative, got {noise_level}")
         rng = np.random.default_rng(seed)
         times = tuple(spacing * i for i in range(n_timepoints))
         genes = []

@@ -23,15 +23,20 @@ import numpy as np
 
 from pathkf import (
     VARIANCE_FLOOR,
-    DegeneratePosteriorError,
     GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
     ModelKind,
+    PathkfError,
     RegimeLabel,
     ScanGrid,
 )
 from pathkf.models import POSITIVE_VALUE_FLOOR
+
+
+class DegeneratePosteriorError(PathkfError):
+    """The scalar window fit's error: every spline weight vanished, or a
+    prediction left the finite range."""
 
 
 def rk4_integrate(deriv, x0: float, t0: float, t1: float, steps: int = 4096) -> float:

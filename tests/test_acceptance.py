@@ -41,7 +41,9 @@ from oracles import (
     linear_rts,
     rk4_integrate,
 )
-from test_models import random_window, roundtrip_error, spied_kernel
+from test_models import (
+    CANCELLING_WINDOW, random_window, roundtrip_error, seeded_rng, spied_kernel,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -187,11 +189,13 @@ def three_point_path(window):
 
 
 def test_criterion_7_model_analytics_suite():
-    # h-function round trips: 1000 fuzz cases per kind per fit position
-    worst_roundtrip = 0.0
+    # h-function round trips: a window with an anchor near zero, then 1000
+    # fuzz cases per kind per fit position
+    window, k1 = CANCELLING_WINDOW
+    worst_roundtrip = roundtrip_error(window, ModelKind.CONSTANT_REGULATION, k1)
     for kind in ModelKind:
         for pos in FitPosition:
-            rng = np.random.default_rng(hash((kind.value, pos.value, 7)) % 2**32)
+            rng = seeded_rng(kind.value, pos.value, 7)
             for _ in range(1000):
                 window = random_window(rng, kind, pos)
                 if kind is ModelKind.BIRTH_DEATH:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from pathkf import (
     VARIANCE_FLOOR,
-    DegeneratePosteriorError,
     GaussianEstimate,
     InvalidParameterError,
     ModelKind,
@@ -296,18 +295,21 @@ class TestOverflow:
 
 def test_const_reg_step_fit_failure_names_the_timepoint():
     # anchors of opposite sign near the float limit and a high-rate scan give
-    # a finite steady state but predictions that overflow
+    # a finite steady state but predictions that overflow: the step map
+    # raises, and the filters that call it name the timepoint
     vals = [1.7e308, 1.7e308, -1.7e308, 0.0]
     data = series_from_groups([[v] for v in vals])
     z_means, z_vars = data.summaries()
     scan = ScanGrid(num=5, k_min=5.0, k_max=50.0)
     dynamics = FlowStepDynamics(ModelKind.CONSTANT_REGULATION, z_means, z_vars, scan)
-    with np.errstate(all="ignore"), pytest.raises(
-        DegeneratePosteriorError,
-        match=r"^model fit failed at timepoint 3 \(t=3\.0\): spline predictions left "
-        r"the finite range$",
-    ):
+    with pytest.raises(NumericalOverflowError, match=r"^the model fit left the finite range$"):
         dynamics.step_map(data.grid.times, z_means, 3)
+    for run in (run_adaptive_kf, run_ukf):
+        with pytest.raises(
+            NumericalOverflowError,
+            match=r"^the model fit left the finite range at timepoint 3 \(t=3\.0\)$",
+        ):
+            run(data, ModelKind.CONSTANT_REGULATION)
 
 
 def count_fitted_windows(monkeypatch):

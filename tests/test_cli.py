@@ -8,13 +8,14 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 import stat
 import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pathkf import (
@@ -31,7 +32,7 @@ from pathkf import (
     simulate_birth_death,
 )
 import pathkf.cli
-from pathkf.bench import BenchmarkReport
+from pathkf.bench import ALGORITHMS, BenchmarkReport
 from pathkf.cli import (
     WORKER_DIED,
     BatchSummary,
@@ -370,6 +371,37 @@ def spiked(series_id, spike=None):
     return TimeSeriesData(series_id, TimeGrid(np.arange(8.0)), tuple(groups))
 
 
+#: Far-out replicate values the CSV reader accepts, and those of them whose
+#: spread from ordinary values still has a finite variance.
+SPIKES = (1e150, -1e150, 1e200, -1e200, 1e250, 1e300, 1e-300)
+MIXING_SPIKES = (1e150, -1e150, 1e-300)
+
+
+@st.composite
+def harsh_series(draw):
+    """A series that ``TimeSeriesData`` accepts: 4-14 timepoints of 1-3
+    replicates, ordinary values mixed with :data:`SPIKES`. A spiked timepoint
+    holds 1-3 copies of its spike, and ordinary values too if it mixes."""
+    n = draw(st.integers(4, 14))
+    gaps = draw(st.lists(st.floats(0.1, 3.0), min_size=n - 1, max_size=n - 1))
+    groups = []
+    for _ in range(n):
+        spike = draw(st.sampled_from((None,) * 10 + SPIKES))
+        copies = 0 if spike is None else draw(st.integers(1, 3))
+        room = 0 if spike not in (None, *MIXING_SPIKES) else 3 - copies
+        ordinary = draw(st.lists(st.floats(-100.0, 100.0), min_size=0 if copies else 1,
+                                 max_size=room))
+        groups.append(np.array([spike] * copies + ordinary))
+    return TimeSeriesData("x", TimeGrid(np.cumsum([0.0, *gaps])), tuple(groups))
+
+
+#: The series of a const-reg failure that once blamed the data: 14
+#: timepoints, the fifth two replicates of 1e300.
+SPIKE_PAIR = TimeSeriesData("x", TimeGrid(2.0 * np.arange(14)), tuple(
+    np.array([1e300, 1e300]) if t == 4 else np.array([10.0 + t, 10.5 + t]) for t in range(14)
+))
+
+
 def warning_lines(caplog, action):
     """The warning lines logged while ``action()`` runs, in order."""
     caplog.clear()
@@ -487,6 +519,26 @@ class TestBatchRun:
         assert [o.error is None for o in summary.outcomes] == [True, False, True]
         assert calls == {"a": 1, "bad": 1, "c": 1}
 
+    @settings(deadline=None, max_examples=100)
+    @example(data=SPIKE_PAIR)
+    @given(data=harsh_series())
+    def test_every_run_is_finite_or_a_located_overflow(self, data):
+        # a series the reader accepts gives finite results, or an overflow
+        # that names where it happened, never an error blaming the data
+        timepoint = r"timepoint \d+ \(t=[^)]+\)"
+        for algorithm in ALGORITHMS:
+            where = (f"series 'x': {timepoint}: .* at iteration \\d+$" if algorithm == "pkf"
+                     else f".*{timepoint}")
+            for kind in ModelKind:
+                config = RunConfig(algorithm=algorithm, model=kind, iterations=2)
+                (outcome,) = batch_run(config, (data,)).outcomes
+                if outcome.error is None:
+                    assert all(np.isfinite(a).all() for a in arrays_in(outcome.result))
+                else:
+                    assert re.match(f"^NumericalOverflowError: {where}", outcome.error), (
+                        algorithm, kind, outcome.error
+                    )
+
     def test_baseline_matches_direct_call(self, tmp_path):
         series, _ = read_series_csv(panel_csv(tmp_path, n_series=2))
         summary = batch_run(RunConfig(algorithm="ukf"), series)
@@ -557,13 +609,16 @@ class TestJobsInvariance:
         assert written["series"] == {}
 
 
-#: Bad config-file values with their errors, in the order the checks run:
-#: the file holding the values of one entry and of every entry after it
-#: reports that entry's error. Where two entries set one key, the earlier
-#: one's value is in the file.
+#: Bad config-file keys and values with their errors, in the order the
+#: checks run: the file holding the values of one entry and of every entry
+#: after it reports that entry's error. Where two entries set one key, the
+#: earlier one's value is in the file. A key the command does not read is
+#: rejected before any value is read.
 _SCHEDULE = 'a schedule {"breaks": [numbers], "values": [numbers]}'
+_NEGATIVE_NOISE = {"breaks": [0], "values": [-1.0]}
 CONFIG_ERRORS = {
     ("run",): [
+        ("iteration", 3, "unknown config key 'iteration'"),
         ("q", "x", "config 'q' must be a number, got 'x'"),
         ("model", 3, "config 'model' must be a string, got 3"),
         ("model", "nope", "unknown model 'nope'"),
@@ -578,18 +633,28 @@ CONFIG_ERRORS = {
         ("output", 3, "config 'output' must be a string, got 3"),
     ],
     ("simulate",): [
+        ("replicate", 3, "unknown config key 'replicate'"),
         ("n0", "a", "config 'n0' must be a number, got 'a'"),
         ("replicates", 1.5, "config 'replicates' must be an integer, got 1.5"),
         ("birth", 3, f"config 'birth' must be {_SCHEDULE}, got 3"),
         ("noise", {"breaks": [0.0]}, f"config 'noise' must be {_SCHEDULE}, got {{'breaks': [0.0]}}"),
         ("seed", "x", "config 'seed' must be an integer, got 'x'"),
         ("dt", 0.0, "dt and t_end must be positive"),
+        ("noise", _NEGATIVE_NOISE, "noise values must be non-negative, got -1.0"),
     ],
     ("simulate", "--scenario", "gene-panel"): [
+        ("noise", _NEGATIVE_NOISE, "unknown config key 'noise'"),
         ("n_genes", 1.5, "config 'n_genes' must be an integer, got 1.5"),
         ("noise_level", "a", "config 'noise_level' must be a number, got 'a'"),
         ("seed", "x", "config 'seed' must be an integer, got 'x'"),
+        ("n_timepoints", 3, "n_timepoints must be at least 4, got 3"),
+        ("spacing", 0, "spacing must be positive, got 0"),
+        ("noise_level", -1, "noise_level must be non-negative, got -1"),
         ("replicates", 0, "replicates must be at least 1"),
+    ],
+    ("bench",): [
+        ("n_genes", 8, "unknown config key 'n_genes'"),
+        ("noise", _NEGATIVE_NOISE, "noise values must be non-negative, got -1.0"),
     ],
 }
 
@@ -598,7 +663,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", list(CONFIG_ERRORS))
     def test_config_errors_report_in_a_fixed_order(self, tmp_path, command):
         entries = CONFIG_ERRORS[command]
-        output = ["--output", str(tmp_path / "out.csv")] if command[0] == "simulate" else []
+        output = ["--output", str(tmp_path / "out.csv")] if command[0] != "run" else []
         for i, (key, _, message) in enumerate(entries):
             config = {k: value for k, value, _ in reversed(entries[i:])}
             path = write_text(tmp_path / "config.json", json.dumps(config))

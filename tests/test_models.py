@@ -2,6 +2,7 @@
 
 import logging
 import math
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ import pathkf.models
 
 from pathkf import (
     VARIANCE_FLOOR,
-    DegeneratePosteriorError,
     GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
@@ -32,6 +32,7 @@ from pathkf.baselines import FlowStepDynamics
 from pathkf.models import fit_spline_posterior as kernel
 
 from oracles import (
+    DegeneratePosteriorError,
     FitPosition,
     SplinePosterior,
     Window,
@@ -183,7 +184,9 @@ def random_window(rng, kind, pos):
 
 
 def roundtrip_error(window, kind, k1):
-    """Relative error of the flow through the solved pair at the later anchor."""
+    """Error of the flow through the solved pair at the later anchor, relative
+    to the window scale: an anchor near zero leaves the absolute error of
+    the larger one, which cancellation makes large against the small one."""
     (ta, va), (tb, vb) = window.ordered_anchors()
     pos = window.position()
     if kind is ModelKind.BIRTH_DEATH:
@@ -192,14 +195,32 @@ def roundtrip_error(window, kind, k1):
     else:
         k2 = solve_k_exp(k1, window, pos)
         reproduced = flow_const_reg(va, k2, k1, tb - ta)
-    return abs(reproduced - vb) / max(abs(vb), 1e-12)
+    return abs(reproduced - vb) / max(abs(va), abs(vb), 1e-12)
+
+
+def seeded_rng(*key) -> np.random.Generator:
+    """A generator seeded from ``key``, the same in every process (unlike ``hash``)."""
+    return np.random.default_rng(zlib.crc32(repr(key).encode()))
+
+
+#: A const-reg left-endpoint window whose later anchor is near zero, and its
+#: scan value: the flow from 38.8 lands on -8e-4 with an absolute error of
+#: 3.3e-12, which is 4.1e-9 of that anchor but 8.5e-14 of the window scale.
+CANCELLING_WINDOW = (
+    Window((1.6032, 38.781), (1.7132, -0.000807), (1.2442, GaussianEstimate(5.36, 3.79))),
+    0.00953,
+)
 
 
 class TestRoundTrips:
+    def test_anchor_near_zero(self):
+        window, k1 = CANCELLING_WINDOW
+        assert roundtrip_error(window, ModelKind.CONSTANT_REGULATION, k1) < 1e-9
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("pos", list(FitPosition))
     def test_solver_flow_round_trip_fuzz(self, kind, pos):
-        rng = np.random.default_rng(hash((kind.value, pos.value)) % 2**32)
+        rng = seeded_rng(kind.value, pos.value)
         for _ in range(1000):
             window = random_window(rng, kind, pos)
             if kind is ModelKind.BIRTH_DEATH:
@@ -407,7 +428,7 @@ class TestPathKernel:
     @pytest.mark.parametrize(
         "kind, times, means, variances",
         [
-            # window 3 anchors on the NaN before window 4 targets it
+            # windows 3 and 5 anchor on the NaN, and window 4 targets it
             (ModelKind.CONSTANT_REGULATION, range(6), [1, 2, 3, 4, np.nan, 5], [1] * 6),
             (ModelKind.BIRTH_DEATH, range(5), [1, 2, 3, 4, 5], [1, 1, -1, 1, 1]),
             (ModelKind.BIRTH_DEATH, [0, 1, 1.001, 2], [1, 1e-6, 1, 1], [1] * 4),
@@ -415,19 +436,31 @@ class TestPathKernel:
             (ModelKind.CONSTANT_REGULATION, range(5), [1, 1, 1e160, 1, 1], [1] * 5),
         ],
     )
-    def test_failures_match_the_scalar_fit(self, kind, times, means, variances, caplog):
+    def test_failures_match_the_scalar_fit(self, kind, times, means, variances):
+        # the kernel raises nothing: each window the scalar fit completes keeps
+        # its moments, and each window whose scalar fit fails is non-finite
         grid = TimeGrid(np.asarray(times, dtype=float))
         means = np.asarray(means, dtype=float)
         variances = np.asarray(variances, dtype=float)
-        with caplog.at_level("WARNING", logger="pathkf.models"):
-            with np.errstate(all="ignore"), pytest.raises(PathkfError) as ref:
-                scalar_predict_path(kind, grid, means, variances)
-            ref_warnings = caplog.messages
-            caplog.clear()
-            with pytest.raises(type(ref.value)) as got:
-                SplinePathModel(kind).predict_path(grid, means, variances)
-        assert str(got.value) == str(ref.value)
-        assert caplog.messages == ref_warnings
+        got_means, got_vars = SplinePathModel(kind).predict_path(grid, means, variances)
+        finite = np.isfinite(got_means) & np.isfinite(got_vars)
+        failures = 0
+        for t in range(len(grid)):
+            ref, error, _ = outcome(lambda: fit_windows(
+                kind, grid.times, [t], lambda i: window_at(grid, means, variances, i, kind)
+            )[1][0])
+            failures += error is not None
+            if error is None:
+                np.testing.assert_allclose(
+                    [got_means[t], got_vars[t]], [ref.mean, ref.variance], rtol=1e-12
+                )
+            elif np.isfinite(means[t]) and variances[t] >= 0:
+                assert not finite[t], error
+            # else the scalar fit rejects the target estimate itself, which no
+            # filter passes (its paths are finite, its variances floored); the
+            # kernel scores it as given: a NaN target takes the uniform
+            # fallback, a negative variance the floor
+        assert failures
 
     def test_results_do_not_depend_on_the_memo(self):
         rng = np.random.default_rng(4)
@@ -533,7 +566,8 @@ def assert_rows_match(fit, row, posterior):
 
 class TestKernelAgainstScalarFit:
     """The constant-regulation kernel equals the scalar window fit bit for bit
-    on both window layouts, including its fallbacks, warnings and errors.
+    on both window layouts, fallbacks and their warnings included, wherever
+    that fit completes; where it fails, the kernel's moments are non-finite.
     Birth/death is a closed form of that fit and is compared within rounding
     in ``TestPathKernel``."""
 
@@ -545,19 +579,26 @@ class TestKernelAgainstScalarFit:
         patch, fits = spied_kernel(pathkf.models)
         with patch:
             got = outcome(lambda: SplinePathModel(CONST_REG).predict_path(grid, means, variances))
-        ref = outcome(lambda: fit_windows(
-            CONST_REG, times, range(len(times)),
-            lambda t: window_at(grid, means, variances, t, CONST_REG),
-        ))
-        assert got[1:] == ref[1:]
-        event(f"{len(ref[2])} fallbacks, error {ref[1] and ref[1][0].__name__}")
-        if ref[1] is None:
-            (fit,), (posteriors, estimates) = fits, ref[0]
-            for row, (posterior, estimate) in enumerate(zip(posteriors, estimates)):
-                assert_rows_match(fit, row, posterior)
-                assert (fit.means[row], fit.variances[row]) == (estimate.mean, estimate.variance)
-            assert got[0][0].tobytes() == fit.means.tobytes()
-            assert got[0][1].tobytes() == fit.variances.tobytes()
+        (fit,), failed, warned = fits, [], []
+        for row in range(len(times)):  # each window against its own scalar fit
+            ref, error, messages = outcome(lambda: fit_windows(
+                CONST_REG, times, [row], lambda t: window_at(grid, means, variances, t, CONST_REG),
+            ))
+            if error is not None:
+                failed.append("degenerate spline posterior at t=%s; using uniform weights"
+                              % times[row])
+                assert not (math.isfinite(fit.means[row]) and math.isfinite(fit.variances[row]))
+                continue
+            warned += messages
+            (posterior,), (estimate,) = ref
+            assert_rows_match(fit, row, posterior)
+            assert (fit.means[row], fit.variances[row]) == (estimate.mean, estimate.variance)
+        event(f"{len(warned)} fallbacks, {len(failed)} failed windows")
+        assert got[1] is None
+        # the kernel also warns at a failed window whose weights all vanished
+        assert [message for message in got[2] if message not in failed] == warned
+        assert got[0][0].tobytes() == fit.means.tobytes()
+        assert got[0][1].tobytes() == fit.variances.tobytes()
 
     @settings(deadline=None, max_examples=150)
     @given(kernel_paths())
@@ -573,10 +614,11 @@ class TestKernelAgainstScalarFit:
                 lambda t: right_window(times, anchors, means, variances, t, CONST_REG),
                 moments=False,
             ))
-            assert got[1:] == ref[1:]
             event(f"{len(ref[2])} fallbacks, error {ref[1] and ref[1][0].__name__}")
-            if ref[1] is not None:
+            if ref[1] is not None:  # the fitted mean is non-finite; the filters place it
+                assert got[1] == (NumericalOverflowError, "the model fit left the finite range")
                 continue
+            assert got[1:] == ref[1:]
             (fit,), (posterior,), step = fits, ref[0][0], got[0]
             assert_rows_match(fit, 0, posterior)
             delta = float(times[index] - times[index - 1])
@@ -590,8 +632,8 @@ class TestKernelAgainstScalarFit:
     @settings(deadline=None, max_examples=150)
     @given(stacked_paths(), st.sampled_from(list(ModelKind)))
     def test_stacked_paths_equal_lone_paths(self, paths, kind):
-        # an (S, n) call gives each row's lone result, or the error and the
-        # warnings of the rows up to the first that fails
+        # an (S, n) call gives each row's lone result, non-finite moments
+        # included, and the rows' warnings in row order
         times, rows = paths
         grid = TimeGrid(times)
         model = SplinePathModel(kind)
@@ -599,13 +641,8 @@ class TestKernelAgainstScalarFit:
         stacked = outcome(lambda: model.predict_path(
             grid, np.stack([m for _, m, _ in rows]), np.stack([v for _, _, v in rows])
         ))
-        failed = next((k for k, (_, error, _) in enumerate(lone) if error is not None), None)
-        reached = lone if failed is None else lone[: failed + 1]
-        assert stacked[2] == [message for _, _, messages in reached for message in messages]
-        event(f"{len(rows)} rows, failed row {failed}")
-        if failed is not None:
-            assert stacked[1] == lone[failed][1]
-            return
+        assert stacked[2] == [message for _, _, messages in lone for message in messages]
+        event(f"{len(rows)} rows, {sum(not np.isfinite(r[0]).all() for r, _, _ in lone)} failing")
         assert stacked[1] is None
         for k, got in enumerate(stacked[0]):  # means, then variances
             assert got.tobytes() == np.stack([result[k] for result, _, _ in lone]).tobytes()

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from pathkf import (
     VARIANCE_FLOOR,
     BirthDeathScenario,
-    DegeneratePosteriorError,
     GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
@@ -347,7 +346,12 @@ class TestRunPkf:
         data = TimeSeriesData(
             "explosive", TimeGrid(times), tuple(np.array([v]) for v in values)
         )
-        with pytest.raises(DegeneratePosteriorError, match="timepoint"):
+        # the first window's prediction overflows; the model did that, not the data
+        with pytest.raises(
+            NumericalOverflowError,
+            match=r"^series 'explosive': timepoint 0 \(t=0\.0\): the model prediction left "
+            r"the finite range at iteration 1$",
+        ):
             run_pkf(data, ModelKind.BIRTH_DEATH, iterations=1)
 
     @pytest.mark.parametrize("iterations", [1, 2])
@@ -381,9 +385,16 @@ class TestRunPkf:
                 return np.asarray(means, dtype=float), model_vars
 
         _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
-        with pytest.raises(
-            InvalidParameterError, match=r"^v_model_plus_q\[2\]=.* must be finite and non-negative$"
-        ):
+        if variance < 0:
+            error, message = InvalidParameterError, (
+                r"^v_model_plus_q\[2\]=.* must be finite and non-negative$"
+            )
+        else:  # a non-finite model variance is a model prediction that overflowed
+            error, message = NumericalOverflowError, (
+                r"^series 'population': timepoint 2 \(t=0\.5\): the model prediction left "
+                r"the finite range at iteration 1$"
+            )
+        with pytest.raises(error, match=message):
             run_pkf(data, BadVarianceModel(), iterations=2)
 
     @pytest.mark.parametrize("kind", list(ModelKind))

@@ -86,6 +86,11 @@ class TestBirthDeath:
         with pytest.raises(InvalidConfigError):
             PiecewiseConstant((0.0, 0.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_negative_noise_rejected(self, value):
+        with pytest.raises(InvalidConfigError, match=r"^noise values must be non-negative, got "):
+            BirthDeathScenario(noise=PiecewiseConstant((0.0, 10.0), (1.0, value)))
+
 
 class TestGenePanel:
     def test_static_gene_at_steady_state_is_constant(self):
@@ -140,3 +145,26 @@ class TestGenePanel:
         panel = simulate_gene_panel(scenario)
         assert len(panel) == 10
         assert all(len(data.grid) == 14 for _, data in panel)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            # the change-point draw needs a fourth timepoint
+            ({"n_timepoints": 3}, "n_timepoints must be at least 4, got 3"),
+            ({"spacing": 0.0}, "spacing must be positive, got 0.0"),
+            ({"noise_level": -0.5}, "noise_level must be non-negative, got -0.5"),
+        ],
+    )
+    def test_default_panel_settings_rejected(self, settings, message):
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            GenePanelScenario.default(n_genes=4, **settings)
+
+    def test_negative_gene_noise_rejected(self):
+        gene = GeneSpec("g", PiecewiseConstant.constant(8.0), PiecewiseConstant.constant(2.0),
+                        4.0, -1.0, STATIC_LABEL)
+        with pytest.raises(InvalidConfigError, match=r"^g noise_sd must be non-negative, got -1\.0$"):
+            GenePanelScenario((gene,), times=tuple(np.arange(6.0)))
+
+    def test_smallest_default_panel_simulates(self):
+        panel = simulate_gene_panel(GenePanelScenario.default(n_genes=4, n_timepoints=4))
+        assert all(len(data.grid) == 4 for _, data in panel)
