@@ -13,7 +13,6 @@ from .baselines import (
     run_ukf,
     run_urts,
     statistical_linearization,
-    unscented_transform,
 )
 from .bench import (
     AlgorithmSpec,
@@ -27,7 +26,6 @@ from .bench import (
 )
 from .core import (
     VARIANCE_FLOOR,
-    GaussianEstimate,
     GroundTruth,
     InvalidConfigError,
     InvalidDataError,

@@ -14,13 +14,12 @@ they hand to the forward update: unscented, or statistically linearized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     VARIANCE_FLOOR,
-    GaussianEstimate,
     InvalidParameterError,
     NumericalOverflowError,
     TimeSeriesData,
@@ -73,37 +72,15 @@ def _overflow_at(exc: NumericalOverflowError, times, t: int) -> NumericalOverflo
     return NumericalOverflowError(f"{exc} at timepoint {t} (t={times[t]})")
 
 
-def _finite_trajectory(grid, means: np.ndarray, variances: np.ndarray) -> Trajectory:
-    """The estimates as a trajectory; a non-finite one overflowed in the filter.
+def _estimate_overflow(times, t: int) -> NumericalOverflowError:
+    """The error of a filter estimate at timepoint ``t`` that is not finite.
 
-    The data summaries are finite, so an estimate that is not was made by
-    the model or the filter arithmetic, not by the input.
+    The data summaries are finite, so such an estimate was made by the model
+    or the filter arithmetic, not by the input.
     """
-    bad = ~(np.isfinite(means) & np.isfinite(variances))
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise NumericalOverflowError(
-            f"filter estimate left the finite range at timepoint {t} (t={grid.times[t]})"
-        )
-    return Trajectory(grid, means, variances)
-
-
-def _unscented_moments(mean: float, variance: float, f) -> tuple[float, float, float]:
-    """``_sigma_moments`` with the output moments checked finite and the
-    output variance floored."""
-    mean, variance, cross = _sigma_moments(mean, variance, f)
-    if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise NumericalOverflowError("the propagated moments left the finite range")
-    return mean, max(variance, VARIANCE_FLOOR), cross
-
-
-def unscented_transform(estimate: GaussianEstimate, f) -> GaussianEstimate:
-    """Propagate a Gaussian through ``f`` via sigma points; exact for affine maps.
-
-    ``f`` must be elementwise over arrays: it maps the three sigma points
-    in one call."""
-    mean, variance, _ = _unscented_moments(estimate.mean, estimate.variance, f)
-    return replace(estimate, mean=mean, variance=variance)
+    return NumericalOverflowError(
+        f"filter estimate left the finite range at timepoint {t} (t={times[t]})"
+    )
 
 
 def _squared(slope: float) -> float:
@@ -136,11 +113,10 @@ def statistical_linearization(mean: float, variance: float, f) -> tuple[float, f
 @dataclass(frozen=True)
 class _Relaxation:
     """The constant-regulation step ``x -> steady + (x - steady) * decay``,
-    with the posterior moments of the window it was fitted on."""
+    with the posterior variance of the window it was fitted on."""
 
     steady: float
     decay: float
-    mean: float
     variance: float
 
     def __call__(self, x):
@@ -192,7 +168,7 @@ class FlowStepDynamics:
         # k_exp / k_deg as the scalar fit derived it; reading steady differs in the last bit
         steady = float(k_deg * fit.steady[0, best]) / k_deg
         decay = math.exp(-k_deg * delta)
-        return _Relaxation(steady, decay, float(fit.means[0]), float(fit.variances[0]))
+        return _Relaxation(steady, decay, float(fit.variances[0]))
 
 
 def run_adaptive_kf(
@@ -226,13 +202,15 @@ def run_adaptive_kf(
         except NumericalOverflowError as exc:
             raise _overflow_at(exc, grid.times, t) from exc
         v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite_trajectory names the step
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, at its step
             e_model = float(flow(f_means[t - 1]))
             b = v_model + q
             w = b / (b + z_vars[t])
             f_means[t] = w * z_means[t] + (1.0 - w) * e_model
             f_vars[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
-    return _finite_trajectory(grid, f_means, f_vars)
+        if not (math.isfinite(f_means[t]) and math.isfinite(f_vars[t])):
+            raise _estimate_overflow(grid.times, t)
+    return Trajectory(grid, f_means, f_vars)
 
 
 def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, predict):
@@ -249,7 +227,7 @@ def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, 
     m, p, m_pred, p_pred, cross = (np.zeros(n) for _ in range(5))
     m[0] = z_means[0]
     p[0] = max(z_vars[0], VARIANCE_FLOOR)
-    # what overflows here fails the next step map or _finite_trajectory
+    # what overflows here fails the next step map or the final finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, n):
             try:
@@ -280,8 +258,10 @@ def _unscented_predict(dynamics, times: np.ndarray, q: float):
 
     def predict(t, m, p):
         f = dynamics.step_map(times, m, t)
-        mean, variance, cross = _unscented_moments(m[t - 1], p[t - 1], f)
-        return mean, variance + q, cross
+        mean, variance, cross = _sigma_moments(m[t - 1], p[t - 1], f)
+        if not (math.isfinite(mean) and math.isfinite(variance)):
+            raise NumericalOverflowError("the propagated moments left the finite range")
+        return mean, max(variance, VARIANCE_FLOOR) + q, cross
 
     return predict
 
@@ -321,7 +301,10 @@ def _unscented(
     for _ in range(1, smoothing_passes):
         predict = _linearized_predict(dynamics, grid.times, q, ms, ps)
         ms, ps = _rts_backward(*_kalman_forward(grid.times, z_means, z_vars, predict))
-    return _finite_trajectory(grid, ms, ps)
+    bad = ~(np.isfinite(ms) & np.isfinite(ps))
+    if bad.any():
+        raise _estimate_overflow(grid.times, int(np.argmax(bad)))
+    return Trajectory(grid, ms, ps)
 
 
 def run_ukf(

@@ -2,15 +2,14 @@
 
 Everything downstream (filters, internal models, benchmarks) trades in the
 types defined here: time grids, replicated measurement series, and
-mean/variance pairs. All types are immutable value objects; the numpy arrays
-they hold are marked read-only so instances can be shared freely across
-threads and processes.
+trajectories of mean/variance estimates. All types are immutable value
+objects; the numpy arrays they hold are marked read-only so instances can
+be shared freely across threads and processes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,20 +91,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-@dataclass(frozen=True)
-class GaussianEstimate:
-    """A (mean, variance) pair, the universal currency of this package."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise InvalidDataError("mean and variance must be finite")
-        if self.variance < 0:
-            raise InvalidDataError("variance must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,7 +47,7 @@ class PiecewiseConstant:
             raise InvalidConfigError(f"schedule has a gap: no value defined at t={t}")
         return self.values[idx]
 
-    def check_covers(self, start: float, end: float) -> None:
+    def check_covers(self, start: float) -> None:
         if self.breaks[0] > start:
             raise InvalidConfigError(
                 f"schedule starts at t={self.breaks[0]}, leaving [{start}, "
@@ -91,7 +91,7 @@ class BirthDeathScenario:
             if not value >= 0:
                 raise InvalidConfigError(f"noise values must be non-negative, got {value}")
         for schedule in (self.birth, self.death, self.noise):
-            schedule.check_covers(0.0, self.t_end)
+            schedule.check_covers(0.0)
 
     def grid(self) -> TimeGrid:
         n_steps = int(round(self.t_end / self.dt))
@@ -168,14 +168,13 @@ class GenePanelScenario:
             raise InvalidConfigError("panel needs at least one gene")
         if self.replicates < 1:
             raise InvalidConfigError("replicates must be at least 1")
-        t_end = self.times[-1]
         for gene in self.genes:
             if not gene.noise_sd >= 0:
                 raise InvalidConfigError(
                     f"{gene.gene_id} noise_sd must be non-negative, got {gene.noise_sd}"
                 )
-            gene.expression.check_covers(self.times[0], t_end)
-            gene.degradation.check_covers(self.times[0], t_end)
+            gene.expression.check_covers(self.times[0])
+            gene.degradation.check_covers(self.times[0])
 
     @classmethod
     def default(
@@ -190,9 +189,10 @@ class GenePanelScenario:
         """Half-dynamic, half-static panel with randomized per-gene rates.
 
         Static genes hold constant rates and start at steady state; dynamic
-        genes step their expression rate at a random interior timepoint, from
-        the fourth on. Noise standard deviation is ``noise_level`` times the
-        initial steady state.
+        genes step their expression rate at a random timepoint from the
+        fourth on, and never at the last, so that the grid sees the step (on
+        four timepoints it falls on the third). Noise standard deviation is
+        ``noise_level`` times the initial steady state.
         """
         if n_timepoints < 4:
             raise InvalidConfigError(f"n_timepoints must be at least 4, got {n_timepoints}")
@@ -210,7 +210,7 @@ class GenePanelScenario:
             dynamic = i < n_genes // 2
             if dynamic:
                 cp_index = int(rng.integers(3, max(n_timepoints - 3, 4)))
-                t_cp = times[cp_index]
+                t_cp = times[min(cp_index, n_timepoints - 2)]
                 factor = float(rng.uniform(4.0, 8.0))
                 expression = PiecewiseConstant((0.0, t_cp), (k_exp, k_exp * factor))
                 label = DYNAMIC_LABEL

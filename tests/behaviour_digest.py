@@ -7,18 +7,19 @@ Run from the root of a checkout::
 It prints a single hex digest over the trajectories and the error strings
 of:
 
-- the baseline set: 500 mild and 150 harsh random series, both models,
+- the baseline set: 500 mild and 150 harsh random series and the
+  spike-pair series (:func:`spike_pair`), both models,
   ``q`` in {1, 10}, and ``kf``, ``ukf``, ``urts``, ``ipls`` with 1 and with
-  3 iterations (13,000 runs), plus all 12 rows of the method-comparison
+  3 iterations (13,020 runs), plus all 12 rows of the method-comparison
   table on ``BirthDeathScenario(seed=0..19)`` (240 runs);
-- the pathspace filter on the same 650 series, both models, as
+- the pathspace filter on the same 651 series, both models, as
   ``run_pkf(retain_history=True)`` (every state of the history and both
   traces) and as ``run_pkf_block`` on the blocks of ten consecutive
-  series, which share one grid;
+  series, which share one grid, and on the spike pair alone;
 - the command-line path, ``pathkf.cli.batch_run`` at ``jobs=1`` on the same
-  blocks of ten, both models: ``pkf`` with 4 iterations (keeping its
-  history), ``kf``, ``ukf`` and ``urts`` at ``q`` in {1, 10}, and ``ipls``
-  at ``q`` in {1, 10} with 3 iterations. Each outcome adds its JSON record
+  blocks, both models: ``pkf`` with 4 iterations (keeping its history),
+  ``kf``, ``ukf`` and ``urts`` at ``q`` in {1, 10}, and ``ipls`` at ``q``
+  in {1, 10} with 3 iterations. Each outcome adds its JSON record
   (``result_record``) or its error string, and each batch adds the warning
   lines it logged under the ``pathkf`` logger, in order, and the bytes of
   the results document that ``write_batch_results`` writes for it.
@@ -73,6 +74,16 @@ CLI_RUNS = (
     *((name, q, 1, False) for name in ("kf", "ukf", "urts") for q in (1.0, 10.0)),
     *(("ipls", q, 3, False) for q in (1.0, 10.0)),
 )
+
+
+def spike_pair() -> list[TimeSeriesData]:
+    """A block of one series whose ``kf`` estimate goes non-finite mid-way
+    on the const-reg model: 14 timepoints on ``2 * arange(14)``, the fifth
+    two replicates of 1e300. Its warning lines show where ``kf`` stops."""
+    groups = tuple(
+        np.array([1e300, 1e300]) if t == 4 else np.array([10.0 + t, 10.5 + t]) for t in range(14)
+    )
+    return [TimeSeriesData("spike-pair", TimeGrid(2.0 * np.arange(14)), groups)]
 
 
 def random_series(rng: np.random.Generator, harsh: bool) -> list[TimeSeriesData]:
@@ -201,6 +212,7 @@ def main() -> int:
     rng = np.random.default_rng(20240611)
     blocks = [random_series(rng, False) for _ in range(N_MILD // BLOCK)]
     blocks += [random_series(rng, True) for _ in range(N_HARSH // BLOCK)]
+    blocks.append(spike_pair())
     digest = Digest()
     with np.errstate(all="ignore"):
         for b, block in enumerate(blocks):

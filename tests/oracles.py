@@ -23,7 +23,6 @@ import numpy as np
 
 from pathkf import (
     VARIANCE_FLOOR,
-    GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
     ModelKind,
@@ -32,6 +31,21 @@ from pathkf import (
     ScanGrid,
 )
 from pathkf.models import POSITIVE_VALUE_FLOOR
+
+
+@dataclass(frozen=True)
+class GaussianEstimate:
+    """A (mean, variance) pair: the target of a scalar window fit and the
+    moments of its prediction."""
+
+    mean: float
+    variance: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+            raise InvalidDataError("mean and variance must be finite")
+        if self.variance < 0:
+            raise InvalidDataError("variance must be non-negative")
 
 
 class DegeneratePosteriorError(PathkfError):

@@ -1,6 +1,7 @@
 """Baseline filters/smoothers: unscented machinery and oracle equivalences."""
 
 import contextlib
+import logging
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from pathkf import (
     VARIANCE_FLOOR,
-    GaussianEstimate,
     InvalidParameterError,
     ModelKind,
     NumericalOverflowError,
@@ -24,10 +24,9 @@ from pathkf import (
     run_ukf,
     run_urts,
     statistical_linearization,
-    unscented_transform,
 )
 
-from pathkf.baselines import FlowStepDynamics
+from pathkf.baselines import FlowStepDynamics, _sigma_moments, _unscented_predict
 
 from oracles import AffineStepDynamics, linear_kf, linear_rts
 
@@ -46,24 +45,27 @@ def random_series(rng, n=25, loc=50.0, sd=3.0, replicates=8):
 
 class TestUnscentedTransform:
     def test_identity_preserves_moments(self):
-        est = GaussianEstimate(2.5, 4.0)
-        out = unscented_transform(est, lambda x: x)
-        np.testing.assert_allclose([out.mean, out.variance], [2.5, 4.0], rtol=1e-12)
+        out = _sigma_moments(2.5, 4.0, lambda x: x)
+        np.testing.assert_allclose(out, [2.5, 4.0, 4.0], rtol=1e-12)
 
     def test_affine_exactness(self):
-        out = unscented_transform(GaussianEstimate(1.0, 4.0), lambda x: 3.0 * x + 2.0)
-        np.testing.assert_allclose([out.mean, out.variance], [5.0, 36.0], rtol=1e-12)
+        out = _sigma_moments(1.0, 4.0, lambda x: 3.0 * x + 2.0)
+        np.testing.assert_allclose(out, [5.0, 36.0, 12.0], rtol=1e-12)
 
     def test_square_against_monte_carlo(self):
         rng = np.random.default_rng(12)
         draws = rng.standard_normal(1_000_000)
         mc_mean = float(np.mean(draws**2))
-        out = unscented_transform(GaussianEstimate(0.0, 1.0), lambda x: x**2)
-        assert abs(out.mean - mc_mean) <= 0.1 * mc_mean
+        mean, _, _ = _sigma_moments(0.0, 1.0, lambda x: x**2)
+        assert abs(mean - mc_mean) <= 0.1 * mc_mean
 
     def test_variance_clamped_at_floor(self):
-        out = unscented_transform(GaussianEstimate(1.0, 0.0), lambda x: x)
-        assert out.variance == VARIANCE_FLOOR
+        # the UKF prediction floors the propagated variance before adding q
+        data = series_from_groups([[1.0]] * 3)
+        dynamics = FlowStepDynamics(ModelKind.BIRTH_DEATH, *data.summaries())
+        predict = _unscented_predict(dynamics, data.grid.times, 0.0)
+        _, variance, _ = predict(1, np.array([1.0, 0.0, 0.0]), np.zeros(3))
+        assert variance == VARIANCE_FLOOR
 
     @pytest.mark.parametrize(
         "step_map, problem",
@@ -74,7 +76,7 @@ class TestUnscentedTransform:
         with pytest.raises(
             InvalidParameterError, match=f"^the step map must be elementwise over arrays: {problem}"
         ):
-            unscented_transform(GaussianEstimate(1.0, 0.25), step_map)
+            _sigma_moments(1.0, 0.25, step_map)
 
 
 class TestStatisticalLinearization:
@@ -296,7 +298,9 @@ class TestOverflow:
 def test_const_reg_step_fit_failure_names_the_timepoint():
     # anchors of opposite sign near the float limit and a high-rate scan give
     # a finite steady state but predictions that overflow: the step map
-    # raises, and the filters that call it name the timepoint
+    # raises, and the filter that calls it names the timepoint. The kf stops
+    # one step earlier, where the window's infinite model variance makes its
+    # estimate non-finite.
     vals = [1.7e308, 1.7e308, -1.7e308, 0.0]
     data = series_from_groups([[v] for v in vals])
     z_means, z_vars = data.summaries()
@@ -304,12 +308,16 @@ def test_const_reg_step_fit_failure_names_the_timepoint():
     dynamics = FlowStepDynamics(ModelKind.CONSTANT_REGULATION, z_means, z_vars, scan)
     with pytest.raises(NumericalOverflowError, match=r"^the model fit left the finite range$"):
         dynamics.step_map(data.grid.times, z_means, 3)
-    for run in (run_adaptive_kf, run_ukf):
-        with pytest.raises(
-            NumericalOverflowError,
-            match=r"^the model fit left the finite range at timepoint 3 \(t=3\.0\)$",
-        ):
-            run(data, ModelKind.CONSTANT_REGULATION)
+    with pytest.raises(
+        NumericalOverflowError,
+        match=r"^the model fit left the finite range at timepoint 3 \(t=3\.0\)$",
+    ):
+        run_ukf(data, ModelKind.CONSTANT_REGULATION)
+    with pytest.raises(
+        NumericalOverflowError,
+        match=r"^filter estimate left the finite range at timepoint 2 \(t=2\.0\)$",
+    ):
+        run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
 
 
 def count_fitted_windows(monkeypatch):
@@ -339,3 +347,20 @@ def test_adaptive_kf_birth_death_fits_no_window(monkeypatch):
     targets = count_fitted_windows(monkeypatch)
     run_adaptive_kf(random_series(np.random.default_rng(4), n=12), ModelKind.BIRTH_DEATH)
     assert targets == []
+
+
+def test_adaptive_kf_stops_at_the_first_non_finite_estimate(monkeypatch, caplog):
+    # two replicates of 1e300 at the fifth timepoint make the estimate at
+    # timepoint 5 non-finite: no window past it is fitted or logged
+    groups = [[1e300, 1e300] if t == 4 else [10.0 + t, 10.5 + t] for t in range(14)]
+    data = series_from_groups(groups, times=2.0 * np.arange(14))
+    targets = count_fitted_windows(monkeypatch)
+    with caplog.at_level(logging.WARNING), pytest.raises(
+        NumericalOverflowError,
+        match=r"^filter estimate left the finite range at timepoint 5 \(t=10\.0\)$",
+    ):
+        run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
+    assert targets == [2, 3, 4, 5]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"degenerate spline posterior at t={t}; using uniform weights" for t in (8.0, 10.0)
+    ]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import pathkf.core
 from pathkf import (
     VARIANCE_FLOOR,
-    GaussianEstimate,
     GroundTruth,
     InvalidDataError,
     ModelKind,
@@ -99,10 +98,6 @@ class TestTypes:
         grid = TimeGrid([0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             grid.times[0] = -1.0
-
-    def test_gaussian_estimate_rejects_negative_variance(self):
-        with pytest.raises(InvalidDataError):
-            GaussianEstimate(0.0, -1.0)
 
     def test_series_validates_lengths(self):
         grid = TimeGrid([0.0, 1.0, 2.0])

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from pathkf import (
     VARIANCE_FLOOR,
     BirthDeathScenario,
-    GaussianEstimate,
     InvalidDataError,
     InvalidParameterError,
     ModelKind,
@@ -40,6 +39,7 @@ from pathkf.cli import RunConfig, batch_run, result_record
 from pathkf.pkf import PkfState, run_pkf_block
 
 from oracles import (
+    GaussianEstimate,
     LinearPathModel,
     ModelPrediction,
     brute_force_weights,
@@ -667,6 +667,64 @@ class TestNonUniformGrid:
         # smooth exponential data: the fitted filter stays near the truth
         rel = np.abs(result.final.filter.means - truth) / truth
         assert float(np.max(rel)) < 0.05
+
+
+@st.composite
+def noisy_series(draw):
+    """A positive series of 5-14 timepoints, 0.5-3 apart, starting anywhere
+    in [-20, 20]: a random walk in log level from 5-100 with 2-4 replicates
+    at a relative noise of 1-20%, so no data variance sits at the floor."""
+    n = draw(st.integers(5, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.cumsum(np.r_[draw(st.floats(-20.0, 20.0)), rng.uniform(0.5, 3.0, n - 1)])
+    level = rng.uniform(5.0, 100.0) * np.exp(np.cumsum(rng.normal(0.0, 0.2, n)))
+    noise = draw(st.floats(0.01, 0.2))
+    groups = tuple(v * (1.0 + noise * rng.standard_normal(rng.integers(2, 5))) for v in level)
+    return TimeSeriesData("noisy", TimeGrid(times), groups)
+
+
+def shifted(data, value=0.0, time=0.0):
+    """``data`` with every replicate moved by ``value`` and every time by ``time``."""
+    return TimeSeriesData(
+        data.series_id, TimeGrid(data.grid.times + time), tuple(g + value for g in data.samples)
+    )
+
+
+def assert_equivariant(result, moved, value_shift, scale):
+    """The final states agree up to rounding: means within ``1e-8 * scale``
+    after ``value_shift`` is taken off, variances and Q within 1e-6 relative
+    plus ``VARIANCE_FLOOR`` absolute."""
+    a, b = result.final, moved.final
+    np.testing.assert_allclose(
+        b.filter.means - value_shift, a.filter.means, rtol=0.0, atol=1e-8 * scale
+    )
+    for got, want in ((b.filter.variances, a.filter.variances),
+                      (b.process_uncertainty, a.process_uncertainty)):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=VARIANCE_FLOOR)
+
+
+class TestEquivariance:
+    """The model flows are autonomous, and the constant-regulation flow maps
+    ``x + b`` onto ``x + b`` with ``k_exp`` raised by ``k_deg * b``, so the
+    filter commutes with time shifts (both models) and with value shifts
+    (constant regulation), up to rounding at the scale of the shifted values.
+    Scaling is not asserted: the absolute ``VARIANCE_FLOOR`` breaks it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(noisy_series(), st.floats(-1e3, 1e3), st.integers(1, 10))
+    def test_const_reg_commutes_with_value_shifts(self, data, b, iterations):
+        result = run_pkf(data, ModelKind.CONSTANT_REGULATION, iterations)
+        moved = run_pkf(shifted(data, value=b), ModelKind.CONSTANT_REGULATION, iterations)
+        scale = float(np.max(np.abs(data.summaries()[0]))) + abs(b)
+        assert_equivariant(result, moved, b, scale)
+
+    @settings(deadline=None, max_examples=60)
+    @given(noisy_series(), st.floats(-100.0, 100.0), st.sampled_from(list(ModelKind)),
+           st.integers(1, 10))
+    def test_both_models_commute_with_time_shifts(self, data, c, kind, iterations):
+        result = run_pkf(data, kind, iterations)
+        moved = run_pkf(shifted(data, time=c), kind, iterations)
+        assert_equivariant(result, moved, 0.0, float(np.max(np.abs(data.summaries()[0]))))
 
 
 @st.composite

@@ -165,6 +165,16 @@ class TestGenePanel:
         with pytest.raises(InvalidConfigError, match=r"^g noise_sd must be non-negative, got -1\.0$"):
             GenePanelScenario((gene,), times=tuple(np.arange(6.0)))
 
+    @pytest.mark.parametrize("n_timepoints", [4, 5, 6, 7])
+    def test_short_grid_sees_every_dynamic_step(self, n_timepoints):
+        # a change point leaves at least one grid point after it, so every
+        # dynamic truth rises on the grid
+        scenario = GenePanelScenario.default(n_genes=6, n_timepoints=n_timepoints, seed=1)
+        for gene, (truth, _) in zip(scenario.genes, simulate_gene_panel(scenario)):
+            if gene.label == DYNAMIC_LABEL:
+                assert gene.expression.breaks[1] < truth.grid.times[-1]
+                assert truth.values[-1] > truth.values[0]
+
     def test_smallest_default_panel_simulates(self):
         panel = simulate_gene_panel(GenePanelScenario.default(n_genes=4, n_timepoints=4))
         assert all(len(data.grid) == 4 for _, data in panel)
