@@ -29,14 +29,7 @@ from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, fit_spline_poster
 from .models import uniform_posterior  # noqa: F401  perfbench traces the fallback here too
 
 
-#: Sigma-point weights of a univariate state with the points at the mean and
-#: one standard deviation either side (alpha=1, beta=2, kappa=0): the common
-#: alpha=1e-3 collapses the spread far below the data noise.
-_MEAN_WEIGHTS = np.array([0.0, 0.5, 0.5])
-_COV_WEIGHTS = np.array([2.0, 0.5, 0.5])
-
-
-def _propagate(points: np.ndarray, f) -> np.ndarray:
+def _propagate(points: np.ndarray, f) -> list[float]:
     """``f`` applied to the sigma points in one call."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -45,7 +38,8 @@ def _propagate(points: np.ndarray, f) -> np.ndarray:
             raise ValueError(f"it maps shape {points.shape} to {out.shape}")
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"the step map must be elementwise over arrays: {exc}") from exc
-    if not np.all(np.isfinite(out)):
+    out = out.tolist()
+    if not all(map(math.isfinite, out)):
         raise NumericalOverflowError("the step map left the finite range")
     return out
 
@@ -55,15 +49,21 @@ def _sigma_moments(mean: float, variance: float, f) -> tuple[float, float, float
     cross-covariance of ``x`` and ``f(x)``, from three sigma points.
 
     This is the only sigma-point computation: the unscented prediction, the
-    smoother gain and the statistical linearization all read it.
-    """
+    smoother gain and the statistical linearization all read it. Each moment
+    is numpy's three-element sum ``((0.0 + a0) + a1) + a2`` in floats, bitwise
+    the array reduction in ``tests/oracles.py``. Float products and sums
+    overflow to ``inf``, where ``**`` and ``/`` would raise."""
+    mean = float(mean)
     spread = math.sqrt(variance)
-    points = np.array([mean, mean + spread, mean - spread])
-    prop = _propagate(points, f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_out = float(np.sum(_MEAN_WEIGHTS * prop))
-        var_out = float(np.sum(_COV_WEIGHTS * (prop - mean_out) ** 2))
-        cross = float(np.sum(_COV_WEIGHTS * (points - mean) * (prop - mean_out)))
+    x1, x2 = mean + spread, mean - spread
+    y0, y1, y2 = _propagate(np.array([mean, x1, x2]), f)
+    # mean weights (0, 1/2, 1/2) and covariance weights (2, 1/2, 1/2) of the
+    # points at the mean and one sd either side (alpha=1, beta=2, kappa=0):
+    # the common alpha=1e-3 collapses the spread far below the data noise
+    mean_out = 0.0 + 0.0 * y0 + 0.5 * y1 + 0.5 * y2
+    d0, d1, d2 = y0 - mean_out, y1 - mean_out, y2 - mean_out
+    var_out = 0.0 + 2.0 * (d0 * d0) + 0.5 * (d1 * d1) + 0.5 * (d2 * d2)
+    cross = 0.0 + 2.0 * (mean - mean) * d0 + 0.5 * (x1 - mean) * d1 + 0.5 * (x2 - mean) * d2
     return mean_out, var_out, cross
 
 
@@ -196,20 +196,20 @@ def run_adaptive_kf(
     f_vars = np.empty(n)
     f_means[:2] = z_means[:2]
     f_vars[:2] = z_vars[:2]
-    for t in range(2, n):
-        try:
-            flow = dynamics.step_map(grid.times, z_means, t)
-        except NumericalOverflowError as exc:
-            raise _overflow_at(exc, grid.times, t) from exc
-        v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below, at its step
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at each step
+        for t in range(2, n):
+            try:
+                flow = dynamics.step_map(grid.times, z_means, t)
+            except NumericalOverflowError as exc:
+                raise _overflow_at(exc, grid.times, t) from exc
+            v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
             e_model = float(flow(f_means[t - 1]))
             b = v_model + q
             w = b / (b + z_vars[t])
             f_means[t] = w * z_means[t] + (1.0 - w) * e_model
             f_vars[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
-        if not (math.isfinite(f_means[t]) and math.isfinite(f_vars[t])):
-            raise _estimate_overflow(grid.times, t)
+            if not (math.isfinite(f_means[t]) and math.isfinite(f_vars[t])):
+                raise _estimate_overflow(grid.times, t)
     return Trajectory(grid, f_means, f_vars)
 
 

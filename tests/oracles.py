@@ -3,12 +3,14 @@
 Everything here is deliberately implemented by a different route than the
 code under test: fixed-step numerical integration instead of analytic
 flows, exhaustive grid search instead of closed-form minimizers, plain
-scalar Kalman recursions instead of sigma-point machinery, a plain-float
-pathspace-filter step instead of the array kernel, one replicate group at a
-time instead of the stacked summary kernel, one three-point window at a
-time instead of the spline-posterior kernel, one regime label at a time
-instead of the array selection, and one list scan per ratio-summary bin and
-label instead of one binning of the whole summary.
+scalar Kalman recursions instead of sigma-point machinery, numpy
+reductions over the three sigma points instead of float expressions, a
+plain-float pathspace-filter step instead of the array kernel, one
+replicate group at a time instead of the stacked summary kernel, one
+three-point window at a time instead of the spline-posterior kernel, one
+regime label at a time instead of the array selection, and one list scan
+per ratio-summary bin and label instead of one binning of the whole
+summary.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathkf import (
     InvalidDataError,
     InvalidParameterError,
     ModelKind,
+    NumericalOverflowError,
     PathkfError,
     RegimeLabel,
     ScanGrid,
@@ -177,6 +180,34 @@ def classify_regime(
     if high_v:
         return RegimeLabel.ACCURATE_MODEL_NOISY_DATA
     return RegimeLabel.ACCURATE_MODEL_RELIABLE_DATA
+
+
+#: Sigma-point weights of a univariate state with the points at the mean and
+#: one standard deviation either side (alpha=1, beta=2, kappa=0).
+SIGMA_MEAN_WEIGHTS = np.array([0.0, 0.5, 0.5])
+SIGMA_COV_WEIGHTS = np.array([2.0, 0.5, 0.5])
+
+
+def sigma_moments(mean: float, variance: float, f) -> tuple[float, float, float]:
+    """Referee for ``pathkf.baselines._sigma_moments``: the same three sigma
+    points, propagated with the same checks and error texts, and the moments
+    as numpy's weighted sums over the point arrays."""
+    spread = math.sqrt(variance)
+    points = np.array([mean, mean + spread, mean - spread])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            prop = np.asarray(f(points), dtype=float)
+        if prop.shape != points.shape:
+            raise ValueError(f"it maps shape {points.shape} to {prop.shape}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"the step map must be elementwise over arrays: {exc}") from exc
+    if not np.all(np.isfinite(prop)):
+        raise NumericalOverflowError("the step map left the finite range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_out = float(np.sum(SIGMA_MEAN_WEIGHTS * prop))
+        var_out = float(np.sum(SIGMA_COV_WEIGHTS * (prop - mean_out) ** 2))
+        cross = float(np.sum(SIGMA_COV_WEIGHTS * (points - mean) * (prop - mean_out)))
+    return mean_out, var_out, cross
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 import contextlib
 import logging
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathkf import (
@@ -28,7 +29,7 @@ from pathkf import (
 
 from pathkf.baselines import FlowStepDynamics, _sigma_moments, _unscented_predict
 
-from oracles import AffineStepDynamics, linear_kf, linear_rts
+from oracles import AffineStepDynamics, linear_kf, linear_rts, sigma_moments
 
 
 def series_from_groups(groups, times=None):
@@ -43,7 +44,68 @@ def random_series(rng, n=25, loc=50.0, sd=3.0, replicates=8):
     return series_from_groups(groups)
 
 
-class TestUnscentedTransform:
+def same_float(a: float, b: float) -> bool:
+    """Bitwise equality of two floats up to the NaN payload: the sign of a
+    zero counts, and NaN equals NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and text of the ``PathkfError`` it raised."""
+    try:
+        return f(*args)
+    except PathkfError as exc:
+        return type(exc), str(exc)
+
+
+def signed_decades(lo: float, hi: float, signs=(-1.0, 1.0)):
+    """Floats ``sign * 10**e`` with ``e`` uniform in ``[lo, hi]``."""
+    return st.builds(lambda s, e: s * 10.0**e, st.sampled_from(signs), st.floats(lo, hi))
+
+
+def affine_maps():
+    return st.builds(
+        lambda a, b: lambda x: a * x + b,
+        st.floats(-1e3, 1e3) | signed_decades(-300, 300),
+        st.floats(-1e3, 1e3) | signed_decades(-300, 300),
+    )
+
+
+def quadratic_map(x):
+    return x * x * 0.37 + 1.3 * x
+
+
+class TestSigmaMoments:
+    @settings(deadline=None, max_examples=400)
+    @given(
+        mean=st.floats(-1e300, 1e300) | signed_decades(-300, 300),
+        variance=st.floats(0.0, 1e300) | signed_decades(-300, 300, signs=(1.0,)),
+        f=affine_maps() | st.sampled_from([quadratic_map, np.exp, lambda x: 1e200 * x]),
+    )
+    # every point maps to -0.0: numpy's sums start from +0.0, so all three
+    # moments are +0.0
+    @example(mean=0.0, variance=0.0, f=np.negative)
+    def test_bitwise_equal_to_the_numpy_referee(self, mean, variance, f):
+        got = outcome(_sigma_moments, mean, variance, f)
+        want = outcome(sigma_moments, mean, variance, f)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert all(same_float(g, w) for g, w in zip(got, want, strict=True)), (got, want)
+
+    def test_summation_order_is_numpys(self):
+        # numpy adds the three weighted squares left to right; grouping the
+        # last two first moves the variance by one unit in the last place
+        mean, variance = -26.203537290810864, 21.773726719585117
+        got = _sigma_moments(mean, variance, quadratic_map)
+        assert got == sigma_moments(mean, variance, quadratic_map)
+        assert got[1] == 7255.704491285207
+        spread = math.sqrt(variance)
+        y = quadratic_map(np.array([mean, mean + spread, mean - spread])) - got[0]
+        assert 2.0 * y[0] ** 2 + (0.5 * y[1] ** 2 + 0.5 * y[2] ** 2) == 7255.704491285206
+
     def test_identity_preserves_moments(self):
         out = _sigma_moments(2.5, 4.0, lambda x: x)
         np.testing.assert_allclose(out, [2.5, 4.0, 4.0], rtol=1e-12)
@@ -252,6 +314,24 @@ class TestOverflow:
         data = series_from_groups(groups, times=[0.0, 0.1, 0.2, 1.0, 2.0])
         with pytest.raises(NumericalOverflowError, match="step map .* at timepoint 4 "):
             run(data, ModelKind.BIRTH_DEATH)
+
+    @pytest.mark.parametrize(
+        "step_map, problem",
+        [
+            (lambda x: np.where(x > 1, np.inf, x), "the step map"),
+            (lambda x: 1e200 * x, "the propagated moments"),  # d * d overflows
+        ],
+        ids=["step-map", "moments"],
+    )
+    def test_injected_overflow_names_the_timepoint(self, step_map, problem):
+        dynamics = types.SimpleNamespace(step_map=lambda times, ref_means, index: step_map)
+        data = series_from_groups([[4.0, 6.0]] * 3)
+        with warnings.catch_warnings(), pytest.raises(
+            NumericalOverflowError,
+            match=f"^{problem} left the finite range at timepoint 1 \\(t=1\\.0\\)$",
+        ):
+            warnings.simplefilter("error")
+            run_ukf(data, ModelKind.BIRTH_DEATH, dynamics=dynamics)
 
     def test_squared_slope_overflow_is_typed(self):
         # a slope past 1.3e154 overflows when squared, which Python's float
