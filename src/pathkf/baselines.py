@@ -30,10 +30,10 @@ from .models import uniform_posterior  # noqa: F401  perfbench traces the fallba
 
 
 def _propagate(points: np.ndarray, f) -> list[float]:
-    """``f`` applied to the sigma points in one call."""
+    """``f`` applied to the sigma points in one call, under the caller's
+    ``np.errstate``: a point that overflowed raises here instead."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(f(points), dtype=float)
+        out = np.asarray(f(points), dtype=float)
         if out.shape != points.shape:
             raise ValueError(f"it maps shape {points.shape} to {out.shape}")
     except (TypeError, ValueError) as exc:
@@ -103,7 +103,8 @@ def statistical_linearization(mean: float, variance: float, f) -> tuple[float, f
     propagated mean. Exact (zero residual) for affine maps.
     """
     var = max(variance, VARIANCE_FLOOR)
-    mean_out, var_out, cross = _sigma_moments(mean, var, f)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _propagate
+        mean_out, var_out, cross = _sigma_moments(mean, var, f)
     slope = cross / var
     intercept = mean_out - slope * mean
     residual = max(var_out - _squared(slope) * var, 0.0)

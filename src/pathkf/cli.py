@@ -371,6 +371,7 @@ class RunConfig:
 
     ``q`` is ``None`` unless set; the baselines then use 1.0, and the PKF,
     whose process uncertainty is its own output, rejects any value.
+    ``retain_history`` keeps each PKF iteration, so a baseline rejects it.
     """
 
     algorithm: str = "pkf"
@@ -386,6 +387,10 @@ class RunConfig:
         if self.algorithm == "pkf" and self.q is not None:
             raise InvalidConfigError(
                 "q does not apply to pkf, which estimates its own process uncertainty"
+            )
+        if self.retain_history and self.algorithm != "pkf":
+            raise InvalidConfigError(
+                "retain_history applies only to pkf, whose iterations it keeps"
             )
         if self.jobs < 1:
             raise InvalidConfigError("jobs must be at least 1")
@@ -511,10 +516,34 @@ def write_batch_results(summary: BatchSummary, path: str) -> None:
         handle.write("\n  }\n}\n" if summary.outcomes else "{}\n}\n")
 
 
-def _load_config_file(path: str | None, keys) -> dict:
-    """The JSON object at ``path``, or ``{}`` without one. It may hold only
-    ``keys``, the keys its command reads; the first other key is rejected
-    before any value is read."""
+#: What a config-file value of each kind must be, as JSON names it.
+_KIND_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
+    PiecewiseConstant: 'a schedule {"breaks": [numbers], "values": [numbers]}',
+}
+
+
+def _has_kind(value, kind: type) -> bool:
+    """Whether a JSON value is of ``kind``: ``float`` also accepts an
+    integer, only ``bool`` accepts ``true``/``false``, and a schedule is an
+    object whose ``breaks`` and ``values`` are lists of numbers."""
+    if kind is PiecewiseConstant:
+        return isinstance(value, dict) and all(
+            isinstance(value.get(part), list) and all(_has_kind(v, float) for v in value[part])
+            for part in ("breaks", "values")
+        )
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+
+
+def _load_config_file(path: str | None, kinds: dict) -> dict:
+    """The settings in the JSON object at ``path``, or ``{}`` without one.
+
+    ``kinds`` maps each key the command reads to its kind; the first other
+    key is rejected before any value is read. Then every value is checked
+    against its kind (see ``_has_kind``), in the order of ``kinds``, and a
+    schedule is built, so a flag given over a key does not hide a bad value.
+    """
     if path is None:
         return {}
     try:
@@ -527,55 +556,19 @@ def _load_config_file(path: str | None, keys) -> dict:
     if not isinstance(loaded, dict):
         raise InvalidConfigError("config file must hold a JSON object")
     for key in loaded:
-        if key not in keys:
+        if key not in kinds:
             raise InvalidConfigError(f"unknown config key {key!r}")
-    return loaded
-
-
-#: What a config-file value of each kind must be, as JSON names it.
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
-
-
-def _has_kind(value, kind: type) -> bool:
-    """Whether a JSON value is of ``kind``: ``float`` also accepts an
-    integer, and only ``bool`` accepts ``true``/``false``."""
-    accepted = (int, float) if kind is float else kind
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
-
-
-def _resolve(flag_value, config: dict, key: str, kind: type = str):
-    """The flag if given, else the config-file value, else ``None``: unset,
-    so that the default of the class it configures applies.
-
-    A config-file value must be a JSON value of ``kind`` (see ``_has_kind``).
-    """
-    if flag_value is not None:
-        return flag_value
-    if key not in config:
-        return None
-    value = config[key]
-    if not _has_kind(value, kind):
-        raise InvalidConfigError(f"config {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _schedule_from_config(config: dict, key: str) -> PiecewiseConstant | None:
-    """The schedule at ``key``, or ``None`` if it is missing or null."""
-    raw = config.get(key)
-    if raw is None:
-        return None
-    if not (
-        isinstance(raw, dict)
-        and all(
-            isinstance(raw.get(part), list) and all(_has_kind(v, float) for v in raw[part])
-            for part in ("breaks", "values")
-        )
-    ):
-        raise InvalidConfigError(
-            f"config {key!r} must be a schedule {{\"breaks\": [numbers], "
-            f"\"values\": [numbers]}}, got {raw!r}"
-        )
-    return PiecewiseConstant(tuple(raw["breaks"]), tuple(raw["values"]))
+    settings = {}
+    for key, kind in kinds.items():
+        if key not in loaded:
+            continue
+        value = loaded[key]
+        if not _has_kind(value, kind):
+            raise InvalidConfigError(f"config {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        if kind is PiecewiseConstant:
+            value = PiecewiseConstant(tuple(value["breaks"]), tuple(value["values"]))
+        settings[key] = value
+    return settings
 
 
 def _given(**settings) -> dict:
@@ -583,36 +576,21 @@ def _given(**settings) -> dict:
     return {key: value for key, value in settings.items() if value is not None}
 
 
-#: The numeric config-file keys of each scenario, with their JSON kinds.
-_BIRTH_DEATH_KEYS = {"n0": float, "t_end": float, "dt": float, "replicates": int}
+#: The config-file keys of each command, with their JSON kinds, in the order
+#: they are checked. ``bench`` reads the birth-death keys.
+_BIRTH_DEATH_KEYS = {
+    "n0": float, "t_end": float, "dt": float, "replicates": int, "birth": PiecewiseConstant,
+    "death": PiecewiseConstant, "noise": PiecewiseConstant, "seed": int,
+}
 _GENE_PANEL_KEYS = {
     "n_genes": int, "n_timepoints": int, "spacing": float, "replicates": int, "noise_level": float,
+    "seed": int,
 }
-_SCHEDULE_KEYS = ("birth", "death", "noise")
-
-#: Every config-file key of each scenario, for ``simulate`` (``bench`` runs
-#: birth-death).
-_SCENARIO_KEYS = {
-    "birth-death": {*_BIRTH_DEATH_KEYS, *_SCHEDULE_KEYS, "seed"},
-    "gene-panel": {*_GENE_PANEL_KEYS, "seed"},
+#: ``run``, ``batch`` and ``convergence``.
+_RUN_KEYS = {
+    "algorithm": str, "model": str, "iterations": int, "q": float, "jobs": int,
+    "retain_history": bool, "input": str, "output": str,
 }
-#: Every config-file key of ``run``, ``batch`` and ``convergence``.
-_RUN_KEYS = {"algorithm", "model", "iterations", "q", "jobs", "retain_history", "input", "output"}
-
-
-def _birth_death_scenario(config: dict, seed: int | None) -> BirthDeathScenario:
-    return BirthDeathScenario(**_given(
-        **{key: _resolve(None, config, key, kind) for key, kind in _BIRTH_DEATH_KEYS.items()},
-        **{key: _schedule_from_config(config, key) for key in _SCHEDULE_KEYS},
-        seed=_resolve(seed, config, "seed", int),
-    ))
-
-
-def _gene_panel_scenario(config: dict, seed: int | None) -> GenePanelScenario:
-    return GenePanelScenario.default(**_given(
-        **{key: _resolve(None, config, key, kind) for key, kind in _GENE_PANEL_KEYS.items()},
-        seed=_resolve(seed, config, "seed", int),
-    ))
 
 
 def _echo_failures(summary: BatchSummary) -> None:
@@ -652,15 +630,15 @@ def main(verbose: bool):
 @click.option("--config", "config_path", default=None, help="JSON scenario configuration.")
 def simulate(scenario, seed, output, truth_path, labels_path, config_path):
     """Generate synthetic data and write it as CSV."""
-    config = _load_config_file(config_path, _SCENARIO_KEYS[scenario])
+    kinds = _BIRTH_DEATH_KEYS if scenario == "birth-death" else _GENE_PANEL_KEYS
+    settings = {**_load_config_file(config_path, kinds), **_given(seed=seed)}
     if scenario == "birth-death":
-        sc = _birth_death_scenario(config, seed)
-        truth, data = simulate_birth_death(sc)
+        truth, data = simulate_birth_death(BirthDeathScenario(**settings))
         write_series_csv([data], output)
         if truth_path:
             write_truth_csv([(data.series_id, truth)], truth_path)
     else:
-        sc = _gene_panel_scenario(config, seed)
+        sc = GenePanelScenario.default(**settings)
         panel = simulate_gene_panel(sc)
         write_series_csv([data for _, data in panel], output)
         if truth_path:
@@ -670,24 +648,14 @@ def simulate(scenario, seed, output, truth_path, labels_path, config_path):
     click.echo(f"wrote {output}")
 
 
-def _run_batch_command(
-    algorithm, model, iterations, q, input_path, output, jobs, retain_history, config_path,
-) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
-    config_file = _load_config_file(config_path, _RUN_KEYS)
-    q = _resolve(q, config_file, "q", float)
-    model = _resolve(model, config_file, "model")
-    if model not in (None, *MODEL_CHOICES):
-        raise InvalidConfigError(f"unknown model {model!r}")
-    run_config = RunConfig(**_given(
-        algorithm=_resolve(algorithm, config_file, "algorithm"),
-        model=MODEL_CHOICES.get(model),
-        iterations=_resolve(iterations, config_file, "iterations", int),
-        q=None if q is None else float(q),
-        jobs=_resolve(jobs, config_file, "jobs", int),
-        retain_history=_resolve(retain_history, config_file, "retain_history", bool),
-    ))
-    input_path = _resolve(input_path, config_file, "input")
-    output = _resolve(output, config_file, "output")
+def _run_batch_command(config_path, **flags) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
+    settings = {**_load_config_file(config_path, _RUN_KEYS), **_given(**flags)}
+    input_path, output = settings.pop("input", None), settings.pop("output", None)
+    if "model" in settings:
+        if settings["model"] not in MODEL_CHOICES:
+            raise InvalidConfigError(f"unknown model {settings['model']!r}")
+        settings["model"] = MODEL_CHOICES[settings["model"]]
+    run_config = RunConfig(**settings)
     if not input_path or not output:
         raise InvalidConfigError("both --input and --output are required")
     series, skipped = read_series_csv(input_path)
@@ -708,7 +676,7 @@ _shared_run_options = [
     click.option("--model", type=click.Choice(sorted(MODEL_CHOICES)), default=None),
     click.option("--iterations", type=int, default=None),
     click.option("--q", type=float, default=None),
-    click.option("--input", "input_path", default=None, help="Measurement CSV."),
+    click.option("--input", default=None, help="Measurement CSV."),
     click.option("--output", default=None, help="Result JSON to write."),
     click.option("--jobs", type=int, default=None, help="Worker processes."),
     click.option("--retain-history", is_flag=True, default=None),
@@ -762,9 +730,8 @@ def batch(algorithm, labels_path, summary_path, **options):
 @click.option("--config", "config_path", default=None, help="JSON scenario configuration.")
 def bench(seed, output, trajectories_path, config_path):
     """Reproduce the method-comparison table on the synthetic benchmark."""
-    config = _load_config_file(config_path, _SCENARIO_KEYS["birth-death"])
-    scenario = _birth_death_scenario(config, seed)
-    report = run_benchmark(scenario, table_specs())
+    settings = {**_load_config_file(config_path, _BIRTH_DEATH_KEYS), **_given(seed=seed)}
+    report = run_benchmark(BirthDeathScenario(**settings), table_specs())
     write_result(report, output)
     if trajectories_path:
         record = {

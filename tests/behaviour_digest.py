@@ -22,7 +22,12 @@ of:
   in {1, 10} with 3 iterations. Each outcome adds its JSON record
   (``result_record``) or its error string, and each batch adds the warning
   lines it logged under the ``pathkf`` logger, in order, and the bytes of
-  the results document that ``write_batch_results`` writes for it.
+  the results document that ``write_batch_results`` writes for it;
+- the command line itself, with valid config files (:data:`COMMANDS`):
+  ``simulate`` for both scenarios, ``run``, ``batch --summary --labels``,
+  ``convergence`` and ``bench --trajectories``, each with flags over some
+  of its file's keys. Each adds its exit code, stdout and stderr, with the
+  run directory spelled ``{dir}``, and the bytes of every file it writes.
 
 A refactor that must not change results gives the same digest before and
 after it. The script uses only public names that older commits have too,
@@ -54,7 +59,10 @@ from pathkf import (
     run_urts,
     table_specs,
 )
+from click.testing import CliRunner
+
 from pathkf.cli import RunConfig, batch_run, result_record, write_batch_results
+from pathkf.cli import main as cli_main
 from pathkf.pkf import run_pkf_block
 
 N_MILD, N_HARSH, BLOCK = 500, 150, 10
@@ -73,6 +81,58 @@ CLI_RUNS = (
     ("pkf", None, PKF_ITERATIONS, True),
     *((name, q, 1, False) for name in ("kf", "ukf", "urts") for q in (1.0, 10.0)),
     *(("ipls", q, 3, False) for q in (1.0, 10.0)),
+)
+
+#: (config file, arguments, files written) of each command-line run, in
+#: order; ``{dir}`` is the run directory. Flags win over the file's keys.
+COMMANDS = (
+    (
+        {"n0": 50, "t_end": 6.0, "dt": 0.5, "replicates": 3, "seed": 1,
+         "birth": {"breaks": [0, 2.5], "values": [0.4, 0.1]},
+         "death": {"breaks": [0.0], "values": [0.2]},
+         "noise": {"breaks": [0.0, 3], "values": [0.5, 2.0]}},
+        ["simulate", "--seed", "5", "--output", "{dir}/bd.csv", "--truth", "{dir}/bd_truth.csv"],
+        ("bd.csv", "bd_truth.csv"),
+    ),
+    (
+        {"n_genes": 6, "n_timepoints": 9, "spacing": 1.5, "replicates": 2,
+         "noise_level": 0.1, "seed": 1},
+        ["simulate", "--scenario", "gene-panel", "--seed", "4", "--output", "{dir}/panel.csv",
+         "--truth", "{dir}/panel_truth.csv", "--labels", "{dir}/labels.csv"],
+        ("panel.csv", "panel_truth.csv", "labels.csv"),
+    ),
+    (
+        {"algorithm": "kf", "model": "const-reg", "q": 2, "jobs": 1,
+         "input": "{dir}/panel.csv", "output": "{dir}/ignored.json"},
+        ["run", "--algorithm", "ipls", "--iterations", "2", "--output", "{dir}/run_ipls.json"],
+        ("run_ipls.json",),
+    ),
+    (
+        {"algorithm": "pkf", "iterations": 5, "retain_history": True,
+         "input": "{dir}/bd.csv", "output": "{dir}/run_pkf.json"},
+        ["run", "--iterations", "3", "--model", "const-reg"],
+        ("run_pkf.json",),
+    ),
+    (
+        {"model": "birth-death", "iterations": 4, "jobs": 1, "input": "{dir}/panel.csv",
+         "output": "{dir}/ignored.json"},
+        ["batch", "--model", "const-reg", "--iterations", "2", "--output", "{dir}/batch.json",
+         "--summary", "{dir}/summary.json", "--labels", "{dir}/labels.csv"],
+        ("batch.json", "summary.json"),
+    ),
+    (
+        {"iterations": 6, "retain_history": False, "input": "{dir}/bd.csv",
+         "output": "{dir}/trace.json"},
+        ["convergence", "--iterations", "3"],
+        ("trace.json",),
+    ),
+    (
+        {"t_end": 4.0, "dt": 0.5, "replicates": 4, "seed": 2,
+         "noise": {"breaks": [0.0], "values": [1.5]}},
+        ["bench", "--seed", "3", "--output", "{dir}/table.csv",
+         "--trajectories", "{dir}/traces.json"],
+        ("table.csv", "traces.json"),
+    ),
 )
 
 
@@ -206,6 +266,33 @@ def add_cli_batches(digest: Digest, blocks) -> None:
         directory.cleanup()
 
 
+def add_cli_commands(digest: Digest) -> None:
+    """Every run of ``COMMANDS`` through the command line, in one directory."""
+    directory = tempfile.TemporaryDirectory()
+
+    def placed(value):
+        if isinstance(value, str):
+            return value.replace("{dir}", directory.name)
+        if isinstance(value, dict):
+            return {key: placed(item) for key, item in value.items()}
+        return value
+
+    try:
+        for n, (config, args, written) in enumerate(COMMANDS):
+            config_path = os.path.join(directory.name, f"config{n}.json")
+            with open(config_path, "w") as handle:
+                json.dump(placed(config), handle)
+            result = CliRunner().invoke(cli_main, [*map(placed, args), "--config", config_path])
+            text = f"{result.exit_code}\n{result.stdout}\n{result.stderr}"
+            digest.add_text(f"command {n} {args[0]}", text.replace(directory.name, "{dir}"),
+                            error=result.exit_code != 0)
+            for name in written:
+                with open(os.path.join(directory.name, name), "rb") as handle:
+                    digest.sha.update(handle.read())
+    finally:
+        directory.cleanup()
+
+
 def main() -> int:
     logging.disable(logging.CRITICAL)
     warnings.simplefilter("ignore")
@@ -240,6 +327,7 @@ def main() -> int:
                 else:
                     digest.add(label, moments(row.trajectory))
         add_cli_batches(digest, blocks)
+        add_cli_commands(digest)
     print(f"{digest.sha.hexdigest()}  ({digest.runs} runs, {digest.errors} errors)")
     return 0
 

@@ -88,7 +88,8 @@ class TestSigmaMoments:
     # moments are +0.0
     @example(mean=0.0, variance=0.0, f=np.negative)
     def test_bitwise_equal_to_the_numpy_referee(self, mean, variance, f):
-        got = outcome(_sigma_moments, mean, variance, f)
+        with np.errstate(over="ignore", invalid="ignore"):  # as every caller runs it
+            got = outcome(_sigma_moments, mean, variance, f)
         want = outcome(sigma_moments, mean, variance, f)
         if isinstance(want[0], type):
             assert got == want
@@ -332,6 +333,14 @@ class TestOverflow:
         ):
             warnings.simplefilter("error")
             run_ukf(data, ModelKind.BIRTH_DEATH, dynamics=dynamics)
+
+    def test_direct_linearization_overflow_leaks_no_warning(self):
+        # outside a filter pass no caller has switched numpy's warnings off
+        with warnings.catch_warnings(), pytest.raises(
+            NumericalOverflowError, match="^the step map left the finite range$"
+        ):
+            warnings.simplefilter("error")
+            statistical_linearization(1.0, 1.0, lambda x: np.exp(1000.0 * x))
 
     def test_squared_slope_overflow_is_typed(self):
         # a slope past 1.3e154 overflows when squared, which Python's float

@@ -613,24 +613,25 @@ class TestJobsInvariance:
 #: checks run: the file holding the values of one entry and of every entry
 #: after it reports that entry's error. Where two entries set one key, the
 #: earlier one's value is in the file. A key the command does not read is
-#: rejected before any value is read.
+#: rejected before any value is read, and every value of the wrong kind, in
+#: the command's key order, before any name or range.
 _SCHEDULE = 'a schedule {"breaks": [numbers], "values": [numbers]}'
 _NEGATIVE_NOISE = {"breaks": [0], "values": [-1.0]}
 CONFIG_ERRORS = {
     ("run",): [
         ("iteration", 3, "unknown config key 'iteration'"),
-        ("q", "x", "config 'q' must be a number, got 'x'"),
-        ("model", 3, "config 'model' must be a string, got 3"),
-        ("model", "nope", "unknown model 'nope'"),
         ("algorithm", 3, "config 'algorithm' must be a string, got 3"),
+        ("model", 3, "config 'model' must be a string, got 3"),
         ("iterations", 1.5, "config 'iterations' must be an integer, got 1.5"),
+        ("q", "x", "config 'q' must be a number, got 'x'"),
         ("jobs", "2", "config 'jobs' must be an integer, got '2'"),
         ("retain_history", 1, "config 'retain_history' must be true or false, got 1"),
+        ("input", 3, "config 'input' must be a string, got 3"),
+        ("output", 3, "config 'output' must be a string, got 3"),
+        ("model", "nope", "unknown model 'nope'"),
         ("algorithm", "nope", "unknown algorithm 'nope'"),
         ("jobs", 0, "jobs must be at least 1"),
         ("iterations", 0, "iterations must be at least 1"),
-        ("input", 3, "config 'input' must be a string, got 3"),
-        ("output", 3, "config 'output' must be a string, got 3"),
     ],
     ("simulate",): [
         ("replicate", 3, "unknown config key 'replicate'"),
@@ -868,19 +869,23 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "config",
+        "config, flags",
         [
-            {"algorithm": "kf", "q": "abc"},
-            {"iterations": "x"},
-            {"jobs": "two"},
-            {"model": "nope"},
-            {"retain_history": "false"},
+            *((config, flags) for config, flag in [
+                ({"algorithm": "kf", "q": "abc"}, ["--q", "2"]),
+                ({"iterations": "x"}, ["--iterations", "2"]),
+                ({"jobs": "two"}, ["--jobs", "1"]),
+                ({"model": 3}, ["--model", "const-reg"]),
+                ({"retain_history": "false"}, ["--retain-history"]),
+            ] for flags in ([], flag)),  # the file is checked even where a flag wins
+            ({"model": "nope"}, []),
+            ({"input": 3}, []),  # --input is always given
         ],
     )
-    def test_bad_config_file_value_exits_2(self, tmp_path, config):
+    def test_bad_config_file_value_exits_2(self, tmp_path, config, flags):
         out = tmp_path / "o.json"
         result = CliRunner().invoke(
-            main, ["run", "--input", panel_csv(tmp_path), "--output", str(out),
+            main, ["run", "--input", panel_csv(tmp_path), "--output", str(out), *flags,
                    "--config", write_text(tmp_path / "cfg.json", json.dumps(config))],
         )
         assert result.exit_code == 2
@@ -888,21 +893,45 @@ class TestCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, config",
+        "args, config",
         [
-            *((command, config) for command in ("simulate", "bench") for config in (
+            (["--algorithm", "kf", "--retain-history"], {}),
+            (["--algorithm", "kf"], {"retain_history": True}),
+            (["--algorithm", "ipls"], {"algorithm": "pkf", "retain_history": True}),
+        ],
+    )
+    def test_retain_history_with_a_baseline_exits_2(self, tmp_path, args, config):
+        out = tmp_path / "o.json"
+        result = CliRunner().invoke(
+            main, ["run", *args, "--input", panel_csv(tmp_path), "--output", str(out),
+                   "--config", write_text(tmp_path / "cfg.json", json.dumps(config))],
+        )
+        assert (result.exit_code, result.stderr) == (
+            2, "error: retain_history applies only to pkf, whose iterations it keeps\n"
+        )
+        assert not out.exists()
+        with pytest.raises(InvalidConfigError, match="^retain_history applies only to pkf"):
+            RunConfig(algorithm="urts", retain_history=True)
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            *((command, config, []) for command in ("simulate", "bench") for config in (
                 {"n0": "abc"},
                 {"dt": "0.5"},
                 {"replicates": 2.5},
                 {"birth": {"breaks": [0], "values": ["x"]}},
                 {"seed": "7"},
             )),
-            ("gene-panel", {"n_genes": "x"}),
-            ("gene-panel", {"spacing": "2"}),
-            ("gene-panel", {"seed": "3"}),
+            ("gene-panel", {"n_genes": "x"}, []),
+            ("gene-panel", {"spacing": "2"}, []),
+            ("gene-panel", {"seed": "3"}, []),
+            # the file is checked even where the flag wins
+            *((command, {"seed": "7"}, ["--seed", "3"])
+              for command in ("simulate", "gene-panel", "bench")),
         ],
     )
-    def test_bad_scenario_config_value_exits_2(self, tmp_path, command, config):
+    def test_bad_scenario_config_value_exits_2(self, tmp_path, command, config, flags):
         out = tmp_path / "out.csv"
         args = {
             "simulate": ["simulate", "--scenario", "birth-death"],
@@ -910,12 +939,25 @@ class TestCommands:
             "bench": ["bench"],
         }[command]
         result = CliRunner().invoke(
-            main, [*args, "--output", str(out),
+            main, [*args, *flags, "--output", str(out),
                    "--config", write_text(tmp_path / "cfg.json", json.dumps(config))],
         )
         (key,) = config
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: config {key!r} must be ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    @pytest.mark.parametrize("key", ["birth", "noise", "seed"])
+    def test_null_is_the_wrong_kind(self, tmp_path, command, key):
+        out = tmp_path / "out.csv"
+        kind = "an integer" if key == "seed" else _SCHEDULE
+        result = CliRunner().invoke(
+            main, [command, "--output", str(out),
+                   "--config", write_text(tmp_path / "cfg.json", json.dumps({key: None}))],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: config {key!r} must be {kind}, got None\n"
         assert not out.exists()
 
     def test_bench_trajectories_write_failure_exits_2(self, tmp_path):

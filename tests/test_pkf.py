@@ -513,6 +513,7 @@ class TestRunPkfBlock:
     @settings(deadline=None, max_examples=40)
     @given(shared_grid_panels(), st.sampled_from(list(ModelKind)), st.booleans())
     def test_stacked_runs_equal_lone_runs(self, algorithm, series, kind, retain_history):
+        retain_history &= algorithm == "pkf"  # RunConfig rejects history for a baseline
         lone = [lone_outcome(algorithm, data, kind, retain_history) for data in series]
         q = None if algorithm == "pkf" else 2.5
         config = RunConfig(algorithm, kind, 3, q, retain_history=retain_history)
