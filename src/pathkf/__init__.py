@@ -12,7 +12,6 @@ from .baselines import (
     run_ipls,
     run_ukf,
     run_urts,
-    statistical_linearization,
 )
 from .bench import (
     AlgorithmSpec,

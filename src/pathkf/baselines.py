@@ -67,6 +67,12 @@ def _sigma_moments(mean: float, variance: float, f) -> tuple[float, float, float
     return mean_out, var_out, cross
 
 
+def _check_q(q: float) -> None:
+    """Reject a constant process uncertainty ``q`` that is negative or not finite."""
+    if not math.isfinite(q) or q < 0:
+        raise InvalidParameterError("q must be finite and non-negative")
+
+
 def _overflow_at(exc: NumericalOverflowError, times, t: int) -> NumericalOverflowError:
     """``exc`` restated for the step into timepoint ``t``."""
     return NumericalOverflowError(f"{exc} at timepoint {t} (t={times[t]})")
@@ -95,16 +101,16 @@ def _squared(slope: float) -> float:
         ) from None
 
 
-def statistical_linearization(mean: float, variance: float, f) -> tuple[float, float, float]:
-    """Sigma-point linear regression of ``f`` around a Gaussian.
+def _statistical_linearization(mean: float, variance: float, f) -> tuple[float, float, float]:
+    """Sigma-point linear regression of ``f`` around a Gaussian, the IPLS
+    pass's prediction step.
 
     Returns ``(slope, intercept, residual_variance)`` with the slope the
     cross-covariance over the input variance and the intercept matching the
     propagated mean. Exact (zero residual) for affine maps.
     """
     var = max(variance, VARIANCE_FLOOR)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked in _propagate
-        mean_out, var_out, cross = _sigma_moments(mean, var, f)
+    mean_out, var_out, cross = _sigma_moments(mean, var, f)
     slope = cross / var
     intercept = mean_out - slope * mean
     residual = max(var_out - _squared(slope) * var, 0.0)
@@ -189,6 +195,7 @@ def run_adaptive_kf(
     and the data variance is recomputed from the replicates at every
     timepoint.
     """
+    _check_q(q)
     grid = data.grid
     z_means, z_vars = data.summaries()
     dynamics = FlowStepDynamics(kind, z_means, z_vars)
@@ -222,22 +229,21 @@ def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, 
     ``t - 1`` and returns the predicted moments at ``t`` and the
     cross-covariance of the states at ``t - 1`` and ``t``. Returns the filter
     moments, the predicted moments and the cross-covariances, in the order
-    ``_rts_backward`` takes them.
+    ``_rts_backward`` takes them. Like the backward pass, it runs under the
+    error state that :func:`_unscented` sets.
     """
     n = len(times)
     m, p, m_pred, p_pred, cross = (np.zeros(n) for _ in range(5))
     m[0] = z_means[0]
     p[0] = max(z_vars[0], VARIANCE_FLOOR)
-    # what overflows here fails the next step map or the final finite check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, n):
-            try:
-                m_pred[t], p_pred[t], cross[t] = predict(t, m, p)
-            except NumericalOverflowError as exc:
-                raise _overflow_at(exc, times, t) from exc
-            gain = p_pred[t] / (p_pred[t] + z_vars[t])
-            m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
-            p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
+    for t in range(1, n):
+        try:
+            m_pred[t], p_pred[t], cross[t] = predict(t, m, p)
+        except NumericalOverflowError as exc:
+            raise _overflow_at(exc, times, t) from exc
+        gain = p_pred[t] / (p_pred[t] + z_vars[t])
+        m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
+        p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
     return m, p, m_pred, p_pred, cross
 
 
@@ -245,11 +251,10 @@ def _rts_backward(m, p, m_pred, p_pred, cross) -> tuple[np.ndarray, np.ndarray]:
     """The Rauch-Tung-Striebel backward pass over a ``_kalman_forward`` run."""
     ms = m.copy()
     ps = p.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _kalman_forward
-        for t in range(len(m) - 2, -1, -1):
-            gain = cross[t + 1] / p_pred[t + 1]
-            ms[t] = m[t] + gain * (ms[t + 1] - m_pred[t + 1])
-            ps[t] = max(p[t] + gain**2 * (ps[t + 1] - p_pred[t + 1]), VARIANCE_FLOOR)
+    for t in range(len(m) - 2, -1, -1):
+        gain = cross[t + 1] / p_pred[t + 1]
+        ms[t] = m[t] + gain * (ms[t + 1] - m_pred[t + 1])
+        ps[t] = max(p[t] + gain**2 * (ps[t + 1] - p_pred[t + 1]), VARIANCE_FLOOR)
     return ms, ps
 
 
@@ -274,7 +279,7 @@ def _linearized_predict(dynamics, times: np.ndarray, q: float, ms: np.ndarray, p
 
     def predict(t, m, p):
         f = dynamics.step_map(times, ms, t)
-        slope, intercept, residual = statistical_linearization(
+        slope, intercept, residual = _statistical_linearization(
             float(ms[t - 1]), float(ps[t - 1]), f
         )
         prior = p[t - 1]
@@ -290,18 +295,21 @@ def _unscented(
     the RTS pass over the UKF, then the further IPLS iterations, each a
     linearized forward pass and its RTS pass. No pass is the UKF, one the
     URTS, more the IPLS."""
+    _check_q(q)
     grid = data.grid
     z_means, z_vars = data.summaries()
     if dynamics is None:
         dynamics = FlowStepDynamics(kind, z_means, z_vars)
-    predict = _unscented_predict(dynamics, grid.times, q)
-    forward = _kalman_forward(grid.times, z_means, z_vars, predict)
-    ms, ps = forward[:2]
-    if smoothing_passes:
-        ms, ps = _rts_backward(*forward)
-    for _ in range(1, smoothing_passes):
-        predict = _linearized_predict(dynamics, grid.times, q, ms, ps)
-        ms, ps = _rts_backward(*_kalman_forward(grid.times, z_means, z_vars, predict))
+    # what overflows here fails the next step map or the final finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        predict = _unscented_predict(dynamics, grid.times, q)
+        forward = _kalman_forward(grid.times, z_means, z_vars, predict)
+        ms, ps = forward[:2]
+        if smoothing_passes:
+            ms, ps = _rts_backward(*forward)
+        for _ in range(1, smoothing_passes):
+            predict = _linearized_predict(dynamics, grid.times, q, ms, ps)
+            ms, ps = _rts_backward(*_kalman_forward(grid.times, z_means, z_vars, predict))
     bad = ~(np.isfinite(ms) & np.isfinite(ps))
     if bad.any():
         raise _estimate_overflow(grid.times, int(np.argmax(bad)))

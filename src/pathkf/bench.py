@@ -57,8 +57,7 @@ class AlgorithmSpec:
     iterations: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.q) or self.q < 0:
-            raise InvalidParameterError("q must be finite and non-negative")
+        baselines._check_q(self.q)
         if self.iterations < 1:
             raise InvalidParameterError("iterations must be at least 1")
 

@@ -533,7 +533,14 @@ def _has_kind(value, kind: type) -> bool:
             for part in ("breaks", "values")
         )
     accepted = (int, float) if kind is float else kind
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        return False
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:  # an integer past the float range is not a number here
+            return False
+    return True
 
 
 def _load_config_file(path: str | None, kinds: dict) -> dict:
@@ -551,7 +558,7 @@ def _load_config_file(path: str | None, kinds: dict) -> dict:
             loaded = json.load(handle)
     except OSError as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an integer past Python's digit limit
         raise InvalidConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise InvalidConfigError("config file must hold a JSON object")
@@ -648,8 +655,14 @@ def simulate(scenario, seed, output, truth_path, labels_path, config_path):
     click.echo(f"wrote {output}")
 
 
-def _run_batch_command(config_path, **flags) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
+def _run_batch_command(
+    config_path, pkf_only: str | None = None, **flags
+) -> tuple[BatchSummary, tuple[TimeSeriesData, ...]]:
+    """Run the config file's settings with the flags laid over them. With
+    ``pkf_only``, a merged algorithm other than ``pkf`` fails with that message."""
     settings = {**_load_config_file(config_path, _RUN_KEYS), **_given(**flags)}
+    if pkf_only and settings.get("algorithm", "pkf") != "pkf":
+        raise InvalidConfigError(pkf_only)
     input_path, output = settings.pop("input", None), settings.pop("output", None)
     if "model" in settings:
         if settings["model"] not in MODEL_CHOICES:
@@ -705,11 +718,11 @@ def run(**options):
 @_with_options(_shared_run_options)
 @click.option("--labels", "labels_path", default=None, help="series_id,label CSV.")
 @click.option("--summary", "summary_path", default=None, help="Ratio summary JSON to write.")
-def batch(algorithm, labels_path, summary_path, **options):
+def batch(labels_path, summary_path, **options):
     """Gene-panel workflow: pathspace filter per series plus a ratio summary."""
-    if algorithm not in (None, "pkf"):
-        raise InvalidConfigError("the batch workflow runs the pathspace filter")
-    summary, series = _run_batch_command(algorithm="pkf", **options)
+    summary, series = _run_batch_command(
+        pkf_only="the batch workflow runs the pathspace filter", **options
+    )
     if summary_path:
         labels = read_labels_csv(labels_path) if labels_path else {}
         series_by_id = {data.series_id: data for data in series}
@@ -759,11 +772,12 @@ def bench(seed, output, trajectories_path, config_path):
 
 @main.command()
 @_with_options(_shared_run_options)
-def convergence(algorithm, retain_history, **options):
+def convergence(retain_history, **options):
     """Run the pathspace filter with full history for convergence plots."""
-    if algorithm not in (None, "pkf"):
-        raise InvalidConfigError("convergence traces apply to the pathspace filter")
-    summary, _ = _run_batch_command(algorithm="pkf", retain_history=True, **options)
+    summary, _ = _run_batch_command(
+        pkf_only="convergence traces apply to the pathspace filter", retain_history=True,
+        **options,
+    )
     sys.exit(EXIT_PARTIAL if summary.n_failed else EXIT_OK)
 
 

@@ -37,15 +37,7 @@ class InvalidConfigError(PathkfError):
 
 
 class NumericalOverflowError(PathkfError):
-    """A closed-form evaluation left the representable range.
-
-    ``index`` is the array index of the first entry that overflowed, when an
-    elementwise kernel knows it, so that a caller can say where it happened.
-    """
-
-    def __init__(self, message: str, index: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.index = index
+    """A closed-form evaluation left the representable range."""
 
 
 def _setstate_readonly(self, state: dict) -> None:

@@ -130,17 +130,17 @@ def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid):
     """Per window and scanned ``k_deg`` of a layout: the scan value, the
     anchor decay ``exp(-k_deg * dt)`` and its complement (via expm1, so small
     rates stay accurate) and the relaxation factor from the earlier anchor to
-    the target. Built on first use; read-only because callers share them."""
+    the target. Built on first use, under the error state that
+    :func:`fit_spline_posterior` sets; read-only because callers share them."""
     memo = _grid_memo(times, scan)
     if layout in memo:
         return memo[layout]
     t = np.frombuffer(times)
     ta, tb, tt = (t[i] for i in np.frombuffer(layout, dtype=np.intp).reshape(3, -1))
     k1 = scan.values(np.maximum(tb, tt) - np.minimum(ta, tt))
-    with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(-k1 * (tb - ta)[:, None])
-        denom = -np.expm1(-k1 * (tb - ta)[:, None])
-        relax = np.exp(-k1 * (tt - ta)[:, None])
+    decay = np.exp(-k1 * (tb - ta)[:, None])
+    denom = -np.expm1(-k1 * (tb - ta)[:, None])
+    relax = np.exp(-k1 * (tt - ta)[:, None])
     tables = memo[layout] = (k1, decay, denom, relax)
     for arr in tables:
         arr.setflags(write=False)

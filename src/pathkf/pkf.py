@@ -179,7 +179,7 @@ def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
     if overflow.any():
         index = _first(overflow)
         where = f" at [{', '.join(map(str, index))}]" if index else ""
-        raise NumericalOverflowError(f"{_PRODUCTS_OVERFLOWED}{where}", index)
+        raise NumericalOverflowError(f"{_PRODUCTS_OVERFLOWED}{where}")
     return PkfWeights(*weights)
 
 

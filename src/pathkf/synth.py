@@ -10,6 +10,7 @@ flows; replicates are Gaussian draws fully determined by the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,19 @@ from .models import flow_birth_death, flow_const_reg
 #: Labels attached to panel genes.
 DYNAMIC_LABEL = "dynamic"
 STATIC_LABEL = "static"
+
+
+def _check_finite(**settings) -> None:
+    """Reject the first setting that is not finite, naming it and its value."""
+    for name, value in settings.items():
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value}")
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generators do not take."""
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +99,7 @@ class BirthDeathScenario:
             raise InvalidConfigError("n0 must be positive")
         if self.dt <= 0 or self.t_end <= 0:
             raise InvalidConfigError("dt and t_end must be positive")
+        _check_finite(t_end=self.t_end, dt=self.dt)
         if self.replicates < 1:
             raise InvalidConfigError("replicates must be at least 1")
         for value in self.noise.values:
@@ -92,6 +107,7 @@ class BirthDeathScenario:
                 raise InvalidConfigError(f"noise values must be non-negative, got {value}")
         for schedule in (self.birth, self.death, self.noise):
             schedule.check_covers(0.0)
+        _check_seed(self.seed)
 
     def grid(self) -> TimeGrid:
         n_steps = int(round(self.t_end / self.dt))
@@ -175,6 +191,7 @@ class GenePanelScenario:
                 )
             gene.expression.check_covers(self.times[0])
             gene.degradation.check_covers(self.times[0])
+        _check_seed(self.seed)
 
     @classmethod
     def default(
@@ -200,6 +217,8 @@ class GenePanelScenario:
             raise InvalidConfigError(f"spacing must be positive, got {spacing}")
         if not noise_level >= 0:
             raise InvalidConfigError(f"noise_level must be non-negative, got {noise_level}")
+        _check_finite(spacing=spacing, noise_level=noise_level)
+        _check_seed(seed)
         rng = np.random.default_rng(seed)
         times = tuple(spacing * i for i in range(n_timepoints))
         genes = []

@@ -24,10 +24,14 @@ from pathkf import (
     run_ipls,
     run_ukf,
     run_urts,
-    statistical_linearization,
 )
 
-from pathkf.baselines import FlowStepDynamics, _sigma_moments, _unscented_predict
+from pathkf.baselines import (
+    FlowStepDynamics,
+    _sigma_moments,
+    _statistical_linearization,
+    _unscented_predict,
+)
 
 from oracles import AffineStepDynamics, linear_kf, linear_rts, sigma_moments
 
@@ -144,12 +148,12 @@ class TestSigmaMoments:
 
 class TestStatisticalLinearization:
     def test_affine_is_exact(self):
-        slope, intercept, residual = statistical_linearization(2.0, 3.0, lambda x: 4.0 * x - 1.0)
+        slope, intercept, residual = _statistical_linearization(2.0, 3.0, lambda x: 4.0 * x - 1.0)
         np.testing.assert_allclose([slope, intercept], [4.0, -1.0], rtol=1e-10)
         assert residual <= 1e-12
 
     def test_residual_non_negative_for_nonlinear_map(self):
-        slope, _, residual = statistical_linearization(1.0, 1.0, lambda x: x**2)
+        slope, _, residual = _statistical_linearization(1.0, 1.0, lambda x: x**2)
         assert residual >= 0.0
         np.testing.assert_allclose(slope, 2.0, rtol=1e-8)
 
@@ -297,6 +301,15 @@ class TestIpls:
             run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=0)
 
 
+@pytest.mark.parametrize("q", [-5.0, math.nan, math.inf])
+@pytest.mark.parametrize("run", [run_adaptive_kf, run_ukf, run_urts, run_ipls])
+def test_bad_q_is_rejected(run, q):
+    # a NaN q would otherwise fail later as an overflow that blames the model
+    data = random_series(np.random.default_rng(16))
+    with pytest.raises(InvalidParameterError, match="^q must be finite and non-negative$"):
+        run(data, ModelKind.BIRTH_DEATH, q=q)
+
+
 class TestOverflow:
     @pytest.mark.parametrize("run", [run_adaptive_kf, run_ukf, run_urts, run_ipls])
     @pytest.mark.parametrize("spike", [50.0, 1e8])
@@ -334,13 +347,24 @@ class TestOverflow:
             warnings.simplefilter("error")
             run_ukf(data, ModelKind.BIRTH_DEATH, dynamics=dynamics)
 
-    def test_direct_linearization_overflow_leaks_no_warning(self):
-        # outside a filter pass no caller has switched numpy's warnings off
+    def test_linearized_pass_overflow_leaks_no_warning(self):
+        # identity steps through the unscented pass, then a map whose sigma
+        # points overflow in numpy once the first linearized pass starts
+        calls = []
+
+        def step_map(times, ref_means, index):
+            calls.append(index)
+            return (lambda x: x) if len(calls) <= 2 else (lambda x: np.exp(1000.0 * x))
+
+        dynamics = types.SimpleNamespace(step_map=step_map)
+        data = series_from_groups([[4.0, 6.0]] * 3)
         with warnings.catch_warnings(), pytest.raises(
-            NumericalOverflowError, match="^the step map left the finite range$"
+            NumericalOverflowError,
+            match=r"^the step map left the finite range at timepoint 1 \(t=1\.0\)$",
         ):
             warnings.simplefilter("error")
-            statistical_linearization(1.0, 1.0, lambda x: np.exp(1000.0 * x))
+            run_ipls(data, ModelKind.BIRTH_DEATH, iterations=2, dynamics=dynamics)
+        assert calls == [1, 2, 1]
 
     def test_squared_slope_overflow_is_typed(self):
         # a slope past 1.3e154 overflows when squared, which Python's float
@@ -348,7 +372,7 @@ class TestOverflow:
         with np.errstate(over="ignore"), pytest.raises(
             NumericalOverflowError, match="^the linearization slope 1e\\+160 overflowed when squared$"
         ):
-            statistical_linearization(0.0, 1.0, lambda x: 1e160 * x)
+            _statistical_linearization(0.0, 1.0, lambda x: 1e160 * x)
 
     def test_ipls_slope_overflow_names_the_timepoint(self):
         # a harsh random series (scale 1e6, negative replicates) on which the

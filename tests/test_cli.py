@@ -659,6 +659,19 @@ CONFIG_ERRORS = {
     ],
 }
 
+#: Each command that reads a config file, with its keys.
+_NUMBER_COMMANDS = [
+    *((("run", "--algorithm", algorithm), pathkf.cli._RUN_KEYS) for algorithm in ALGORITHMS),
+    (("batch",), pathkf.cli._RUN_KEYS),
+    (("convergence",), pathkf.cli._RUN_KEYS),
+    (("simulate",), pathkf.cli._BIRTH_DEATH_KEYS),
+    (("bench",), pathkf.cli._BIRTH_DEATH_KEYS),
+    (("simulate", "--scenario", "gene-panel"), pathkf.cli._GENE_PANEL_KEYS),
+]
+#: Integer keys that count processes, passes or draws: a huge value would
+#: start that many workers, or loop and allocate without bound.
+_COUNT_KEYS = {"jobs", "iterations", "n_genes", "replicates", "n_timepoints"}
+
 
 class TestCommands:
     @pytest.mark.parametrize("command", list(CONFIG_ERRORS))
@@ -959,6 +972,95 @@ class TestCommands:
         assert result.exit_code == 2
         assert result.stderr == f"error: config {key!r} must be {kind}, got None\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("batch", "the batch workflow runs the pathspace filter"),
+            ("convergence", "convergence traces apply to the pathspace filter"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_pkf_only_commands_check_the_merged_algorithm(self, tmp_path, command, message,
+                                                          source):
+        out = tmp_path / "o.json"
+        args = [command, "--input", panel_csv(tmp_path), "--output", str(out)]
+        if source == "flag":
+            args += ["--algorithm", "kf"]
+        else:
+            args += ["--config", write_text(tmp_path / "cfg.json", '{"algorithm": "kf"}')]
+        result = CliRunner().invoke(main, args)
+        assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+        assert not out.exists()
+        # a flag over the file's algorithm wins, as for every other key
+        result = CliRunner().invoke(main, [*args, "--algorithm", "pkf"])
+        assert result.exit_code == 0, result.output
+        assert "filter_mean" in json.loads(out.read_text())["series"]["g0"]
+
+    def test_convergence_keeps_history_over_the_file(self, tmp_path):
+        out = tmp_path / "o.json"
+        config = write_text(tmp_path / "cfg.json", '{"retain_history": false, "iterations": 2}')
+        result = CliRunner().invoke(
+            main, ["convergence", "--input", panel_csv(tmp_path), "--output", str(out),
+                   "--config", config],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(out.read_text())["series"]["g0"]["history"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (["run"], '{"q": %s}' % ("9" * 5000), "is not valid JSON: Exceeds the limit"),
+            (["run", "--algorithm", "kf"], '{"q": 1%s}' % ("0" * 400),
+             "config 'q' must be a number, got 1000"),
+            (["simulate"], '{"n0": -1%s}' % ("0" * 400), "config 'n0' must be a number, got -1000"),
+            (["bench"], '{"t_end": NaN}', "t_end must be finite, got nan"),
+            (["bench"], '{"t_end": Infinity}', "t_end must be finite, got inf"),
+            (["simulate"], '{"dt": NaN}', "dt must be finite, got nan"),
+            (["simulate", "--scenario", "gene-panel"], '{"noise_level": Infinity}',
+             "noise_level must be finite, got inf"),
+            (["simulate", "--scenario", "gene-panel"], '{"spacing": Infinity}',
+             "spacing must be finite, got inf"),
+            (["simulate"], '{"seed": -1}', "seed must be non-negative, got -1"),
+        ],
+        ids=["digit-limit", "q-past-float", "n0-past-float", "t_end-nan", "t_end-inf", "dt-nan",
+             "noise_level-inf", "spacing-inf", "negative-seed"],
+    )
+    def test_config_number_errors_exit_2(self, tmp_path, command, text, message):
+        out = tmp_path / "o.out"
+        io = ["--input", panel_csv(tmp_path)] if command[0] == "run" else []
+        result = CliRunner().invoke(
+            main, [*command, *io, "--output", str(out),
+                   "--config", write_text(tmp_path / "cfg.json", text)],
+        )
+        assert result.exit_code == 2, result.output
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not out.exists()
+
+    @settings(deadline=None, max_examples=120,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.data())
+    def test_no_config_number_ends_in_a_traceback(self, tmp_path, case):
+        command, kinds = case.draw(st.sampled_from(_NUMBER_COMMANDS), label="command")
+        key = case.draw(st.sampled_from(sorted(kinds)), label="key")
+        values = st.integers(1, 9).map(lambda d: f"{d}" * 5000)  # past Python's digit limit
+        if kinds[key] in (int, float):
+            values |= st.sampled_from(["NaN", "Infinity", "-Infinity"])
+            if key not in _COUNT_KEYS:
+                values |= st.integers(10**399, 10**400 - 1).flatmap(
+                    lambda n: st.sampled_from([str(n), str(-n)])
+                )
+        value = case.draw(values, label="value")
+        io = [] if command[0] in ("simulate", "bench") else ["--input", panel_csv(tmp_path)]
+        result = CliRunner().invoke(
+            main, [*command, *io, "--output", str(tmp_path / "o.out"),
+                   "--config", write_text(tmp_path / "cfg.json", f'{{"{key}": {value}}}')],
+        )
+        if result.exit_code != 0:
+            assert result.exit_code == 2, result.output
+            (line,) = result.stderr.splitlines()
+            assert line.startswith("error: ")
 
     def test_bench_trajectories_write_failure_exits_2(self, tmp_path):
         config = write_text(

@@ -91,6 +91,19 @@ class TestBirthDeath:
         with pytest.raises(InvalidConfigError, match=r"^noise values must be non-negative, got "):
             BirthDeathScenario(noise=PiecewiseConstant((0.0, 10.0), (1.0, value)))
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            # NaN and infinity both pass the positivity check
+            *(({name: value}, f"{name} must be finite, got {value}")
+              for name in ("t_end", "dt") for value in (math.nan, math.inf)),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_settings_rejected(self, settings, message):
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            BirthDeathScenario(**settings)
+
 
 class TestGenePanel:
     def test_static_gene_at_steady_state_is_constant(self):
@@ -153,11 +166,21 @@ class TestGenePanel:
             ({"n_timepoints": 3}, "n_timepoints must be at least 4, got 3"),
             ({"spacing": 0.0}, "spacing must be positive, got 0.0"),
             ({"noise_level": -0.5}, "noise_level must be non-negative, got -0.5"),
+            ({"spacing": math.inf}, "spacing must be finite, got inf"),
+            # not blamed on the samples it would make infinite
+            ({"noise_level": math.inf}, "noise_level must be finite, got inf"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
         ],
     )
     def test_default_panel_settings_rejected(self, settings, message):
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             GenePanelScenario.default(n_genes=4, **settings)
+
+    def test_negative_seed_rejected(self):
+        gene = GeneSpec("g", PiecewiseConstant.constant(8.0), PiecewiseConstant.constant(2.0),
+                        4.0, 1.0, STATIC_LABEL)
+        with pytest.raises(InvalidConfigError, match=r"^seed must be non-negative, got -3$"):
+            GenePanelScenario((gene,), times=tuple(np.arange(6.0)), seed=-3)
 
     def test_negative_gene_noise_rejected(self):
         gene = GeneSpec("g", PiecewiseConstant.constant(8.0), PiecewiseConstant.constant(2.0),
