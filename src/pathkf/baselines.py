@@ -24,6 +24,7 @@ from .core import (
     NumericalOverflowError,
     TimeSeriesData,
     Trajectory,
+    _isfinite,
 )
 from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, fit_spline_posterior
 from .models import uniform_posterior  # noqa: F401  perfbench traces the fallback here too
@@ -69,24 +70,14 @@ def _sigma_moments(mean: float, variance: float, f) -> tuple[float, float, float
 
 def _check_q(q: float) -> None:
     """Reject a constant process uncertainty ``q`` that is negative or not finite."""
-    if not math.isfinite(q) or q < 0:
+    if not _isfinite(q) or q < 0:
         raise InvalidParameterError("q must be finite and non-negative")
 
 
-def _overflow_at(exc: NumericalOverflowError, times, t: int) -> NumericalOverflowError:
-    """``exc`` restated for the step into timepoint ``t``."""
-    return NumericalOverflowError(f"{exc} at timepoint {t} (t={times[t]})")
-
-
-def _estimate_overflow(times, t: int) -> NumericalOverflowError:
-    """The error of a filter estimate at timepoint ``t`` that is not finite.
-
-    The data summaries are finite, so such an estimate was made by the model
-    or the filter arithmetic, not by the input.
-    """
-    return NumericalOverflowError(
-        f"filter estimate left the finite range at timepoint {t} (t={times[t]})"
-    )
+#: The problem of a filter estimate that is not finite. The data summaries
+#: are finite, so such an estimate was made by the model or the filter
+#: arithmetic, not by the input.
+_ESTIMATE_LEFT_RANGE = "the filter estimate left the finite range"
 
 
 def _squared(slope: float) -> float:
@@ -168,7 +159,7 @@ class FlowStepDynamics:
             self.kind, self.scan, times, into - 2, into - 1, into, ref_means,
             self.z_means[into], self.z_vars[into],
         )
-        if not math.isfinite(fit.means[0]):  # the callers name the timepoint
+        if not math.isfinite(fit.means[0]):  # the callers name the series and timepoint
             raise NumericalOverflowError("the model fit left the finite range")
         best = int(np.argmax(fit.weights[0]))
         k_deg = float(fit.k_deg[0, best])
@@ -209,7 +200,7 @@ def run_adaptive_kf(
             try:
                 flow = dynamics.step_map(grid.times, z_means, t)
             except NumericalOverflowError as exc:
-                raise _overflow_at(exc, grid.times, t) from exc
+                raise NumericalOverflowError(f"{data._where(t)}: {exc}") from exc
             v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
             e_model = float(flow(f_means[t - 1]))
             b = v_model + q
@@ -217,12 +208,12 @@ def run_adaptive_kf(
             f_means[t] = w * z_means[t] + (1.0 - w) * e_model
             f_vars[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
             if not (math.isfinite(f_means[t]) and math.isfinite(f_vars[t])):
-                raise _estimate_overflow(grid.times, t)
+                raise NumericalOverflowError(f"{data._where(t)}: {_ESTIMATE_LEFT_RANGE}")
     return Trajectory(grid, f_means, f_vars)
 
 
-def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, predict):
-    """The Kalman filter over the data summaries with the prediction step
+def _kalman_forward(data: TimeSeriesData, predict):
+    """The Kalman filter over the summaries of ``data`` with the prediction step
     ``predict(t, m, p) -> (m_pred, p_pred, cross)``.
 
     ``predict`` reads the filter means ``m`` and variances ``p`` up to
@@ -232,7 +223,8 @@ def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, 
     ``_rts_backward`` takes them. Like the backward pass, it runs under the
     error state that :func:`_unscented` sets.
     """
-    n = len(times)
+    z_means, z_vars = data.summaries()
+    n = len(z_means)
     m, p, m_pred, p_pred, cross = (np.zeros(n) for _ in range(5))
     m[0] = z_means[0]
     p[0] = max(z_vars[0], VARIANCE_FLOOR)
@@ -240,7 +232,7 @@ def _kalman_forward(times: np.ndarray, z_means: np.ndarray, z_vars: np.ndarray, 
         try:
             m_pred[t], p_pred[t], cross[t] = predict(t, m, p)
         except NumericalOverflowError as exc:
-            raise _overflow_at(exc, times, t) from exc
+            raise NumericalOverflowError(f"{data._where(t)}: {exc}") from exc
         gain = p_pred[t] / (p_pred[t] + z_vars[t])
         m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
         p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
@@ -288,76 +280,59 @@ def _linearized_predict(dynamics, times: np.ndarray, q: float, ms: np.ndarray, p
     return predict
 
 
-def _unscented(
-    data: TimeSeriesData, kind: ModelKind, q: float, dynamics, smoothing_passes: int
-) -> Trajectory:
+def _unscented(data: TimeSeriesData, model, q: float, smoothing_passes: int) -> Trajectory:
     """The UKF forward pass, then ``smoothing_passes`` smoothing passes:
     the RTS pass over the UKF, then the further IPLS iterations, each a
     linearized forward pass and its RTS pass. No pass is the UKF, one the
-    URTS, more the IPLS."""
+    URTS, more the IPLS. ``model`` is a :class:`ModelKind`, whose flows
+    :class:`FlowStepDynamics` fits, or any object with a ``step_map``."""
     _check_q(q)
     grid = data.grid
-    z_means, z_vars = data.summaries()
-    if dynamics is None:
-        dynamics = FlowStepDynamics(kind, z_means, z_vars)
+    dynamics = FlowStepDynamics(model, *data.summaries()) if isinstance(model, ModelKind) else model
     # what overflows here fails the next step map or the final finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        predict = _unscented_predict(dynamics, grid.times, q)
-        forward = _kalman_forward(grid.times, z_means, z_vars, predict)
+        forward = _kalman_forward(data, _unscented_predict(dynamics, grid.times, q))
         ms, ps = forward[:2]
         if smoothing_passes:
             ms, ps = _rts_backward(*forward)
         for _ in range(1, smoothing_passes):
             predict = _linearized_predict(dynamics, grid.times, q, ms, ps)
-            ms, ps = _rts_backward(*_kalman_forward(grid.times, z_means, z_vars, predict))
+            ms, ps = _rts_backward(*_kalman_forward(data, predict))
     bad = ~(np.isfinite(ms) & np.isfinite(ps))
     if bad.any():
-        raise _estimate_overflow(grid.times, int(np.argmax(bad)))
+        raise NumericalOverflowError(f"{data._where(int(np.argmax(bad)))}: {_ESTIMATE_LEFT_RANGE}")
     return Trajectory(grid, ms, ps)
 
 
-def run_ukf(
-    data: TimeSeriesData,
-    kind: ModelKind = ModelKind.BIRTH_DEATH,
-    q: float = 1.0,
-    dynamics=None,
-) -> Trajectory:
+def run_ukf(data: TimeSeriesData, model=ModelKind.BIRTH_DEATH, q: float = 1.0) -> Trajectory:
     """Unscented Kalman filter: sigma-point predict, Gaussian data update.
 
-    ``dynamics`` may inject custom per-step transition maps (an object with
-    ``step_map(times, ref_means, index)``, whose maps are elementwise over
-    arrays); by default the ODE flows are window-fitted on the filter's own
-    past means.
+    ``model`` is a :class:`~pathkf.models.ModelKind`, whose ODE flows are
+    window-fitted on the filter's own past means, or any object with a
+    ``step_map(times, ref_means, index)`` method whose maps are elementwise
+    over arrays.
     """
-    return _unscented(data, kind, q, dynamics, 0)
+    return _unscented(data, model, q, 0)
 
 
-def run_urts(
-    data: TimeSeriesData,
-    kind: ModelKind = ModelKind.BIRTH_DEATH,
-    q: float = 1.0,
-    dynamics=None,
-) -> Trajectory:
-    """Unscented RTS smoother: UKF forward pass, sigma-point backward pass."""
-    return _unscented(data, kind, q, dynamics, 1)
+def run_urts(data: TimeSeriesData, model=ModelKind.BIRTH_DEATH, q: float = 1.0) -> Trajectory:
+    """Unscented RTS smoother: UKF forward pass, sigma-point backward pass.
+    ``model`` is as in :func:`run_ukf`."""
+    return _unscented(data, model, q, 1)
 
 
 def run_ipls(
-    data: TimeSeriesData,
-    kind: ModelKind = ModelKind.BIRTH_DEATH,
-    q: float = 1.0,
-    iterations: int = 1,
-    dynamics=None,
+    data: TimeSeriesData, model=ModelKind.BIRTH_DEATH, q: float = 1.0, iterations: int = 1
 ) -> Trajectory:
     """Iterated posterior linearization smoother.
 
     The first iteration is the unscented RTS smoother. Every further
     iteration statistically linearizes the step dynamics around the current
     smoothed posterior (adding the linearization residual to ``q``) and
-    re-runs a linear RTS pass. When no dynamics are injected, the flows are
-    refit from the current smoothed means, so the model too feeds back on
-    the smoother's own path.
+    re-runs a linear RTS pass. ``model`` is as in :func:`run_ukf`; for a
+    ``ModelKind`` the flows are refit from the current smoothed means, so
+    the model too feeds back on the smoother's own path.
     """
     if iterations < 1:
         raise InvalidParameterError("iterations must be at least 1")
-    return _unscented(data, kind, q, dynamics, iterations)
+    return _unscented(data, model, q, iterations)

@@ -10,6 +10,7 @@ be shared freely across threads and processes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,15 @@ class InvalidConfigError(PathkfError):
 
 class NumericalOverflowError(PathkfError):
     """A closed-form evaluation left the representable range."""
+
+
+def _isfinite(value) -> bool:
+    """``math.isfinite``, with a Python integer past the float range not
+    finite instead of an ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _setstate_readonly(self, state: dict) -> None:

@@ -10,7 +10,6 @@ flows; replicates are Gaussian draws fully determined by the seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,13 @@ from .core import (
     NumericalOverflowError,
     TimeGrid,
     TimeSeriesData,
+    _isfinite,
 )
 from .models import flow_birth_death, flow_const_reg
+
+#: Most points a birth/death grid may have; the bound keeps a huge
+#: ``t_end / dt`` from allocating gigabytes. The default grid has 81.
+_MAX_GRID_POINTS = 10**6
 
 #: Labels attached to panel genes.
 DYNAMIC_LABEL = "dynamic"
@@ -32,7 +36,7 @@ STATIC_LABEL = "static"
 def _check_finite(**settings) -> None:
     """Reject the first setting that is not finite, naming it and its value."""
     for name, value in settings.items():
-        if not math.isfinite(value):
+        if not _isfinite(value):
             raise InvalidConfigError(f"{name} must be finite, got {value}")
 
 
@@ -68,6 +72,13 @@ class PiecewiseConstant:
                 f"{self.breaks[0]}) undefined"
             )
 
+    def check_finite(self, name: str) -> None:
+        """Reject the first break or value that is not finite, naming the
+        schedule ``name`` and the value."""
+        for part, numbers in (("breaks", self.breaks), ("values", self.values)):
+            for x in numbers:
+                _check_finite(**{f"{name} {part}": x})
+
     def change_points(self, start: float, end: float) -> list[float]:
         return [b for b in self.breaks if start < b < end]
 
@@ -99,14 +110,23 @@ class BirthDeathScenario:
             raise InvalidConfigError("n0 must be positive")
         if self.dt <= 0 or self.t_end <= 0:
             raise InvalidConfigError("dt and t_end must be positive")
-        _check_finite(t_end=self.t_end, dt=self.dt)
+        _check_finite(t_end=self.t_end, dt=self.dt, n0=self.n0)
+        # the grid has round(t_end / dt) + 1 points, at most the bound below a ratio
+        # of bound - 0.5; the float comparison keeps round() off an infinite ratio
+        if self.t_end / self.dt >= _MAX_GRID_POINTS - 0.5:
+            raise InvalidConfigError(
+                f"t_end / dt must give at most {_MAX_GRID_POINTS} grid points, "
+                f"got t_end={self.t_end}, dt={self.dt}"
+            )
         if self.replicates < 1:
             raise InvalidConfigError("replicates must be at least 1")
         for value in self.noise.values:
             if not value >= 0:
                 raise InvalidConfigError(f"noise values must be non-negative, got {value}")
-        for schedule in (self.birth, self.death, self.noise):
+        for name in ("birth", "death", "noise"):
+            schedule = getattr(self, name)
             schedule.check_covers(0.0)
+            schedule.check_finite(name)
         _check_seed(self.seed)
 
     def grid(self) -> TimeGrid:
@@ -189,8 +209,11 @@ class GenePanelScenario:
                 raise InvalidConfigError(
                     f"{gene.gene_id} noise_sd must be non-negative, got {gene.noise_sd}"
                 )
-            gene.expression.check_covers(self.times[0])
-            gene.degradation.check_covers(self.times[0])
+            _check_finite(**{f"{gene.gene_id} noise_sd": gene.noise_sd})
+            for name in ("expression", "degradation"):
+                schedule = getattr(gene, name)
+                schedule.check_covers(self.times[0])
+                schedule.check_finite(f"{gene.gene_id} {name}")
         _check_seed(self.seed)
 
     @classmethod

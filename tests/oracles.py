@@ -213,8 +213,8 @@ def sigma_moments(mean: float, variance: float, f) -> tuple[float, float, float]
 @dataclass(frozen=True)
 class AffineStepDynamics:
     """Fixed affine transition ``x -> slope * x + intercept`` for every step,
-    the dynamics of :func:`linear_kf` and :func:`linear_rts`, for injection
-    into the sigma-point baselines."""
+    the dynamics of :func:`linear_kf` and :func:`linear_rts`, passed as the
+    ``model`` of the sigma-point baselines."""
 
     slope: float
     intercept: float = 0.0

@@ -282,10 +282,10 @@ def test_criterion_8_affine_oracle_equivalence():
     m_kf, p_kf, _, _ = linear_kf(data.grid.times, z_means, z_vars, slope, intercept, q)
     ms_ref, ps_ref = linear_rts(data.grid.times, z_means, z_vars, slope, intercept, q)
 
-    ukf = run_ukf(data, ModelKind.BIRTH_DEATH, q=q, dynamics=dynamics)
-    urts = run_urts(data, ModelKind.BIRTH_DEATH, q=q, dynamics=dynamics)
-    ipls1 = run_ipls(data, ModelKind.BIRTH_DEATH, q=q, iterations=1, dynamics=dynamics)
-    ipls6 = run_ipls(data, ModelKind.BIRTH_DEATH, q=q, iterations=6, dynamics=dynamics)
+    ukf = run_ukf(data, dynamics, q=q)
+    urts = run_urts(data, dynamics, q=q)
+    ipls1 = run_ipls(data, dynamics, q=q, iterations=1)
+    ipls6 = run_ipls(data, dynamics, q=q, iterations=6)
 
     def rel(a, b):
         return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)))

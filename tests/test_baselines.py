@@ -212,7 +212,7 @@ class TestUnscentedKF:
     @given(affine_cases())
     def test_affine_oracle(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
-        out = run_ukf(data, ModelKind.BIRTH_DEATH, q=q, dynamics=dynamics)
+        out = run_ukf(data, dynamics, q=q)
         z_means, z_vars = data.summaries()
         m_ref, p_ref, _, _ = linear_kf(data.grid.times, z_means, z_vars, slope, intercept, q)
         np.testing.assert_allclose(out.means, m_ref, rtol=1e-8)
@@ -260,7 +260,7 @@ class TestUnscentedRTS:
     @given(affine_cases())
     def test_affine_oracle(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
-        out = run_urts(data, ModelKind.BIRTH_DEATH, q=q, dynamics=dynamics)
+        out = run_urts(data, dynamics, q=q)
         z_means, z_vars = data.summaries()
         ms_ref, ps_ref = linear_rts(data.grid.times, z_means, z_vars, slope, intercept, q)
         np.testing.assert_allclose(out.means, ms_ref, rtol=1e-8)
@@ -280,8 +280,8 @@ class TestIpls:
     @given(affine_cases())
     def test_affine_iterations_are_fixed_points(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
-        one = run_ipls(data, ModelKind.BIRTH_DEATH, q=q, iterations=1, dynamics=dynamics)
-        five = run_ipls(data, ModelKind.BIRTH_DEATH, q=q, iterations=5, dynamics=dynamics)
+        one = run_ipls(data, dynamics, q=q, iterations=1)
+        five = run_ipls(data, dynamics, q=q, iterations=5)
         np.testing.assert_allclose(five.means, one.means, rtol=1e-8)
         np.testing.assert_allclose(five.variances, one.variances, rtol=1e-8)
 
@@ -289,7 +289,7 @@ class TestIpls:
     @given(affine_cases())
     def test_affine_oracle(self, affine_case):
         data, dynamics, slope, intercept, q = affine_case
-        out = run_ipls(data, ModelKind.BIRTH_DEATH, q=q, iterations=4, dynamics=dynamics)
+        out = run_ipls(data, dynamics, q=q, iterations=4)
         z_means, z_vars = data.summaries()
         ms_ref, ps_ref = linear_rts(data.grid.times, z_means, z_vars, slope, intercept, q)
         np.testing.assert_allclose(out.means, ms_ref, rtol=1e-8)
@@ -301,7 +301,10 @@ class TestIpls:
             run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=0)
 
 
-@pytest.mark.parametrize("q", [-5.0, math.nan, math.inf])
+# math.isfinite alone raises a bare OverflowError on an integer past the float range
+@pytest.mark.parametrize(
+    "q", [-5.0, math.nan, math.inf, pytest.param(10**400, id="int-past-float")]
+)
 @pytest.mark.parametrize("run", [run_adaptive_kf, run_ukf, run_urts, run_ipls])
 def test_bad_q_is_rejected(run, q):
     # a NaN q would otherwise fail later as an overflow that blames the model
@@ -318,7 +321,10 @@ class TestOverflow:
         # log(spike / 1e-6) / 0.01, which overflows over the next, longer step
         groups = [[v, v] for v in (1.0, 1e-7, spike, 3.0, 4.0)]
         data = series_from_groups(groups, times=[0.0, 0.01, 0.02, 1.0, 2.0])
-        with pytest.raises(NumericalOverflowError, match="factor overflowed .* at timepoint 3 "):
+        with pytest.raises(
+            NumericalOverflowError,
+            match=r"series 's': timepoint 3 \(t=1\.0\): .*factor overflowed ",
+        ):
             run(data, ModelKind.BIRTH_DEATH)
 
     @pytest.mark.parametrize("run", [run_ukf, run_urts, run_ipls])
@@ -326,7 +332,9 @@ class TestOverflow:
         # here the step factor is finite but the propagated sigma points are not
         groups = [[v, v] for v in (1.0, 1e-7, 1e12, 3.0, 4.0)]
         data = series_from_groups(groups, times=[0.0, 0.1, 0.2, 1.0, 2.0])
-        with pytest.raises(NumericalOverflowError, match="step map .* at timepoint 4 "):
+        with pytest.raises(
+            NumericalOverflowError, match=r"series 's': timepoint 4 \(t=2\.0\): .*step map "
+        ):
             run(data, ModelKind.BIRTH_DEATH)
 
     @pytest.mark.parametrize(
@@ -342,10 +350,10 @@ class TestOverflow:
         data = series_from_groups([[4.0, 6.0]] * 3)
         with warnings.catch_warnings(), pytest.raises(
             NumericalOverflowError,
-            match=f"^{problem} left the finite range at timepoint 1 \\(t=1\\.0\\)$",
+            match=f"^series 's': timepoint 1 \\(t=1\\.0\\): {problem} left the finite range$",
         ):
             warnings.simplefilter("error")
-            run_ukf(data, ModelKind.BIRTH_DEATH, dynamics=dynamics)
+            run_ukf(data, dynamics)
 
     def test_linearized_pass_overflow_leaks_no_warning(self):
         # identity steps through the unscented pass, then a map whose sigma
@@ -360,10 +368,10 @@ class TestOverflow:
         data = series_from_groups([[4.0, 6.0]] * 3)
         with warnings.catch_warnings(), pytest.raises(
             NumericalOverflowError,
-            match=r"^the step map left the finite range at timepoint 1 \(t=1\.0\)$",
+            match=r"^series 's': timepoint 1 \(t=1\.0\): the step map left the finite range$",
         ):
             warnings.simplefilter("error")
-            run_ipls(data, ModelKind.BIRTH_DEATH, iterations=2, dynamics=dynamics)
+            run_ipls(data, dynamics, iterations=2)
         assert calls == [1, 2, 1]
 
     def test_squared_slope_overflow_is_typed(self):
@@ -391,7 +399,8 @@ class TestOverflow:
         data = series_from_groups(groups, times=times)
         with np.errstate(all="ignore"), pytest.raises(
             NumericalOverflowError,
-            match=r"^the linearization slope \S+ overflowed when squared at timepoint 6 \(t=2\.09",
+            match=r"^series 's': timepoint 6 \(t=2\.09[^)]*\): "
+            r"the linearization slope \S+ overflowed when squared$",
         ):
             run_ipls(data, ModelKind.BIRTH_DEATH, q=10.0, iterations=3)
 
@@ -423,12 +432,12 @@ def test_const_reg_step_fit_failure_names_the_timepoint():
         dynamics.step_map(data.grid.times, z_means, 3)
     with pytest.raises(
         NumericalOverflowError,
-        match=r"^the model fit left the finite range at timepoint 3 \(t=3\.0\)$",
+        match=r"^series 's': timepoint 3 \(t=3\.0\): the model fit left the finite range$",
     ):
         run_ukf(data, ModelKind.CONSTANT_REGULATION)
     with pytest.raises(
         NumericalOverflowError,
-        match=r"^filter estimate left the finite range at timepoint 2 \(t=2\.0\)$",
+        match=r"^series 's': timepoint 2 \(t=2\.0\): the filter estimate left the finite range$",
     ):
         run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
 
@@ -470,7 +479,7 @@ def test_adaptive_kf_stops_at_the_first_non_finite_estimate(monkeypatch, caplog)
     targets = count_fitted_windows(monkeypatch)
     with caplog.at_level(logging.WARNING), pytest.raises(
         NumericalOverflowError,
-        match=r"^filter estimate left the finite range at timepoint 5 \(t=10\.0\)$",
+        match=r"^series 's': timepoint 5 \(t=10\.0\): the filter estimate left the finite range$",
     ):
         run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
     assert targets == [2, 3, 4, 5]

@@ -143,7 +143,11 @@ class TestRunSpec:
         kept = run_spec(spec, (data,), ModelKind.BIRTH_DEATH, retain_history=True)[0]
         assert len(kept.history) == 2
 
-    @pytest.mark.parametrize("params", [{"q": -1.0}, {"q": float("nan")}, {"iterations": 0}])
+    @pytest.mark.parametrize(
+        "params",
+        [{"q": -1.0}, {"q": float("nan")}, {"iterations": 0},
+         pytest.param({"q": 10**400}, id="q-int-past-float")],
+    )
     def test_spec_rejects_bad_parameters(self, params):
         with pytest.raises(InvalidParameterError):
             AlgorithmSpec("bad", "kf", **params)

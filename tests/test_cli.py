@@ -525,17 +525,16 @@ class TestBatchRun:
     def test_every_run_is_finite_or_a_located_overflow(self, data):
         # a series the reader accepts gives finite results, or an overflow
         # that names where it happened, never an error blaming the data
-        timepoint = r"timepoint \d+ \(t=[^)]+\)"
+        where = r"series 'x': timepoint \d+ \(t=[^)]+\): "
         for algorithm in ALGORITHMS:
-            where = (f"series 'x': {timepoint}: .* at iteration \\d+$" if algorithm == "pkf"
-                     else f".*{timepoint}")
+            tail = r".* at iteration \d+$" if algorithm == "pkf" else ""
             for kind in ModelKind:
                 config = RunConfig(algorithm=algorithm, model=kind, iterations=2)
                 (outcome,) = batch_run(config, (data,)).outcomes
                 if outcome.error is None:
                     assert all(np.isfinite(a).all() for a in arrays_in(outcome.result))
                 else:
-                    assert re.match(f"^NumericalOverflowError: {where}", outcome.error), (
+                    assert re.match(f"^NumericalOverflowError: {where}{tail}", outcome.error), (
                         algorithm, kind, outcome.error
                     )
 
@@ -1022,9 +1021,19 @@ class TestCommands:
             (["simulate", "--scenario", "gene-panel"], '{"spacing": Infinity}',
              "spacing must be finite, got inf"),
             (["simulate"], '{"seed": -1}', "seed must be non-negative, got -1"),
+            (["simulate"], '{"n0": NaN}', "n0 must be finite, got nan"),
+            (["simulate"], '{"birth": {"breaks": [0, NaN], "values": [0.05, 0.15]}}',
+             "birth breaks must be finite, got nan"),
+            (["simulate"], '{"death": {"breaks": [0], "values": [NaN]}}',
+             "death values must be finite, got nan"),
+            (["simulate"], '{"noise": {"breaks": [0], "values": [Infinity]}}',
+             "noise values must be finite, got inf"),
+            (["bench"], '{"t_end": 1e300}',
+             "t_end / dt must give at most 1000000 grid points, got t_end=1e+300, dt=0.25"),
         ],
         ids=["digit-limit", "q-past-float", "n0-past-float", "t_end-nan", "t_end-inf", "dt-nan",
-             "noise_level-inf", "spacing-inf", "negative-seed"],
+             "noise_level-inf", "spacing-inf", "negative-seed", "n0-nan", "birth-break-nan",
+             "death-value-nan", "noise-value-inf", "grid-too-large"],
     )
     def test_config_number_errors_exit_2(self, tmp_path, command, text, message):
         out = tmp_path / "o.out"

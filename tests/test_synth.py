@@ -1,6 +1,7 @@
 """Synthetic data generators: exact piecewise integration and determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,11 +99,45 @@ class TestBirthDeath:
             *(({name: value}, f"{name} must be finite, got {value}")
               for name in ("t_end", "dt") for value in (math.nan, math.inf)),
             ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"n0": math.nan}, "n0 must be finite, got nan"),
+            ({"n0": math.inf}, "n0 must be finite, got inf"),
+            # NaN breaks pass the ordering and coverage checks
+            ({"birth": PiecewiseConstant((0.0, math.nan), (0.05, 0.15))},
+             "birth breaks must be finite, got nan"),
+            ({"death": PiecewiseConstant((0.0,), (math.nan,))},
+             "death values must be finite, got nan"),
+            # infinite noise passes the sign check; the samples would be blamed
+            ({"noise": PiecewiseConstant((0.0,), (math.inf,))},
+             "noise values must be finite, got inf"),
+            # integers past the float range, which math.isfinite alone raises on
+            pytest.param({"birth": PiecewiseConstant((0.0,), (10**400,))},
+                         f"birth values must be finite, got {10**400}", id="birth-value-int"),
+            pytest.param({"t_end": 10**400}, f"t_end must be finite, got {10**400}",
+                         id="t_end-int"),
         ],
     )
     def test_settings_rejected(self, settings, message):
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             BirthDeathScenario(**settings)
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [(1e300, 0.25), (1e308, 1e-10), (1e9, 0.25), (250_000.0, 0.25)],
+        ids=["1e300", "infinite-ratio", "1e9", "one-point-over"],
+    )
+    def test_grid_size_is_bounded(self, t_end, dt):
+        # rejected when built, before grid() allocates anything
+        with pytest.raises(
+            InvalidConfigError,
+            match="^" + re.escape(
+                f"t_end / dt must give at most 1000000 grid points, got t_end={t_end}, dt={dt}"
+            ) + "$",
+        ):
+            BirthDeathScenario(t_end=t_end, dt=dt)
+
+    def test_grid_at_the_bound_is_accepted(self):
+        scenario = BirthDeathScenario(t_end=249_999.75, dt=0.25)
+        assert round(scenario.t_end / scenario.dt) + 1 == 10**6
 
 
 class TestGenePanel:
@@ -186,6 +221,21 @@ class TestGenePanel:
         gene = GeneSpec("g", PiecewiseConstant.constant(8.0), PiecewiseConstant.constant(2.0),
                         4.0, -1.0, STATIC_LABEL)
         with pytest.raises(InvalidConfigError, match=r"^g noise_sd must be non-negative, got -1\.0$"):
+            GenePanelScenario((gene,), times=tuple(np.arange(6.0)))
+
+    @pytest.mark.parametrize(
+        "noise_sd, expression, message",
+        [
+            (math.inf, PiecewiseConstant.constant(8.0), r"g noise_sd must be finite, got inf"),
+            (1.0, PiecewiseConstant((0.0, 2.0), (8.0, math.inf)),
+             r"g expression values must be finite, got inf"),
+        ],
+        ids=["noise_sd-inf", "expression-inf"],
+    )
+    def test_non_finite_gene_settings_rejected(self, noise_sd, expression, message):
+        gene = GeneSpec("g", expression, PiecewiseConstant.constant(2.0), 4.0, noise_sd,
+                        STATIC_LABEL)
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             GenePanelScenario((gene,), times=tuple(np.arange(6.0)))
 
     @pytest.mark.parametrize("n_timepoints", [4, 5, 6, 7])
