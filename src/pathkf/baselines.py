@@ -6,9 +6,10 @@ unscented Kalman filter, an unscented Rauch-Tung-Striebel smoother, and an
 iterated posterior linearization smoother. All consume the same
 per-timepoint data summaries and fit their step dynamics from
 right-endpoint windows of the same ODE families, so benchmark differences
-isolate the algorithms themselves. The last three share one Kalman forward
-update and one RTS backward pass, and differ only in the prediction step
-they hand to the forward update: unscented, or statistically linearized.
+isolate the algorithms themselves. All four share one Kalman forward
+update, and the smoothers one RTS backward pass; they differ only in the
+prediction step they hand to the forward update: the adaptive filter's flow
+fitted on the data, unscented, or statistically linearized.
 """
 
 from __future__ import annotations
@@ -177,65 +178,57 @@ def run_adaptive_kf(
     """Forward-only adaptive non-linear Kalman filter with constant ``q``.
 
     The first two timepoints take the data summaries directly. From the
-    third on, a right-endpoint window of the data trajectory supplies the
-    flow parameters and the model variance; the model mean propagates the
-    previous filter estimate through that flow. A birth/death prediction
-    does not depend on the scanned parameter, so its window is never fit
-    and its model variance is ``VARIANCE_FLOOR``. The gain
-    ``w = (V(M) + q) / (V(M) + q + V(Z))`` then weights data against model,
-    and the data variance is recomputed from the replicates at every
-    timepoint.
+    third on, the shared Kalman update weighs the data against a prediction
+    whose flow is fitted on a right-endpoint window of the data means and
+    propagates the previous filter estimate. The prediction variance is the
+    window's model variance plus ``q``; a birth/death prediction does not
+    depend on the scanned parameter, so its window is never fit and its
+    model variance is ``VARIANCE_FLOOR``.
     """
     _check_q(q)
-    grid = data.grid
     z_means, z_vars = data.summaries()
     dynamics = FlowStepDynamics(kind, z_means, z_vars)
-    n = len(grid)
-    f_means = np.empty(n)
-    f_vars = np.empty(n)
-    f_means[:2] = z_means[:2]
-    f_vars[:2] = z_vars[:2]
+    times = data.grid.times
+
+    def predict(t, m, p):
+        flow = dynamics.step_map(times, z_means, t)
+        v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
+        return flow(m[t - 1]), v_model + q, 0.0
+
     with np.errstate(over="ignore", invalid="ignore"):  # checked at each step
-        for t in range(2, n):
-            try:
-                flow = dynamics.step_map(grid.times, z_means, t)
-            except NumericalOverflowError as exc:
-                raise NumericalOverflowError(f"{data._where(t)}: {exc}") from exc
-            v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
-            e_model = float(flow(f_means[t - 1]))
-            b = v_model + q
-            w = b / (b + z_vars[t])
-            f_means[t] = w * z_means[t] + (1.0 - w) * e_model
-            f_vars[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
-            if not (math.isfinite(f_means[t]) and math.isfinite(f_vars[t])):
-                raise NumericalOverflowError(f"{data._where(t)}: {_ESTIMATE_LEFT_RANGE}")
-    return Trajectory(grid, f_means, f_vars)
+        m, p = _kalman_forward(data, predict, start=2)[:2]
+    return Trajectory(data.grid, m, p)
 
 
-def _kalman_forward(data: TimeSeriesData, predict):
+def _kalman_forward(data: TimeSeriesData, predict, start: int = 1):
     """The Kalman filter over the summaries of ``data`` with the prediction step
-    ``predict(t, m, p) -> (m_pred, p_pred, cross)``.
+    ``predict(t, m, p) -> (m_pred, p_pred, cross)``, from the timepoint
+    ``start`` on; the timepoints before it take the data summaries.
 
     ``predict`` reads the filter means ``m`` and variances ``p`` up to
     ``t - 1`` and returns the predicted moments at ``t`` and the
-    cross-covariance of the states at ``t - 1`` and ``t``. Returns the filter
-    moments, the predicted moments and the cross-covariances, in the order
-    ``_rts_backward`` takes them. Like the backward pass, it runs under the
-    error state that :func:`_unscented` sets.
+    cross-covariance of the states at ``t - 1`` and ``t``. Each estimate is
+    checked as it is made, so the run stops at the first one that is not
+    finite. Returns the filter moments, the predicted moments and the
+    cross-covariances, in the order ``_rts_backward`` takes them. Like the
+    backward pass, it runs under its caller's error state.
     """
     z_means, z_vars = data.summaries()
     n = len(z_means)
     m, p, m_pred, p_pred, cross = (np.zeros(n) for _ in range(5))
-    m[0] = z_means[0]
-    p[0] = max(z_vars[0], VARIANCE_FLOOR)
-    for t in range(1, n):
+    m[:start] = z_means[:start]
+    p[:start] = z_vars[:start]
+    for t in range(start, n):
         try:
-            m_pred[t], p_pred[t], cross[t] = predict(t, m, p)
+            mean, variance, cross[t] = predict(t, m, p)
         except NumericalOverflowError as exc:
             raise NumericalOverflowError(f"{data._where(t)}: {exc}") from exc
-        gain = p_pred[t] / (p_pred[t] + z_vars[t])
-        m[t] = m_pred[t] + gain * (z_means[t] - m_pred[t])
-        p[t] = max((1.0 - gain) * p_pred[t], VARIANCE_FLOOR)
+        m_pred[t], p_pred[t] = mean, variance
+        gain = variance / (variance + z_vars[t])
+        m[t] = estimate = mean + gain * (z_means[t] - mean)
+        p[t] = spread = max((1.0 - gain) * variance, VARIANCE_FLOOR)
+        if not (math.isfinite(estimate) and math.isfinite(spread)):
+            raise NumericalOverflowError(f"{data._where(t)}: {_ESTIMATE_LEFT_RANGE}")
     return m, p, m_pred, p_pred, cross
 
 
@@ -289,7 +282,7 @@ def _unscented(data: TimeSeriesData, model, q: float, smoothing_passes: int) -> 
     _check_q(q)
     grid = data.grid
     dynamics = FlowStepDynamics(model, *data.summaries()) if isinstance(model, ModelKind) else model
-    # what overflows here fails the next step map or the final finite check
+    # the forward passes check each estimate; the final check catches the RTS passes
     with np.errstate(over="ignore", invalid="ignore"):
         forward = _kalman_forward(data, _unscented_predict(dynamics, grid.times, q))
         ms, ps = forward[:2]

@@ -33,17 +33,27 @@ DYNAMIC_LABEL = "dynamic"
 STATIC_LABEL = "static"
 
 
+def _shown(value) -> str:
+    """``value`` as an error message shows it. An integer too long for
+    Python's decimal conversion is named by its sign and bit length."""
+    try:
+        return f"{value}"
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+
+
 def _check_finite(**settings) -> None:
     """Reject the first setting that is not finite, naming it and its value."""
     for name, value in settings.items():
         if not _isfinite(value):
-            raise InvalidConfigError(f"{name} must be finite, got {value}")
+            raise InvalidConfigError(f"{name} must be finite, got {_shown(value)}")
 
 
 def _check_seed(seed: int) -> None:
     """Reject a negative seed, which numpy's generators do not take."""
     if seed < 0:
-        raise InvalidConfigError(f"seed must be non-negative, got {seed}")
+        raise InvalidConfigError(f"seed must be non-negative, got {_shown(seed)}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +78,8 @@ class PiecewiseConstant:
     def check_covers(self, start: float) -> None:
         if self.breaks[0] > start:
             raise InvalidConfigError(
-                f"schedule starts at t={self.breaks[0]}, leaving [{start}, "
-                f"{self.breaks[0]}) undefined"
+                f"schedule starts at t={_shown(self.breaks[0])}, leaving "
+                f"[{_shown(start)}, {_shown(self.breaks[0])}) undefined"
             )
 
     def check_finite(self, name: str) -> None:
@@ -122,7 +132,7 @@ class BirthDeathScenario:
             raise InvalidConfigError("replicates must be at least 1")
         for value in self.noise.values:
             if not value >= 0:
-                raise InvalidConfigError(f"noise values must be non-negative, got {value}")
+                raise InvalidConfigError(f"noise values must be non-negative, got {_shown(value)}")
         for name in ("birth", "death", "noise"):
             schedule = getattr(self, name)
             schedule.check_covers(0.0)
@@ -207,7 +217,7 @@ class GenePanelScenario:
         for gene in self.genes:
             if not gene.noise_sd >= 0:
                 raise InvalidConfigError(
-                    f"{gene.gene_id} noise_sd must be non-negative, got {gene.noise_sd}"
+                    f"{gene.gene_id} noise_sd must be non-negative, got {_shown(gene.noise_sd)}"
                 )
             _check_finite(**{f"{gene.gene_id} noise_sd": gene.noise_sd})
             for name in ("expression", "degradation"):
@@ -235,11 +245,11 @@ class GenePanelScenario:
         ``noise_level`` times the initial steady state.
         """
         if n_timepoints < 4:
-            raise InvalidConfigError(f"n_timepoints must be at least 4, got {n_timepoints}")
+            raise InvalidConfigError(f"n_timepoints must be at least 4, got {_shown(n_timepoints)}")
         if not spacing > 0:
-            raise InvalidConfigError(f"spacing must be positive, got {spacing}")
+            raise InvalidConfigError(f"spacing must be positive, got {_shown(spacing)}")
         if not noise_level >= 0:
-            raise InvalidConfigError(f"noise_level must be non-negative, got {noise_level}")
+            raise InvalidConfigError(f"noise_level must be non-negative, got {_shown(noise_level)}")
         _check_finite(spacing=spacing, noise_level=noise_level)
         _check_seed(seed)
         rng = np.random.default_rng(seed)

@@ -3,14 +3,14 @@
 Everything here is deliberately implemented by a different route than the
 code under test: fixed-step numerical integration instead of analytic
 flows, exhaustive grid search instead of closed-form minimizers, plain
-scalar Kalman recursions instead of sigma-point machinery, numpy
-reductions over the three sigma points instead of float expressions, a
-plain-float pathspace-filter step instead of the array kernel, one
-replicate group at a time instead of the stacked summary kernel, one
-three-point window at a time instead of the spline-posterior kernel, one
-regime label at a time instead of the array selection, and one list scan
-per ratio-summary bin and label instead of one binning of the whole
-summary.
+scalar Kalman recursions instead of sigma-point machinery, the weight form
+of the Kalman update instead of the gain form, numpy reductions over the
+three sigma points instead of float expressions, a plain-float
+pathspace-filter step instead of the array kernel, one replicate group at
+a time instead of the stacked summary kernel, one three-point window at a
+time instead of the spline-posterior kernel, one regime label at a time
+instead of the array selection, and one list scan per ratio-summary bin
+and label instead of one binning of the whole summary.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pathkf import (
     RegimeLabel,
     ScanGrid,
 )
+from pathkf.baselines import FlowStepDynamics
 from pathkf.models import POSITIVE_VALUE_FLOOR
 
 
@@ -252,6 +253,40 @@ def linear_rts(times, z_means, z_vars, slope, intercept, q, floor=1e-9):
         ms[t] = m[t] + gain * (ms[t + 1] - m_pred[t + 1])
         ps[t] = max(p[t] + gain**2 * (ps[t + 1] - p_pred[t + 1]), floor)
     return ms, ps
+
+
+def adaptive_kf(data, kind: ModelKind, q: float):
+    """Referee for ``pathkf.run_adaptive_kf``: its own time loop, with the
+    Kalman update in the weight form ``w * z + (1 - w) * e`` and
+    ``w**2 * V(Z) + (1 - w)**2 * b`` instead of the library's gain form
+    ``m + g * (z - m)`` and ``(1 - g) * p``. The first two timepoints take
+    the data summaries; every later one is checked as it is made, and its
+    errors are located as the library locates them. Returns the filter and
+    the predicted means and variances, as :func:`linear_kf` does."""
+    z_means, z_vars = data.summaries()
+    dynamics = FlowStepDynamics(kind, z_means, z_vars)
+    times = data.grid.times
+    n = len(times)
+    m, p, m_pred, p_pred = (np.zeros(n) for _ in range(4))
+    m[:2] = z_means[:2]
+    p[:2] = z_vars[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(2, n):
+            try:
+                flow = dynamics.step_map(times, z_means, t)
+            except NumericalOverflowError as exc:
+                raise NumericalOverflowError(f"{data._where(t)}: {exc}") from exc
+            v_model = flow.variance if kind is ModelKind.CONSTANT_REGULATION else VARIANCE_FLOOR
+            e = m_pred[t] = float(flow(m[t - 1]))
+            b = p_pred[t] = v_model + q
+            w = b / (b + z_vars[t])
+            m[t] = w * z_means[t] + (1.0 - w) * e
+            p[t] = max(w**2 * z_vars[t] + (1.0 - w) ** 2 * b, VARIANCE_FLOOR)
+            if not (math.isfinite(m[t]) and math.isfinite(p[t])):
+                raise NumericalOverflowError(
+                    f"{data._where(t)}: the filter estimate left the finite range"
+                )
+    return m, p, m_pred, p_pred
 
 
 class LinearPathModel:

@@ -33,7 +33,7 @@ from pathkf.baselines import (
     _unscented_predict,
 )
 
-from oracles import AffineStepDynamics, linear_kf, linear_rts, sigma_moments
+from oracles import AffineStepDynamics, adaptive_kf, linear_kf, linear_rts, sigma_moments
 
 
 def series_from_groups(groups, times=None):
@@ -184,6 +184,76 @@ class TestAdaptiveKF:
         out = run_adaptive_kf(data, ModelKind.BIRTH_DEATH, q=1.0)
         assert np.all(out.variances >= VARIANCE_FLOOR)
         assert np.all(np.isfinite(out.means))
+
+
+def mild_series(rng, n):
+    """Positive levels on a random grid, a few percent of noise, 2-6 replicates."""
+    times = np.cumsum(np.r_[rng.uniform(-5.0, 5.0), rng.uniform(0.05, 2.0, n - 1)])
+    level = rng.uniform(5.0, 100.0) * np.exp(np.cumsum(rng.normal(0.0, 0.2, n)))
+    groups = [v * (1.0 + 0.05 * rng.standard_normal(rng.integers(2, 7))) for v in level]
+    return series_from_groups(groups, times=times)
+
+
+#: Inputs on which the kf stops for one model or both: a spike of 1e300,
+#: anchors of opposite sign near the float limit, and a near-zero mean
+#: before a jump.
+STOPPING_KF_INPUTS = [
+    ([[1e300, 1e300] if t == 4 else [10.0 + t, 10.5 + t] for t in range(14)],
+     2.0 * np.arange(14)),
+    ([[1e307], [-1e307], [0.0]], None),
+    ([[v, v] for v in (1.0, 1e-7, 50.0, 3.0, 4.0)], [0.0, 0.01, 0.02, 1.0, 2.0]),
+]
+
+
+def error_text(f, *args):
+    """The type and text of the ``PathkfError`` that ``f(*args)`` raised, or None."""
+    try:
+        f(*args)
+    except PathkfError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("q", [1.0, 10.0])
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_adaptive_kf_matches_the_weight_form_referee(kind, q):
+    # the shared gain-form update and the referee's weight form agree up to
+    # rounding on mild series, and stop at the same timepoint with the same
+    # error. The means are compared on the scale of the data and of the
+    # model means, which a birth/death flow can carry far past the data. The
+    # gain form's 1 - g rounds by up to eps/2, which moves a variance by up
+    # to eps times the prediction variance b = V(M) + q: relative to the
+    # variance, b / V(Z) times eps, 1e-8 on near-equal replicates.
+    rng = np.random.default_rng(21)
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        data = mild_series(rng, int(rng.integers(3, 26)))
+        out = run_adaptive_kf(data, kind, q=q)
+        ref_m, ref_p, ref_m_pred, ref_p_pred = adaptive_kf(data, kind, q)
+        scale = max(np.max(np.abs(data.summaries()[0])), np.max(np.abs(ref_m_pred)))
+        np.testing.assert_allclose(out.means, ref_m, rtol=0, atol=1e-13 * scale)
+        assert np.all(np.abs(out.variances - ref_p) <= 2 * eps * (ref_p + ref_p_pred))
+    stopped = 0
+    for groups, times in STOPPING_KF_INPUTS:
+        data = series_from_groups(groups, times)
+        expected = error_text(adaptive_kf, data, kind, q)
+        assert error_text(run_adaptive_kf, data, kind, q) == expected
+        stopped += expected is not None
+    assert stopped >= 2
+
+
+def test_adaptive_kf_stops_where_data_and_prediction_straddle_the_range():
+    # the gain form's z - m overflows where the data and the prediction lie
+    # more than the float range apart, and the weight form w*z + (1-w)*e does
+    # not: the kf shares the other baselines' update, so it stops here as
+    # they do, while the weight-form referee finishes
+    data = series_from_groups([[1.7e308], [1.7e308], [-1.7e308], [0.0]])
+    assert np.all(np.isfinite(adaptive_kf(data, ModelKind.BIRTH_DEATH, 1.0)[0]))
+    for run in (run_adaptive_kf, run_ukf):
+        assert error_text(run, data, ModelKind.BIRTH_DEATH, 1.0) == (
+            "NumericalOverflowError: series 's': timepoint 2 (t=2.0): "
+            "the filter estimate left the finite range"
+        )
 
 
 @st.composite
@@ -420,9 +490,9 @@ class TestOverflow:
 def test_const_reg_step_fit_failure_names_the_timepoint():
     # anchors of opposite sign near the float limit and a high-rate scan give
     # a finite steady state but predictions that overflow: the step map
-    # raises, and the filter that calls it names the timepoint. The kf stops
-    # one step earlier, where the window's infinite model variance makes its
-    # estimate non-finite.
+    # raises. The filters stop one step earlier, where the data pulls the
+    # estimate past the float range, and the forward update names the
+    # timepoint of that estimate.
     vals = [1.7e308, 1.7e308, -1.7e308, 0.0]
     data = series_from_groups([[v] for v in vals])
     z_means, z_vars = data.summaries()
@@ -430,16 +500,25 @@ def test_const_reg_step_fit_failure_names_the_timepoint():
     dynamics = FlowStepDynamics(ModelKind.CONSTANT_REGULATION, z_means, z_vars, scan)
     with pytest.raises(NumericalOverflowError, match=r"^the model fit left the finite range$"):
         dynamics.step_map(data.grid.times, z_means, 3)
+    for run in (run_ukf, run_adaptive_kf):
+        with pytest.raises(
+            NumericalOverflowError,
+            match=r"^series 's': timepoint 2 \(t=2\.0\): "
+            r"the filter estimate left the finite range$",
+        ):
+            run(data, ModelKind.CONSTANT_REGULATION)
+
+
+@pytest.mark.parametrize("run", [run_adaptive_kf, run_ukf, run_urts, run_ipls])
+def test_const_reg_fit_failure_on_finite_estimates_names_the_timepoint(run):
+    # the first two estimates stay finite, but the window on them, of
+    # opposite sign near the float limit, has a posterior mean past it
+    data = series_from_groups([[1e307], [-1e307], [0.0]])
     with pytest.raises(
         NumericalOverflowError,
-        match=r"^series 's': timepoint 3 \(t=3\.0\): the model fit left the finite range$",
+        match=r"^series 's': timepoint 2 \(t=2\.0\): the model fit left the finite range$",
     ):
-        run_ukf(data, ModelKind.CONSTANT_REGULATION)
-    with pytest.raises(
-        NumericalOverflowError,
-        match=r"^series 's': timepoint 2 \(t=2\.0\): the filter estimate left the finite range$",
-    ):
-        run_adaptive_kf(data, ModelKind.CONSTANT_REGULATION)
+        run(data, ModelKind.CONSTANT_REGULATION)
 
 
 def count_fitted_windows(monkeypatch):

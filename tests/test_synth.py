@@ -114,6 +114,21 @@ class TestBirthDeath:
                          f"birth values must be finite, got {10**400}", id="birth-value-int"),
             pytest.param({"t_end": 10**400}, f"t_end must be finite, got {10**400}",
                          id="t_end-int"),
+            # integers past Python's 4300-digit limit on decimal conversion
+            pytest.param({"t_end": 10**5000}, "t_end must be finite, got an integer of 16610 bits",
+                         id="t_end-long-int"),
+            pytest.param({"dt": 10**5000}, "dt must be finite, got an integer of 16610 bits",
+                         id="dt-long-int"),
+            pytest.param({"seed": -10**5000},
+                         "seed must be non-negative, got a negative integer of 16610 bits",
+                         id="seed-long-int"),
+            pytest.param({"noise": PiecewiseConstant((0.0,), (-10**5000,))},
+                         "noise values must be non-negative, got a negative integer of 16610 bits",
+                         id="noise-long-int"),
+            pytest.param({"birth": PiecewiseConstant((10**5000,), (0.1,))},
+                         r"schedule starts at t=an integer of 16610 bits, leaving "
+                         r"\[0\.0, an integer of 16610 bits\) undefined",
+                         id="birth-break-long-int"),
         ],
     )
     def test_settings_rejected(self, settings, message):
@@ -205,6 +220,16 @@ class TestGenePanel:
             # not blamed on the samples it would make infinite
             ({"noise_level": math.inf}, "noise_level must be finite, got inf"),
             ({"seed": -1}, "seed must be non-negative, got -1"),
+            # integers past Python's 4300-digit limit on decimal conversion
+            ({"spacing": 10**5000}, "spacing must be finite, got an integer of 16610 bits"),
+            ({"spacing": -10**5000},
+             "spacing must be positive, got a negative integer of 16610 bits"),
+            ({"noise_level": 10**5000},
+             "noise_level must be finite, got an integer of 16610 bits"),
+            ({"seed": -10**5000},
+             "seed must be non-negative, got a negative integer of 16610 bits"),
+            ({"n_timepoints": -10**5000},
+             "n_timepoints must be at least 4, got a negative integer of 16610 bits"),
         ],
     )
     def test_default_panel_settings_rejected(self, settings, message):
