@@ -282,12 +282,12 @@ def _unscented(data: TimeSeriesData, model, q: float, smoothing_passes: int) -> 
     _check_q(q)
     grid = data.grid
     dynamics = FlowStepDynamics(model, *data.summaries()) if isinstance(model, ModelKind) else model
-    # the forward passes check each estimate; the final check catches the RTS passes
+    # the forward passes check each estimate; only an RTS pass needs the final check
     with np.errstate(over="ignore", invalid="ignore"):
         forward = _kalman_forward(data, _unscented_predict(dynamics, grid.times, q))
-        ms, ps = forward[:2]
-        if smoothing_passes:
-            ms, ps = _rts_backward(*forward)
+        if not smoothing_passes:
+            return Trajectory(grid, *forward[:2])
+        ms, ps = _rts_backward(*forward)
         for _ in range(1, smoothing_passes):
             predict = _linearized_predict(dynamics, grid.times, q, ms, ps)
             ms, ps = _rts_backward(*_kalman_forward(data, predict))

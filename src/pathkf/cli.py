@@ -619,13 +619,9 @@ class _Commands(click.Group):
 
 
 @click.group(cls=_Commands)
-@click.option("--verbose", is_flag=True, help="Enable debug logging.")
-def main(verbose: bool):
+def main():
     """Pathspace Kalman filtering for univariate time-course data."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
 
 
 @main.command()
@@ -637,6 +633,8 @@ def main(verbose: bool):
 @click.option("--config", "config_path", default=None, help="JSON scenario configuration.")
 def simulate(scenario, seed, output, truth_path, labels_path, config_path):
     """Generate synthetic data and write it as CSV."""
+    if labels_path and scenario != "gene-panel":
+        raise InvalidConfigError("--labels applies only to the gene-panel scenario")
     kinds = _BIRTH_DEATH_KEYS if scenario == "birth-death" else _GENE_PANEL_KEYS
     settings = {**_load_config_file(config_path, kinds), **_given(seed=seed)}
     if scenario == "birth-death":
@@ -692,9 +690,10 @@ _shared_run_options = [
     click.option("--input", default=None, help="Measurement CSV."),
     click.option("--output", default=None, help="Result JSON to write."),
     click.option("--jobs", type=int, default=None, help="Worker processes."),
-    click.option("--retain-history", is_flag=True, default=None),
     click.option("--config", "config_path", default=None, help="JSON config file."),
 ]
+#: ``convergence`` always keeps the history, so only ``run`` and ``batch`` take it.
+_retain_history_option = click.option("--retain-history", is_flag=True, default=None)
 
 
 def _with_options(options):
@@ -708,6 +707,7 @@ def _with_options(options):
 
 @main.command()
 @_with_options(_shared_run_options)
+@_retain_history_option
 def run(**options):
     """Run one algorithm on every series in a measurement CSV."""
     summary, _ = _run_batch_command(**options)
@@ -716,6 +716,7 @@ def run(**options):
 
 @main.command()
 @_with_options(_shared_run_options)
+@_retain_history_option
 @click.option("--labels", "labels_path", default=None, help="series_id,label CSV.")
 @click.option("--summary", "summary_path", default=None, help="Ratio summary JSON to write.")
 def batch(labels_path, summary_path, **options):
@@ -772,7 +773,7 @@ def bench(seed, output, trajectories_path, config_path):
 
 @main.command()
 @_with_options(_shared_run_options)
-def convergence(retain_history, **options):
+def convergence(**options):
     """Run the pathspace filter with full history for convergence plots."""
     summary, _ = _run_batch_command(
         pkf_only="convergence traces apply to the pathspace filter", retain_history=True,

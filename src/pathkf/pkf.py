@@ -222,7 +222,8 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
     that overflowed leaves non-finite and a custom predictor may return
     negative. One test per iteration finds a non-finite model prediction, a
     negative model variance, an overflowed weight denominator or a
-    non-finite update, and raises the error the public entry would.
+    non-finite update, and raises the first of them in that order, naming
+    the series, the timepoint and the iteration.
 
     Returns ``(steps, max_abs_dq, max_filter_variance)``: ``steps`` holds
     ``(iteration, means, variances, q, weights)`` after every iteration,
@@ -255,29 +256,20 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
             # new Q is; a sum is finite only if every term is
             total = (dq + vmax).sum() + new_means.sum() + denom.sum()
             if not (b.min() >= 0.0 and math.isfinite(total)):  # NaN fails too
-                # the model's moments, then as the public entries would, in
-                # their order: the model variances, the weights, the update
-                bad = ~(np.isfinite(m_means) & np.isfinite(m_vars))
-                if bad.any():
-                    raise NumericalOverflowError(
-                        f"{_where(series, _first(bad))}: the model prediction left the finite "
-                        f"range at iteration {i}"
-                    )
-                _rows_within(
-                    (b,), ("v_model_plus_q",), _FLOAT_MAX, "must be finite and non-negative"
-                )
-                overflow = np.isinf(denom)
-                if overflow.any():
-                    raise NumericalOverflowError(
-                        f"{_where(series, _first(overflow))}: {_PRODUCTS_OVERFLOWED} "
-                        f"at iteration {i}"
-                    )
-                bad = ~(np.isfinite(new_q) & np.isfinite(new_means) & np.isfinite(new_vars))
-                if bad.any():  # else only the sum overflowed
-                    raise NumericalOverflowError(
-                        f"{_where(series, _first(bad))}: the filter update left the finite "
-                        f"range at iteration {i}"
-                    )
+                # the first failing check, in a fixed order: the model's moments,
+                # the model variances, the weights, the update; if none fails,
+                # only the sum overflowed
+                for error, bad, problem in (
+                    (NumericalOverflowError, ~(np.isfinite(m_means) & np.isfinite(m_vars)),
+                     "the model prediction left the finite range"),
+                    (InvalidParameterError, b < 0.0, "the model variance is negative"),
+                    (NumericalOverflowError, np.isinf(denom), _PRODUCTS_OVERFLOWED),
+                    (NumericalOverflowError,
+                     ~(np.isfinite(new_q) & np.isfinite(new_means) & np.isfinite(new_vars)),
+                     "the filter update left the finite range"),
+                ):
+                    if bad.any():
+                        raise error(f"{_where(series, _first(bad))}: {problem} at iteration {i}")
             trace_dq.append(dq)
             trace_vmax.append(vmax)
 
@@ -286,12 +278,22 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
     return steps, trace_dq, trace_vmax
 
 
-def _state(grid, step, row: int | None = None) -> PkfState:
-    """The state after one step of :func:`_iterate`, or of one row of it."""
-    i, means, variances, q, weights = step
-    if row is not None:
-        means, variances, q, weights = means[row], variances[row], q[row], weights[:, row]
-    return PkfState(i, Trajectory(grid, means, variances), q, PkfWeights(*weights))
+def _results(predictor, series, z_means, z_vars, iterations, retain_history) -> list[PkfResult]:
+    """The results of :func:`_iterate`, one per row: a lone ``(n,)`` series
+    is the one row ``...``, so every index below leaves its arrays whole."""
+    steps, trace_dq, trace_vmax = _iterate(predictor, series, z_means, z_vars, iterations)
+    trace_dq, trace_vmax = np.array(trace_dq), np.array(trace_vmax)
+    kept = steps if retain_history else steps[-1:]
+    results = []
+    for row in range(len(series)) if z_means.ndim == 2 else [...]:
+        states = tuple(
+            PkfState(i, Trajectory(series[0].grid, means[row], variances[row]), q[row],
+                     PkfWeights(*weights[:, row]))
+            for i, means, variances, q, weights in kept
+        )
+        history = states if retain_history else None
+        results.append(PkfResult(states[-1], history, trace_dq[:, row], trace_vmax[:, row]))
+    return results
 
 
 def run_pkf(
@@ -314,11 +316,7 @@ def run_pkf(
     """
     predictor = SplinePathModel(model) if isinstance(model, ModelKind) else model
     z_means, z_vars = data.summaries()
-    steps, trace_dq, trace_vmax = _iterate(predictor, (data,), z_means, z_vars, iterations)
-    if retain_history:
-        history = tuple(_state(data.grid, step) for step in steps)
-        return PkfResult(history[-1], history, trace_dq, trace_vmax)
-    return PkfResult(_state(data.grid, steps[-1]), None, trace_dq, trace_vmax)
+    return _results(predictor, (data,), z_means, z_vars, iterations, retain_history)[0]
 
 
 def run_pkf_block(
@@ -343,18 +341,7 @@ def run_pkf_block(
         raise InvalidDataError("the series of a block must share one time grid")
     z_means = np.stack([data.summaries()[0] for data in series])
     z_vars = np.stack([data.summaries()[1] for data in series])
-    predictor = SplinePathModel(kind)
-    steps, trace_dq, trace_vmax = _iterate(predictor, series, z_means, z_vars, iterations)
-    trace_dq, trace_vmax = np.array(trace_dq), np.array(trace_vmax)
-    results = []
-    for row in range(len(series)):
-        if retain_history:
-            history = tuple(_state(grid, step, row) for step in steps)
-            final = history[-1]
-        else:
-            history, final = None, _state(grid, steps[-1], row)
-        results.append(PkfResult(final, history, trace_dq[:, row], trace_vmax[:, row]))
-    return results
+    return _results(SplinePathModel(kind), series, z_means, z_vars, iterations, retain_history)
 
 
 def classify_regimes(result: PkfResult, data: TimeSeriesData) -> tuple[RegimeLabel, ...]:

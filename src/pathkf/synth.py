@@ -10,6 +10,7 @@ flows; replicates are Gaussian draws fully determined by the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,13 @@ from .models import flow_birth_death, flow_const_reg
 #: Most points a birth/death grid may have; the bound keeps a huge
 #: ``t_end / dt`` from allocating gigabytes. The default grid has 81.
 _MAX_GRID_POINTS = 10**6
+
+#: Most samples a scenario may draw, over all of its series, timepoints
+#: and replicates: over fifty times the paper's 1.8 M measurements, and a
+#: largest birth/death grid at the default 100 replicates. The bound keeps
+#: a huge replicate or gene count from allocating until the host gives
+#: out. The default scenarios draw 8,100 and 5,600.
+_MAX_SAMPLES = 10**8
 
 #: Labels attached to panel genes.
 DYNAMIC_LABEL = "dynamic"
@@ -48,6 +56,20 @@ def _check_finite(**settings) -> None:
     for name, value in settings.items():
         if not _isfinite(value):
             raise InvalidConfigError(f"{name} must be finite, got {_shown(value)}")
+
+
+def _check_draws(replicates: int, **counts: int) -> None:
+    """Reject fewer than one replicate, and a scenario whose ``counts`` (named
+    by their keywords) times ``replicates`` exceed :data:`_MAX_SAMPLES`
+    samples, before anything is allocated."""
+    if replicates < 1:
+        raise InvalidConfigError("replicates must be at least 1")
+    if math.prod(counts.values()) * replicates > _MAX_SAMPLES:
+        shown = " x ".join(
+            f"{_shown(n)} {name.replace('_', ' ')}"
+            for name, n in {**counts, "replicates": replicates}.items()
+        )
+        raise InvalidConfigError(f"a scenario may draw at most {_MAX_SAMPLES} samples, got {shown}")
 
 
 def _check_seed(seed: int) -> None:
@@ -128,8 +150,7 @@ class BirthDeathScenario:
                 f"t_end / dt must give at most {_MAX_GRID_POINTS} grid points, "
                 f"got t_end={self.t_end}, dt={self.dt}"
             )
-        if self.replicates < 1:
-            raise InvalidConfigError("replicates must be at least 1")
+        _check_draws(self.replicates, grid_points=round(self.t_end / self.dt) + 1)
         for value in self.noise.values:
             if not value >= 0:
                 raise InvalidConfigError(f"noise values must be non-negative, got {_shown(value)}")
@@ -212,8 +233,7 @@ class GenePanelScenario:
     def __post_init__(self):
         if not self.genes:
             raise InvalidConfigError("panel needs at least one gene")
-        if self.replicates < 1:
-            raise InvalidConfigError("replicates must be at least 1")
+        _check_draws(self.replicates, genes=len(self.genes), timepoints=len(self.times))
         for gene in self.genes:
             if not gene.noise_sd >= 0:
                 raise InvalidConfigError(
@@ -252,6 +272,7 @@ class GenePanelScenario:
             raise InvalidConfigError(f"noise_level must be non-negative, got {_shown(noise_level)}")
         _check_finite(spacing=spacing, noise_level=noise_level)
         _check_seed(seed)
+        _check_draws(replicates, genes=n_genes, timepoints=n_timepoints)
         rng = np.random.default_rng(seed)
         times = tuple(spacing * i for i in range(n_timepoints))
         genes = []

@@ -2,10 +2,12 @@
 
 Run from the root of a checkout::
 
-    PYTHONPATH=src python tests/behaviour_digest.py
+    PYTHONPATH=src python tests/behaviour_digest.py [--expect HEX]
 
 It prints a single hex digest over the trajectories and the error strings
-of:
+of the runs below. With ``--expect``, it exits 1, printing both digests,
+unless the digest starts with the given hex prefix, so a before/after
+check is one command. The runs are:
 
 - the baseline set: 500 mild and 150 harsh random series and the
   spike-pair series (:func:`spike_pair`), both models,
@@ -36,10 +38,12 @@ so it runs unchanged on them. pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import logging
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -293,7 +297,18 @@ def add_cli_commands(digest: Digest) -> None:
         directory.cleanup()
 
 
-def main() -> int:
+def hex_prefix(text: str) -> str:
+    """``text`` lowercased, if it is a non-empty hex string."""
+    if not re.fullmatch("[0-9a-fA-F]+", text):
+        raise argparse.ArgumentTypeError(f"not a hex prefix: {text!r}")
+    return text.lower()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print the behaviour digest.")
+    parser.add_argument("--expect", type=hex_prefix, metavar="HEX",
+                        help="exit 1 unless the digest starts with this hex prefix")
+    expect = parser.parse_args(argv).expect
     logging.disable(logging.CRITICAL)
     warnings.simplefilter("ignore")
     rng = np.random.default_rng(20240611)
@@ -328,7 +343,11 @@ def main() -> int:
                     digest.add(label, moments(row.trajectory))
         add_cli_batches(digest, blocks)
         add_cli_commands(digest)
-    print(f"{digest.sha.hexdigest()}  ({digest.runs} runs, {digest.errors} errors)")
+    hexdigest = digest.sha.hexdigest()
+    print(f"{hexdigest}  ({digest.runs} runs, {digest.errors} errors)")
+    if expect is not None and not hexdigest.startswith(expect):
+        print(f"digest mismatch: expected {expect}…, got {hexdigest}", file=sys.stderr)
+        return 1
     return 0
 
 

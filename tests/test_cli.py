@@ -1007,6 +1007,57 @@ class TestCommands:
         assert len(json.loads(out.read_text())["series"]["g0"]["history"]) == 2
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["--verbose", "run", "--algorithm", "pkf"],
+            ["convergence", "--retain-history"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, args):
+        out = tmp_path / "o.json"
+        result = CliRunner().invoke(
+            main, [*args, "--input", panel_csv(tmp_path), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
+        assert not out.exists()
+
+    def test_birth_death_labels_exit_2_writing_nothing(self, tmp_path):
+        data, labels = tmp_path / "data.csv", tmp_path / "labels.csv"
+        result = CliRunner().invoke(
+            main, ["simulate", "--scenario", "birth-death", "--output", str(data),
+                   "--labels", str(labels)],
+        )
+        assert (result.exit_code, result.stderr) == (
+            2, "error: --labels applies only to the gene-panel scenario\n"
+        )
+        assert not data.exists() and not labels.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, config, message",
+        [
+            ("birth-death", {"replicates": 10**9},
+             "81 grid points x 1000000000 replicates"),
+            ("gene-panel", {"n_genes": 10**9},
+             "1000000000 genes x 14 timepoints x 2 replicates"),
+        ],
+    )
+    def test_oversized_scenario_exits_2_before_drawing(
+        self, tmp_path, monkeypatch, scenario, config, message
+    ):
+        # a scenario that reached its generator would fail here, not allocate
+        monkeypatch.setattr(np.random, "default_rng", None)
+        data = tmp_path / "data.csv"
+        result = CliRunner().invoke(
+            main, ["simulate", "--scenario", scenario, "--output", str(data),
+                   "--config", write_text(tmp_path / "sc.json", json.dumps(config))],
+        )
+        assert (result.exit_code, result.stderr) == (
+            2, f"error: a scenario may draw at most 100000000 samples, got {message}\n"
+        )
+        assert not data.exists()
+
+    @pytest.mark.parametrize(
         "command, text, message",
         [
             (["run"], '{"q": %s}' % ("9" * 5000), "is not valid JSON: Exceeds the limit"),

@@ -384,16 +384,51 @@ class TestRunPkf:
 
         _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
         if variance < 0:
-            error, message = InvalidParameterError, (
-                r"^v_model_plus_q\[2\]=.* must be finite and non-negative$"
-            )
+            error, problem = InvalidParameterError, "the model variance is negative"
         else:  # a non-finite model variance is a model prediction that overflowed
-            error, message = NumericalOverflowError, (
-                r"^series 'population': timepoint 2 \(t=0\.5\): the model prediction left "
-                r"the finite range at iteration 1$"
-            )
-        with pytest.raises(error, match=message):
+            error, problem = NumericalOverflowError, "the model prediction left the finite range"
+        with pytest.raises(
+            error, match=rf"^series 'population': timepoint 2 \(t=0\.5\): {problem} at iteration 1$"
+        ):
             run_pkf(data, BadVarianceModel(), iterations=2)
+
+    def test_a_model_prediction_failure_wins_over_an_earlier_negative_variance(self):
+        # the failures are checked in a fixed order, not by timepoint: a NaN
+        # prediction at timepoint 3 outranks a negative variance at timepoint 1
+        class NegativeThenNanModel:
+            def predict_path(self, grid, means, variances):
+                model_means = np.array(means, dtype=float)
+                model_means[3] = np.nan
+                model_vars = np.full(len(grid), VARIANCE_FLOOR)
+                model_vars[1] = -1e6
+                return model_means, model_vars
+
+        _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
+        with pytest.raises(
+            NumericalOverflowError,
+            match=r"^series 'population': timepoint 3 \(t=0\.75\): the model prediction left "
+            r"the finite range at iteration 1$",
+        ):
+            run_pkf(data, NegativeThenNanModel(), iterations=2)
+
+    def test_an_overflowing_model_variance_plus_q_is_a_weight_overflow(self):
+        # the largest float model variance plus a data variance of 2e300 is
+        # inf, whose products with the other variances overflow
+        class HugeVarianceModel:
+            def predict_path(self, grid, means, variances):
+                model_vars = np.full(len(grid), VARIANCE_FLOOR)
+                model_vars[2] = np.finfo(float).max
+                return np.asarray(means, dtype=float), model_vars
+
+        groups = [np.array([1.0, 2.0]) + t for t in range(5)]
+        groups[2] = np.array([0.0, 2e150])
+        data = TimeSeriesData("g", TimeGrid(np.arange(5.0)), tuple(groups))
+        with pytest.raises(
+            NumericalOverflowError,
+            match=r"^series 'g': timepoint 2 \(t=2\.0\): the weight products overflowed "
+            r"at iteration 1$",
+        ):
+            run_pkf(data, HugeVarianceModel(), iterations=2)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_overflowing_weight_products_name_series_iteration_and_timepoint(self, kind):

@@ -19,6 +19,23 @@ from pathkf.synth import DYNAMIC_LABEL, STATIC_LABEL, GeneSpec
 
 from oracles import rk4_integrate_piecewise
 
+MAX_SAMPLES = 100_000_000
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Makes creating a random generator fail, so a scenario that is not
+    rejected before it draws fails at once instead of allocating."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scenario reached its random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+def too_many(shown: str) -> str:
+    return "^" + re.escape(f"a scenario may draw at most {MAX_SAMPLES} samples, got {shown}") + "$"
+
 
 class TestBirthDeath:
     def test_flat_before_first_rate_change(self):
@@ -154,6 +171,29 @@ class TestBirthDeath:
         scenario = BirthDeathScenario(t_end=249_999.75, dt=0.25)
         assert round(scenario.t_end / scenario.dt) + 1 == 10**6
 
+    @pytest.mark.parametrize(
+        "settings, shown",
+        [
+            ({"replicates": 10**9}, "81 grid points x 1000000000 replicates"),
+            ({"replicates": 10**5000}, "81 grid points x an integer of 16610 bits replicates"),
+            # one replicate, or one grid point, past the bound
+            ({"t_end": 255.0, "dt": 1.0, "replicates": 390_626},
+             "256 grid points x 390626 replicates"),
+            ({"t_end": 256.0, "dt": 1.0, "replicates": 390_625},
+             "257 grid points x 390625 replicates"),
+            # within the grid bound, but not within the sample bound
+            ({"t_end": 249_999.75, "replicates": 101}, "1000000 grid points x 101 replicates"),
+        ],
+    )
+    def test_samples_are_bounded(self, settings, shown):
+        # rejected when built; building allocates nothing either way
+        with pytest.raises(InvalidConfigError, match=too_many(shown)):
+            BirthDeathScenario(**settings)
+
+    def test_samples_at_the_bound_are_accepted(self):
+        scenario = BirthDeathScenario(t_end=255.0, dt=1.0, replicates=390_625)
+        assert len(scenario.grid()) * scenario.replicates == MAX_SAMPLES
+
 
 class TestGenePanel:
     def test_static_gene_at_steady_state_is_constant(self):
@@ -235,6 +275,33 @@ class TestGenePanel:
     def test_default_panel_settings_rejected(self, settings, message):
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             GenePanelScenario.default(n_genes=4, **settings)
+
+    @pytest.mark.parametrize(
+        "settings, shown",
+        [
+            ({"n_genes": 10**9}, "1000000000 genes x 14 timepoints x 2 replicates"),
+            ({"n_timepoints": 10**9}, "4 genes x 1000000000 timepoints x 2 replicates"),
+            ({"replicates": 10**5000}, "4 genes x 14 timepoints x an integer of 16610 bits replicates"),
+            ({"n_genes": 2, "n_timepoints": 4, "replicates": 12_500_001},
+             "2 genes x 4 timepoints x 12500001 replicates"),
+        ],
+    )
+    def test_default_panel_samples_are_bounded(self, no_draws, settings, shown):
+        # rejected before the gene specs or the times are built
+        with pytest.raises(InvalidConfigError, match=too_many(shown)):
+            GenePanelScenario.default(**{"n_genes": 4, **settings})
+
+    def test_default_panel_replicates_are_checked_before_the_genes(self, no_draws):
+        with pytest.raises(InvalidConfigError, match="^replicates must be at least 1$"):
+            GenePanelScenario.default(n_genes=10**9, replicates=0)
+
+    def test_panel_samples_at_the_bound_are_accepted(self):
+        scenario = GenePanelScenario.default(n_genes=2, n_timepoints=4, replicates=12_500_000)
+        assert len(scenario.genes) * len(scenario.times) * scenario.replicates == MAX_SAMPLES
+        with pytest.raises(InvalidConfigError, match=too_many(
+            "2 genes x 4 timepoints x 12500001 replicates"
+        )):
+            GenePanelScenario(scenario.genes, scenario.times, replicates=12_500_001)
 
     def test_negative_seed_rejected(self):
         gene = GeneSpec("g", PiecewiseConstant.constant(8.0), PiecewiseConstant.constant(2.0),
