@@ -371,12 +371,15 @@ class RunConfig:
 
     ``q`` is ``None`` unless set; the baselines then use 1.0, and the PKF,
     whose process uncertainty is its own output, rejects any value.
-    ``retain_history`` keeps each PKF iteration, so a baseline rejects it.
+    ``iterations`` is ``None`` unless set; ``pkf`` and ``ipls`` then run
+    ``DEFAULT_ITERATIONS``, and ``kf``, ``ukf`` and ``urts``, which do not
+    iterate, reject any value. ``retain_history`` keeps each PKF iteration,
+    so a baseline rejects it.
     """
 
     algorithm: str = "pkf"
     model: ModelKind = ModelKind.BIRTH_DEATH
-    iterations: int = DEFAULT_ITERATIONS
+    iterations: int | None = None
     q: float | None = None
     jobs: int = 1
     retain_history: bool = False
@@ -388,6 +391,8 @@ class RunConfig:
             raise InvalidConfigError(
                 "q does not apply to pkf, which estimates its own process uncertainty"
             )
+        if self.iterations is not None and self.algorithm not in ("pkf", "ipls"):
+            raise InvalidConfigError("iterations applies only to pkf and ipls, which iterate")
         if self.retain_history and self.algorithm != "pkf":
             raise InvalidConfigError(
                 "retain_history applies only to pkf, whose iterations it keeps"
@@ -398,7 +403,8 @@ class RunConfig:
 
     def spec(self) -> AlgorithmSpec:
         q = 1.0 if self.q is None else self.q
-        return AlgorithmSpec(self.algorithm, self.algorithm, q, self.iterations)
+        iterations = DEFAULT_ITERATIONS if self.iterations is None else self.iterations
+        return AlgorithmSpec(self.algorithm, self.algorithm, q, iterations)
 
 
 class SeriesOutcome(NamedTuple):

@@ -184,8 +184,11 @@ def pkf_weights(v_filter_prev, v_model_plus_q, v_data) -> PkfWeights:
 
 
 def _updated_q(q_prev, gain, loss):
-    """The update of :func:`update_process_uncertainty`, unchecked."""
-    return q_prev + gain * (loss - q_prev)
+    """The update of :func:`update_process_uncertainty`, unchecked. The gain
+    is capped at 1, which the sum of two weights can pass by one rounding:
+    with a gain in [0, 1], non-negative ``q_prev`` and ``loss`` give a
+    non-negative Q under round-to-nearest."""
+    return q_prev + np.minimum(gain, 1.0) * (loss - q_prev)
 
 
 def update_process_uncertainty(q_prev, w_data, w_model, loss):

@@ -234,6 +234,12 @@ class GenePanelScenario:
         if not self.genes:
             raise InvalidConfigError("panel needs at least one gene")
         _check_draws(self.replicates, genes=len(self.genes), timepoints=len(self.times))
+        if len(self.times) < 3:  # the TimeGrid minimum
+            raise InvalidConfigError(f"times must hold at least 3 points, got {len(self.times)}")
+        for time in self.times:
+            _check_finite(times=time)
+        if not all(a < b for a, b in zip(self.times, self.times[1:])):
+            raise InvalidConfigError("times must be strictly increasing")
         for gene in self.genes:
             if not gene.noise_sd >= 0:
                 raise InvalidConfigError(

@@ -2,12 +2,21 @@
 
 Run from the root of a checkout::
 
-    PYTHONPATH=src python tests/behaviour_digest.py [--expect HEX]
+    PYTHONPATH=src python tests/behaviour_digest.py [--expect HEX] [--dump PATH] [--against PATH]
 
 It prints a single hex digest over the trajectories and the error strings
 of the runs below. With ``--expect``, it exits 1, printing both digests,
 unless the digest starts with the given hex prefix, so a before/after
-check is one command. The runs are:
+check is one command. ``--dump`` saves every run by its label: its arrays
+or its error, and the sha256 of every other text it digests (JSON records,
+warning lines, batch documents, command output). ``--against`` compares
+this run with such a dump, run by run, and prints per class (algorithm,
+model, and mild, harsh or spike series) how many runs are bit-identical,
+moved, changed their error text, or switched between a result and an
+error, with the largest move of the means over the series' scale (the
+largest absolute data mean) and of the variances over the run's largest
+variance, and then every changed error problem. Dump on the old commit,
+compare on the new one. The runs are:
 
 - the baseline set: 500 mild and 150 harsh random series and the
   spike-pair series (:func:`spike_pair`), both models,
@@ -31,6 +40,9 @@ check is one command. The runs are:
   of its file's keys. Each adds its exit code, stdout and stderr, with the
   run directory spelled ``{dir}``, and the bytes of every file it writes.
 
+The command-line batches pass ``iterations`` only to ``pkf`` and ``ipls``,
+which read it.
+
 A refactor that must not change results gives the same digest before and
 after it. The script uses only public names that older commits have too,
 so it runs unchanged on them. pytest does not collect it.
@@ -42,11 +54,15 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import sys
 import tempfile
 import warnings
+import zipfile
+from collections import Counter, defaultdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,10 +96,11 @@ BASELINES = {
     "ipls-3": lambda data, kind, q: run_ipls(data, kind, q=q, iterations=3),
 }
 
-#: (algorithm, q, iterations, retain_history) of each command-line batch.
+#: (algorithm, q, iterations, retain_history) of each command-line batch;
+#: ``iterations`` is None for the algorithms that do not read it.
 CLI_RUNS = (
     ("pkf", None, PKF_ITERATIONS, True),
-    *((name, q, 1, False) for name in ("kf", "ukf", "urts") for q in (1.0, 10.0)),
+    *((name, q, None, False) for name in ("kf", "ukf", "urts") for q in (1.0, 10.0)),
     *(("ipls", q, 3, False) for q in (1.0, 10.0)),
 )
 
@@ -178,15 +195,41 @@ def random_series(rng: np.random.Generator, harsh: bool) -> list[TimeSeriesData]
     return block
 
 
-class Digest:
-    """A sha256 over labelled runs: each run's arrays, or its error."""
+def series_class(b: int) -> str:
+    """The kind of the series in block ``b``: mild, harsh or the spike pair."""
+    if b < N_MILD // BLOCK:
+        return "mild"
+    return "harsh" if b < (N_MILD + N_HARSH) // BLOCK else "spike"
 
-    def __init__(self):
+
+class Run(NamedTuple):
+    """One run as ``--dump`` keeps it: its class, its arrays or its error,
+    or the sha256 of its text, and for a trajectory the series' scale."""
+
+    group: tuple[str, ...]
+    arrays: list[np.ndarray]
+    error: str | None = None
+    text: str | None = None
+    scale: float | None = None
+
+
+class Digest:
+    """A sha256 over labelled runs: each run's arrays, or its error. With
+    ``keep``, it also keeps each run by its label, for ``--dump`` and
+    ``--against``."""
+
+    def __init__(self, keep: bool = False):
         self.sha = hashlib.sha256()
         self.runs = 0
         self.errors = 0
+        self.kept: dict[str, Run] | None = {} if keep else None
 
-    def add(self, label: str, arrays=(), error: str | None = None) -> None:
+    def _keep(self, label: str, run: Run) -> None:
+        if self.kept is not None:
+            self.kept[label] = run
+
+    def add(self, label: str, group: tuple[str, ...], arrays=(), error: str | None = None,
+            scale: float | None = None) -> None:
         self.runs += 1
         self.sha.update(label.encode())
         if error is not None:
@@ -194,21 +237,127 @@ class Digest:
             self.sha.update(error.encode())
         for arr in arrays:
             self.sha.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        self._keep(label, Run(group, [np.array(a, dtype=float).ravel() for a in arrays], error,
+                              scale=scale))
 
-    def add_text(self, label: str, text: str, error: bool = False) -> None:
+    def add_text(self, label: str, group: tuple[str, ...], text: str, error: bool = False) -> None:
         self.runs += 1
         self.errors += error
         self.sha.update(label.encode())
         self.sha.update(text.encode())
+        self._keep(label, Run(group, [], text if error else None,
+                              None if error else hashlib.sha256(text.encode()).hexdigest()))
 
-    def run(self, label: str, compute) -> None:
+    def add_bytes(self, label: str, group: tuple[str, ...], payload: bytes) -> None:
+        """Digest ``payload`` alone, as part of the run before it: not a run."""
+        self.sha.update(payload)
+        self._keep(label, Run(group, [], text=hashlib.sha256(payload).hexdigest()))
+
+    def run(self, label: str, group: tuple[str, ...], compute,
+            scale: float | None = None) -> None:
         """Add the arrays ``compute()`` returns, or the error it raises."""
         try:
             arrays = compute()
         except Exception as exc:  # a bare Python error is behaviour too
-            self.add(label, error=f"{type(exc).__name__}: {exc}")
+            self.add(label, group, error=f"{type(exc).__name__}: {exc}", scale=scale)
         else:
-            self.add(label, arrays)
+            self.add(label, group, arrays, scale=scale)
+
+
+def save_dump(runs: dict[str, Run], path: str) -> None:
+    """Every kept run in one ``.npz`` file: the arrays end to end, and a
+    JSON index of the labels, classes, errors, text hashes and sizes."""
+    index = [[label, list(r.group), r.error, r.text, r.scale, [len(a) for a in r.arrays]]
+             for label, r in runs.items()]
+    arrays = [a for r in runs.values() for a in r.arrays]
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle, values=np.concatenate(arrays) if arrays else np.zeros(0),
+            index=np.frombuffer(json.dumps(index).encode(), dtype=np.uint8),
+        )
+
+
+def load_dump(path: str) -> dict[str, Run]:
+    """The runs that :func:`save_dump` wrote to ``path``."""
+    with np.load(path, allow_pickle=False) as npz:
+        values = npz["values"]
+        index = json.loads(npz["index"].tobytes())
+    runs, at = {}, 0
+    for label, group, error, text, scale, sizes in index:
+        arrays = []
+        for size in sizes:
+            arrays.append(values[at:at + size])
+            at += size
+        runs[label] = Run(tuple(group), arrays, error, text, scale)
+    if at != len(values):
+        raise ValueError("the index does not cover the values")
+    return runs
+
+
+#: The location that starts every located error text.
+WHERE = re.compile(r"series '[^']*': timepoint \d+ \(t=[^)]*\): ")
+
+
+def relative_move(old: np.ndarray, new: np.ndarray, scale: float) -> float:
+    """The largest ``|new - old|`` over ``scale``; ``inf`` where one side
+    is not finite and the other differs."""
+    with np.errstate(all="ignore"):
+        move = np.abs(new - old)
+    move[(old == new) | (np.isnan(old) & np.isnan(new))] = 0.0
+    move[np.isnan(move)] = np.inf
+    if scale > 0:
+        return float(move.max(initial=0.0) / scale)
+    return math.inf if move.any() else 0.0
+
+
+def compare(old: dict[str, Run], new: dict[str, Run]) -> list[str]:
+    """The per-class report of ``--against``: ``new`` runs against ``old``."""
+    counts: dict[str, Counter] = defaultdict(Counter)
+    moves: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0])
+    changed: dict[str, Counter] = defaultdict(Counter)
+    for label in old.keys() - new.keys():
+        counts[" ".join(old[label].group)]["gone"] += 1
+    for label, run in new.items():
+        group = " ".join(run.group)
+        before = old.get(label)
+        if before is None:
+            counts[group]["new"] += 1
+        elif before.error is not None or run.error is not None:
+            if before.error == run.error:
+                counts[group]["same"] += 1
+                continue
+            counts[group]["text" if before.error and run.error
+                          else "ok>err" if run.error else "err>ok"] += 1
+            was = WHERE.match(before.error or "")
+            now = WHERE.match(run.error or "")
+            moved_place = (was and was.group()) != (now and now.group())
+            changed[group][(WHERE.sub("", before.error or "(result)"),
+                            WHERE.sub("", run.error or "(result)"), moved_place)] += 1
+        elif before.text != run.text or [a.tobytes() for a in before.arrays] != [
+            a.tobytes() for a in run.arrays
+        ]:
+            counts[group]["moved"] += 1
+            if run.scale is not None and len(run.arrays) == len(before.arrays) == 2 and all(
+                a.shape == b.shape for a, b in zip(run.arrays, before.arrays)
+            ):
+                (m0, v0), (m1, v1) = before.arrays, run.arrays
+                largest = float(max(np.abs(v0).max(initial=0.0), np.abs(v1).max(initial=0.0)))
+                move = moves[group]
+                move[0] = max(move[0], relative_move(m0, m1, run.scale))
+                move[1] = max(move[1], relative_move(v0, v1, largest))
+        else:
+            counts[group]["same"] += 1
+    columns = ("same", "moved", "text", "ok>err", "err>ok", "gone", "new")
+    lines = [f"{'class':<34}" + "".join(f"{c:>8}" for c in columns)
+             + f"{'mean/scale':>12}{'var/max':>10}"]
+    for group in sorted(counts):
+        move = (f"{moves[group][0]:>12.2g}{moves[group][1]:>10.2g}" if group in moves else "")
+        lines.append(f"{group:<34}" + "".join(f"{counts[group][c]:>8}" for c in columns) + move)
+    for group in sorted(changed):
+        for (was, now, moved_place), n in sorted(changed[group].items()):
+            place = ", elsewhere" if moved_place else ""
+            lines.append(f"{group}: {n} x {was!r} -> {now!r}{place}")
+    return lines
 
 
 def moments(trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -248,21 +397,25 @@ def add_cli_batches(digest: Digest, blocks) -> None:
         for b, block in enumerate(blocks):
             for kind in ModelKind:
                 for algorithm, q, iterations, history in CLI_RUNS:
-                    config = RunConfig(algorithm=algorithm, model=kind, iterations=iterations,
-                                       q=q, retain_history=history)
+                    read = {} if iterations is None else {"iterations": iterations}
+                    config = RunConfig(algorithm=algorithm, model=kind, q=q,
+                                       retain_history=history, **read)
                     label = f"{b} {kind.value} cli {algorithm} q={q}"
+                    group = (f"cli {algorithm}", kind.value, series_class(b))
                     summary = batch_run(config, tuple(block))
                     for o in summary.outcomes:
                         if o.error is None:
-                            digest.add_text(f"{label} {o.series_id}",
+                            digest.add_text(f"{label} {o.series_id}", group,
                                             json.dumps(result_record(o.result)))
                         else:
-                            digest.add_text(f"{label} {o.series_id}", o.error, error=True)
-                    digest.sha.update("\n".join(warned.lines).encode())
+                            digest.add_text(f"{label} {o.series_id}", group, o.error, error=True)
+                    digest.add_bytes(f"{label} warnings", (f"{group[0]} warnings", *group[1:]),
+                                     "\n".join(warned.lines).encode())
                     warned.lines.clear()
                     write_batch_results(summary, document)
                     with open(document, "rb") as handle:
-                        digest.sha.update(handle.read())
+                        digest.add_bytes(f"{label} document", (f"{group[0]} document", *group[1:]),
+                                         handle.read())
     finally:
         package_logger.removeHandler(warned)
         package_logger.propagate = True
@@ -288,11 +441,11 @@ def add_cli_commands(digest: Digest) -> None:
                 json.dump(placed(config), handle)
             result = CliRunner().invoke(cli_main, [*map(placed, args), "--config", config_path])
             text = f"{result.exit_code}\n{result.stdout}\n{result.stderr}"
-            digest.add_text(f"command {n} {args[0]}", text.replace(directory.name, "{dir}"),
-                            error=result.exit_code != 0)
+            digest.add_text(f"command {n} {args[0]}", ("command",),
+                            text.replace(directory.name, "{dir}"), error=result.exit_code != 0)
             for name in written:
                 with open(os.path.join(directory.name, name), "rb") as handle:
-                    digest.sha.update(handle.read())
+                    digest.add_bytes(f"command {n} {name}", ("command file",), handle.read())
     finally:
         directory.cleanup()
 
@@ -308,45 +461,64 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Print the behaviour digest.")
     parser.add_argument("--expect", type=hex_prefix, metavar="HEX",
                         help="exit 1 unless the digest starts with this hex prefix")
-    expect = parser.parse_args(argv).expect
+    parser.add_argument("--dump", metavar="PATH", help="save every run here, by its label")
+    parser.add_argument("--against", metavar="PATH",
+                        help="compare every run with a --dump file, per class")
+    args = parser.parse_args(argv)
+    reference = None
+    if args.against is not None:
+        try:
+            reference = load_dump(args.against)
+        except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+            parser.error(f"cannot read the dump {args.against!r}: {exc}")
     logging.disable(logging.CRITICAL)
     warnings.simplefilter("ignore")
     rng = np.random.default_rng(20240611)
     blocks = [random_series(rng, False) for _ in range(N_MILD // BLOCK)]
     blocks += [random_series(rng, True) for _ in range(N_HARSH // BLOCK)]
     blocks.append(spike_pair())
-    digest = Digest()
+    digest = Digest(keep=args.dump is not None or reference is not None)
     with np.errstate(all="ignore"):
         for b, block in enumerate(blocks):
             for kind in ModelKind:
                 for s, data in enumerate(block):
+                    scale = float(np.max(np.abs(data.summaries()[0])))
                     for q in (1.0, 10.0):
                         for name, run in BASELINES.items():
                             digest.run(
                                 f"{b}/{s} {kind.value} {name} q={q}",
-                                lambda: moments(run(data, kind, q)),
+                                (name, kind.value, series_class(b)),
+                                lambda: moments(run(data, kind, q)), scale,
                             )
                     digest.run(
-                        f"{b}/{s} {kind.value} pkf",
+                        f"{b}/{s} {kind.value} pkf", ("pkf", kind.value, series_class(b)),
                         lambda: pkf_arrays(run_pkf(data, kind, PKF_ITERATIONS, True)),
                     )
-                digest.run(f"{b} {kind.value} block", lambda: [
-                    a for result in run_pkf_block(tuple(block), kind, PKF_ITERATIONS, True)
-                    for a in pkf_arrays(result)
-                ])
+                digest.run(
+                    f"{b} {kind.value} block", ("pkf block", kind.value, series_class(b)),
+                    lambda: [a for result in run_pkf_block(tuple(block), kind, PKF_ITERATIONS, True)
+                             for a in pkf_arrays(result)],
+                )
         for seed in range(20):
-            for row in run_benchmark(BirthDeathScenario(seed=seed), table_specs()).rows:
+            report = run_benchmark(BirthDeathScenario(seed=seed), table_specs())
+            scale = float(np.max(np.abs(report.data.summaries()[0])))
+            for row in report.rows:
                 label = f"table {seed} {row.spec.label}"
+                group = ("table", row.spec.label)
                 if row.trajectory is None:
-                    digest.add(label, error=row.error)
+                    digest.add(label, group, error=row.error, scale=scale)
                 else:
-                    digest.add(label, moments(row.trajectory))
+                    digest.add(label, group, moments(row.trajectory), scale=scale)
         add_cli_batches(digest, blocks)
         add_cli_commands(digest)
     hexdigest = digest.sha.hexdigest()
     print(f"{hexdigest}  ({digest.runs} runs, {digest.errors} errors)")
-    if expect is not None and not hexdigest.startswith(expect):
-        print(f"digest mismatch: expected {expect}…, got {hexdigest}", file=sys.stderr)
+    if args.dump is not None:
+        save_dump(digest.kept, args.dump)
+    if reference is not None:
+        print("\n".join(compare(reference, digest.kept)))
+    if args.expect is not None and not hexdigest.startswith(args.expect):
+        print(f"digest mismatch: expected {args.expect}…, got {hexdigest}", file=sys.stderr)
         return 1
     return 0
 

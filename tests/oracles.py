@@ -3,9 +3,8 @@
 Everything here is deliberately implemented by a different route than the
 code under test: fixed-step numerical integration instead of analytic
 flows, exhaustive grid search instead of closed-form minimizers, plain
-scalar Kalman recursions instead of sigma-point machinery, the weight form
-of the Kalman update instead of the gain form, numpy reductions over the
-three sigma points instead of float expressions, a plain-float
+scalar Kalman recursions instead of the shared Kalman core, the weight form
+of the Kalman update instead of the gain form, a plain-float
 pathspace-filter step instead of the array kernel, one replicate group at
 a time instead of the stacked summary kernel, one three-point window at a
 time instead of the spline-posterior kernel, one regime label at a time
@@ -183,45 +182,21 @@ def classify_regime(
     return RegimeLabel.ACCURATE_MODEL_RELIABLE_DATA
 
 
-#: Sigma-point weights of a univariate state with the points at the mean and
-#: one standard deviation either side (alpha=1, beta=2, kappa=0).
-SIGMA_MEAN_WEIGHTS = np.array([0.0, 0.5, 0.5])
-SIGMA_COV_WEIGHTS = np.array([2.0, 0.5, 0.5])
-
-
-def sigma_moments(mean: float, variance: float, f) -> tuple[float, float, float]:
-    """Referee for ``pathkf.baselines._sigma_moments``: the same three sigma
-    points, propagated with the same checks and error texts, and the moments
-    as numpy's weighted sums over the point arrays."""
-    spread = math.sqrt(variance)
-    points = np.array([mean, mean + spread, mean - spread])
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            prop = np.asarray(f(points), dtype=float)
-        if prop.shape != points.shape:
-            raise ValueError(f"it maps shape {points.shape} to {prop.shape}")
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"the step map must be elementwise over arrays: {exc}") from exc
-    if not np.all(np.isfinite(prop)):
-        raise NumericalOverflowError("the step map left the finite range")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_out = float(np.sum(SIGMA_MEAN_WEIGHTS * prop))
-        var_out = float(np.sum(SIGMA_COV_WEIGHTS * (prop - mean_out) ** 2))
-        cross = float(np.sum(SIGMA_COV_WEIGHTS * (points - mean) * (prop - mean_out)))
-    return mean_out, var_out, cross
-
-
 @dataclass(frozen=True)
 class AffineStepDynamics:
     """Fixed affine transition ``x -> slope * x + intercept`` for every step,
     the dynamics of :func:`linear_kf` and :func:`linear_rts`, passed as the
-    ``model`` of the sigma-point baselines."""
+    ``model`` of the unscented baselines. It is its own step: a callable
+    with a ``slope``."""
 
     slope: float
     intercept: float = 0.0
 
     def step_map(self, times, ref_means, index):
-        return lambda x: self.slope * x + self.intercept
+        return self
+
+    def __call__(self, x):
+        return self.slope * x + self.intercept
 
 
 def linear_kf(times, z_means, z_vars, slope, intercept, q, floor=1e-9):

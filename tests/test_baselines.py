@@ -1,10 +1,11 @@
-"""Baseline filters/smoothers: unscented machinery and oracle equivalences."""
+"""Baseline filters/smoothers: the closed-form prediction and oracle equivalences."""
 
 import contextlib
 import logging
 import math
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,14 +27,9 @@ from pathkf import (
     run_urts,
 )
 
-from pathkf.baselines import (
-    FlowStepDynamics,
-    _sigma_moments,
-    _statistical_linearization,
-    _unscented_predict,
-)
+from pathkf.baselines import FlowStepDynamics, _affine_predict, _Relaxation
 
-from oracles import AffineStepDynamics, adaptive_kf, linear_kf, linear_rts, sigma_moments
+from oracles import AffineStepDynamics, adaptive_kf, linear_kf, linear_rts
 
 
 def series_from_groups(groups, times=None):
@@ -48,114 +44,93 @@ def random_series(rng, n=25, loc=50.0, sd=3.0, replicates=8):
     return series_from_groups(groups)
 
 
-def same_float(a: float, b: float) -> bool:
-    """Bitwise equality of two floats up to the NaN payload: the sign of a
-    zero counts, and NaN equals NaN."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-def outcome(f, *args):
-    """``f(*args)``, or the type and text of the ``PathkfError`` it raised."""
-    try:
-        return f(*args)
-    except PathkfError as exc:
-        return type(exc), str(exc)
-
-
 def signed_decades(lo: float, hi: float, signs=(-1.0, 1.0)):
     """Floats ``sign * 10**e`` with ``e`` uniform in ``[lo, hi]``."""
     return st.builds(lambda s, e: s * 10.0**e, st.sampled_from(signs), st.floats(lo, hi))
 
 
-def affine_maps():
-    return st.builds(
-        lambda a, b: lambda x: a * x + b,
-        st.floats(-1e3, 1e3) | signed_decades(-300, 300),
-        st.floats(-1e3, 1e3) | signed_decades(-300, 300),
-    )
+def positive_decades(lo: float, hi: float):
+    """Positive floats in ``[lo, hi]``, log-uniform or uniform."""
+    return signed_decades(math.log10(lo), math.log10(hi), signs=(1.0,)) | st.floats(lo, hi)
 
 
-def quadratic_map(x):
-    return x * x * 0.37 + 1.3 * x
+def left_range_at(t: int) -> str:
+    """The located error of a non-finite estimate at timepoint ``t``, on the grid ``0, 1, ...``."""
+    return rf"^series 's': timepoint {t} \(t={t}\.0\): the filter estimate left the finite range$"
 
 
-class TestSigmaMoments:
-    @settings(deadline=None, max_examples=400)
+class FixedStep:
+    """Dynamics whose every step is ``step``."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def step_map(self, times, ref_means, index):
+        return self.step
+
+
+class TestAffinePredict:
+    """The one closed-form prediction of the UKF pass and the IPLS passes."""
+
+    @settings(deadline=None, max_examples=1000)
     @given(
-        mean=st.floats(-1e300, 1e300) | signed_decades(-300, 300),
-        variance=st.floats(0.0, 1e300) | signed_decades(-300, 300, signs=(1.0,)),
-        f=affine_maps() | st.sampled_from([quadratic_map, np.exp, lambda x: 1e200 * x]),
+        mean=signed_decades(-12, 12) | st.floats(-1e12, 1e12),
+        variance=positive_decades(1e-9, 1e6),
+        slope=positive_decades(1e-8, 10.0),
+        steady=signed_decades(-12, 12) | st.floats(-1e12, 1e12),
+        ukf=st.booleans(),
     )
-    # every point maps to -0.0: numpy's sums start from +0.0, so all three
-    # moments are +0.0
-    @example(mean=0.0, variance=0.0, f=np.negative)
-    def test_bitwise_equal_to_the_numpy_referee(self, mean, variance, f):
-        with np.errstate(over="ignore", invalid="ignore"):  # as every caller runs it
-            got = outcome(_sigma_moments, mean, variance, f)
-        want = outcome(sigma_moments, mean, variance, f)
-        if isinstance(want[0], type):
-            assert got == want
-        else:
-            assert all(same_float(g, w) for g, w in zip(got, want, strict=True)), (got, want)
-
-    def test_summation_order_is_numpys(self):
-        # numpy adds the three weighted squares left to right; grouping the
-        # last two first moves the variance by one unit in the last place
-        mean, variance = -26.203537290810864, 21.773726719585117
-        got = _sigma_moments(mean, variance, quadratic_map)
-        assert got == sigma_moments(mean, variance, quadratic_map)
-        assert got[1] == 7255.704491285207
-        spread = math.sqrt(variance)
-        y = quadratic_map(np.array([mean, mean + spread, mean - spread])) - got[0]
-        assert 2.0 * y[0] ** 2 + (0.5 * y[1] ** 2 + 0.5 * y[2] ** 2) == 7255.704491285206
-
-    def test_identity_preserves_moments(self):
-        out = _sigma_moments(2.5, 4.0, lambda x: x)
-        np.testing.assert_allclose(out, [2.5, 4.0, 4.0], rtol=1e-12)
-
-    def test_affine_exactness(self):
-        out = _sigma_moments(1.0, 4.0, lambda x: 3.0 * x + 2.0)
-        np.testing.assert_allclose(out, [5.0, 36.0, 12.0], rtol=1e-12)
-
-    def test_square_against_monte_carlo(self):
-        rng = np.random.default_rng(12)
-        draws = rng.standard_normal(1_000_000)
-        mc_mean = float(np.mean(draws**2))
-        mean, _, _ = _sigma_moments(0.0, 1.0, lambda x: x**2)
-        assert abs(mean - mc_mean) <= 0.1 * mc_mean
+    # three sigma points at m and m ± sd miss these: the variance by 4 ulp,
+    # and a mean of exactly 0 by 5.6e-17
+    @example(mean=0.0, variance=1.0, slope=0.1, steady=1.0, ukf=False)
+    @example(mean=0.0, variance=1.0, slope=1.0, steady=-1e-3, ukf=False)
+    def test_moments_are_exact(self, mean, variance, slope, steady, ukf):
+        # the exact moments of an affine map of a Gaussian, against rational
+        # arithmetic on the same step: variance and cross-covariance within
+        # 2 ulp, and the mean within 4 ulp of its larger term
+        step = _Relaxation(steady, slope, VARIANCE_FLOOR)
+        predict = _affine_predict(FixedStep(step), None, 0.0, None if ukf else np.zeros(2))
+        got_mean, got_var, got_cross = predict(1, np.array([mean, 0.0]), np.array([variance, 0.0]))
+        a, p = Fraction(slope), Fraction(variance)
+        want_var = max(a * a * p, Fraction(VARIANCE_FLOOR)) if ukf else a * a * p
+        term = (Fraction(mean) - Fraction(steady)) * a
+        assert abs(Fraction(got_var) - want_var) <= 2 * Fraction(math.ulp(float(want_var)))
+        assert abs(Fraction(got_cross) - a * p) <= 2 * Fraction(math.ulp(float(a * p)))
+        larger = max(abs(steady), abs(float(term)))
+        assert abs(Fraction(got_mean) - (Fraction(steady) + term)) <= 4 * Fraction(
+            math.ulp(larger)
+        )
 
     def test_variance_clamped_at_floor(self):
-        # the UKF prediction floors the propagated variance before adding q
+        # the UKF pass floors the propagated variance before adding q; the
+        # IPLS passes, fitted on the smoothed means, do not
         data = series_from_groups([[1.0]] * 3)
         dynamics = FlowStepDynamics(ModelKind.BIRTH_DEATH, *data.summaries())
-        predict = _unscented_predict(dynamics, data.grid.times, 0.0)
-        _, variance, _ = predict(1, np.array([1.0, 0.0, 0.0]), np.zeros(3))
+        m, p = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        _, variance, _ = _affine_predict(dynamics, data.grid.times, 0.0)(1, m, p)
         assert variance == VARIANCE_FLOOR
+        _, variance, _ = _affine_predict(dynamics, data.grid.times, 0.0, m)(1, m, p)
+        assert variance == 0.0
 
-    @pytest.mark.parametrize(
-        "step_map, problem",
-        [(math.exp, ""), (lambda x: 5.0, r"it maps shape \(3,\) to \(\)$")],
-        ids=["math.exp", "constant"],
-    )
-    def test_step_map_must_be_elementwise_over_arrays(self, step_map, problem):
+    @pytest.mark.parametrize("run", [run_ukf, run_urts, run_ipls])
+    @pytest.mark.parametrize("step", [np.exp, lambda x: 2.0 * x], ids=["exp", "lambda"])
+    def test_a_step_without_a_slope_is_rejected(self, run, step):
         with pytest.raises(
-            InvalidParameterError, match=f"^the step map must be elementwise over arrays: {problem}"
+            InvalidParameterError, match="^a step map must return an affine step with a slope$"
         ):
-            _sigma_moments(1.0, 0.25, step_map)
+            run(series_from_groups([[4.0, 6.0]] * 3), FixedStep(step))
 
-
-class TestStatisticalLinearization:
-    def test_affine_is_exact(self):
-        slope, intercept, residual = _statistical_linearization(2.0, 3.0, lambda x: 4.0 * x - 1.0)
-        np.testing.assert_allclose([slope, intercept], [4.0, -1.0], rtol=1e-10)
-        assert residual <= 1e-12
-
-    def test_residual_non_negative_for_nonlinear_map(self):
-        slope, _, residual = _statistical_linearization(1.0, 1.0, lambda x: x**2)
-        assert residual >= 0.0
-        np.testing.assert_allclose(slope, 2.0, rtol=1e-8)
+    def test_birth_death_steps_are_relaxations_toward_zero(self):
+        data = series_from_groups([[1.0, 1.2], [2.0, 2.2], [4.0, 4.2]])
+        z_means, z_vars = data.summaries()
+        dynamics = FlowStepDynamics(ModelKind.BIRTH_DEATH, z_means, z_vars)
+        assert dynamics.step_map(data.grid.times, z_means, 1) == _Relaxation(
+            0.0, 1.0, VARIANCE_FLOOR
+        )
+        step = dynamics.step_map(data.grid.times, z_means, 2)
+        assert (step.steady, step.variance) == (0.0, VARIANCE_FLOOR)
+        assert step.slope == math.exp(math.log(z_means[1] / z_means[0]))
+        assert step(3.0) == 3.0 * step.slope
 
 
 class TestAdaptiveKF:
@@ -302,21 +277,24 @@ class TestUnscentedKF:
 
 
 class TestUnscentedRTS:
-    def test_backward_pass_reuses_the_forward_sigma_points(self, monkeypatch):
+    def test_backward_pass_fits_no_step(self, monkeypatch):
         # the smoother gain reads the cross-covariance of the forward
-        # prediction, so each step's sigma points are propagated once
-        import pathkf.baselines as baselines
-
+        # prediction, so only the forward passes fit steps: once per step
+        # for the URTS, and once more per further IPLS iteration
         calls = []
-        propagate = baselines._propagate
+        step_map = FlowStepDynamics.step_map
 
-        def counting(points, f):
-            calls.append(len(points))
-            return propagate(points, f)
+        def counting(self, times, ref_means, index):
+            calls.append(index)
+            return step_map(self, times, ref_means, index)
 
-        monkeypatch.setattr(baselines, "_propagate", counting)
-        run_urts(random_series(np.random.default_rng(19), n=12), ModelKind.BIRTH_DEATH)
-        assert len(calls) == 11
+        monkeypatch.setattr(FlowStepDynamics, "step_map", counting)
+        data = random_series(np.random.default_rng(19), n=12)
+        run_urts(data, ModelKind.BIRTH_DEATH)
+        assert calls == list(range(1, 12))
+        calls.clear()
+        run_ipls(data, ModelKind.BIRTH_DEATH, iterations=3)
+        assert calls == 3 * list(range(1, 12))
 
     def test_last_point_equals_forward_estimate(self):
         rng = np.random.default_rng(17)
@@ -399,80 +377,92 @@ class TestOverflow:
 
     @pytest.mark.parametrize("run", [run_ukf, run_urts, run_ipls])
     def test_overflowing_propagation_is_typed(self, run):
-        # here the step factor is finite but the propagated sigma points are not
-        groups = [[v, v] for v in (1.0, 1e-7, 1e12, 3.0, 4.0)]
-        data = series_from_groups(groups, times=[0.0, 0.1, 0.2, 1.0, 2.0])
-        with pytest.raises(
-            NumericalOverflowError, match=r"series 's': timepoint 4 \(t=2\.0\): .*step map "
-        ):
-            run(data, ModelKind.BIRTH_DEATH)
-
-    @pytest.mark.parametrize(
-        "step_map, problem",
-        [
-            (lambda x: np.where(x > 1, np.inf, x), "the step map"),
-            (lambda x: 1e200 * x, "the propagated moments"),  # d * d overflows
-        ],
-        ids=["step-map", "moments"],
-    )
-    def test_injected_overflow_names_the_timepoint(self, step_map, problem):
-        dynamics = types.SimpleNamespace(step_map=lambda times, ref_means, index: step_map)
-        data = series_from_groups([[4.0, 6.0]] * 3)
+        # a finite slope carries an estimate near the float limit past it:
+        # the predicted mean overflows while its variance stays finite
+        data = series_from_groups([[1.0], [1.0], [1.5e308], [1.0]])
         with warnings.catch_warnings(), pytest.raises(
             NumericalOverflowError,
-            match=f"^series 's': timepoint 1 \\(t=1\\.0\\): {problem} left the finite range$",
+            match=left_range_at(3),
         ):
             warnings.simplefilter("error")
-            run_ukf(data, dynamics)
+            run(data, AffineStepDynamics(2.0))
+
+    @pytest.mark.parametrize(
+        "groups, slope",
+        [([[1e308]] * 3, 2.0), ([[4.0, 6.0]] * 3, 1e200)],
+        ids=["step-map", "moments"],  # the step's value, or its squared slope, overflows
+    )
+    def test_injected_overflow_names_the_timepoint(self, groups, slope):
+        data = series_from_groups(groups)
+        with warnings.catch_warnings(), pytest.raises(
+            NumericalOverflowError,
+            match=left_range_at(1),
+        ):
+            warnings.simplefilter("error")
+            run_ukf(data, AffineStepDynamics(slope))
 
     def test_linearized_pass_overflow_leaks_no_warning(self):
-        # identity steps through the unscented pass, then a map whose sigma
-        # points overflow in numpy once the first linearized pass starts
+        # identity steps through the unscented pass, then a step whose
+        # squared slope overflows once the first linearized pass starts
         calls = []
 
         def step_map(times, ref_means, index):
             calls.append(index)
-            return (lambda x: x) if len(calls) <= 2 else (lambda x: np.exp(1000.0 * x))
+            return AffineStepDynamics(1.0 if len(calls) <= 2 else 1e200)
 
         dynamics = types.SimpleNamespace(step_map=step_map)
         data = series_from_groups([[4.0, 6.0]] * 3)
         with warnings.catch_warnings(), pytest.raises(
             NumericalOverflowError,
-            match=r"^series 's': timepoint 1 \(t=1\.0\): the step map left the finite range$",
+            match=left_range_at(1),
         ):
             warnings.simplefilter("error")
             run_ipls(data, dynamics, iterations=2)
         assert calls == [1, 2, 1]
 
-    def test_squared_slope_overflow_is_typed(self):
-        # a slope past 1.3e154 overflows when squared, which Python's float
-        # power raises as a bare OverflowError
-        with np.errstate(over="ignore"), pytest.raises(
-            NumericalOverflowError, match="^the linearization slope 1e\\+160 overflowed when squared$"
-        ):
-            _statistical_linearization(0.0, 1.0, lambda x: 1e160 * x)
-
     def test_ipls_slope_overflow_names_the_timepoint(self):
-        # a harsh random series (scale 1e6, negative replicates) on which the
-        # second IPLS pass linearizes a birth/death step with slope 5e167
-        times = [-3.661572234964936, -2.220310945795246, -1.6351601806403253,
-                 -0.5328172083503464, 0.4390469999524971, 0.5608061164946417, 2.096066734669735]
-        groups = [
-            [1457828.8227068083, -2811262.074891367, 579300.886682014],
-            [539580.0896358466, -324274.1014440257],
-            [7554549.111105378],
-            [5797649.958461251, 9747714.405635882, 5730533.880392902],
-            [7808527.1866751285, 5138033.678575799, 5475500.754097922],
-            [3253599.062590794, -349804.218832487],
-            [2339550.601284883],
-        ]
-        data = series_from_groups(groups, times=times)
+        # the IPLS passes fit a birth/death-like step with slope 5e167 into
+        # timepoint 4, whose square overflows; the unscented pass had slope 1
+        calls = []
+
+        def step_map(times, ref_means, index):
+            calls.append(index)
+            return AffineStepDynamics(5e167 if len(calls) > 5 and index == 4 else 1.0)
+
+        data = series_from_groups([[4.0, 6.0]] * 6)
         with np.errstate(all="ignore"), pytest.raises(
             NumericalOverflowError,
-            match=r"^series 's': timepoint 6 \(t=2\.09[^)]*\): "
-            r"the linearization slope \S+ overflowed when squared$",
+            match=left_range_at(4),
         ):
-            run_ipls(data, ModelKind.BIRTH_DEATH, q=10.0, iterations=3)
+            run_ipls(data, types.SimpleNamespace(step_map=step_map), q=10.0, iterations=3)
+        assert calls == [1, 2, 3, 4, 5, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "groups, times, q",
+        [
+            # a near-zero mean before a jump of 1e12 makes the step into
+            # timepoint 3 a growth by about 1e144
+            ([[v, v] for v in (1.0, 1e-7, 1e12, 3.0, 4.0)], [0.0, 0.1, 0.2, 1.0, 2.0], 1.0),
+            # scale 1e6 with negative replicates: a later IPLS iteration
+            # fits a step with slope 5e167 on the smoothed means
+            ([[1457828.8227068083, -2811262.074891367, 579300.886682014],
+              [539580.0896358466, -324274.1014440257],
+              [7554549.111105378],
+              [5797649.958461251, 9747714.405635882, 5730533.880392902],
+              [7808527.1866751285, 5138033.678575799, 5475500.754097922],
+              [3253599.062590794, -349804.218832487],
+              [2339550.601284883]],
+             [-3.661572234964936, -2.220310945795246, -1.6351601806403253,
+              -0.5328172083503464, 0.4390469999524971, 0.5608061164946417, 2.096066734669735],
+             10.0),
+        ],
+        ids=["jump", "scale-1e6"],
+    )
+    def test_a_harsh_birth_death_series_completes(self, groups, times, q):
+        data = series_from_groups(groups, times=times)
+        for run in (run_ukf, run_urts, lambda *args: run_ipls(*args, iterations=3)):
+            out = run(data, ModelKind.BIRTH_DEATH, q)
+            assert np.all(np.isfinite(out.means)) and np.all(np.isfinite(out.variances))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("algorithm", ["kf", "ukf", "urts", "ipls"])

@@ -33,6 +33,7 @@ from pathkf import (
 )
 import pathkf.cli
 from pathkf.bench import ALGORITHMS, BenchmarkReport
+from pathkf.pkf import DEFAULT_ITERATIONS
 from pathkf.cli import (
     WORKER_DIED,
     BatchSummary,
@@ -529,7 +530,8 @@ class TestBatchRun:
         for algorithm in ALGORITHMS:
             tail = r".* at iteration \d+$" if algorithm == "pkf" else ""
             for kind in ModelKind:
-                config = RunConfig(algorithm=algorithm, model=kind, iterations=2)
+                iterations = 2 if algorithm in ("pkf", "ipls") else None  # the others reject it
+                config = RunConfig(algorithm=algorithm, model=kind, iterations=iterations)
                 (outcome,) = batch_run(config, (data,)).outcomes
                 if outcome.error is None:
                     assert all(np.isfinite(a).all() for a in arrays_in(outcome.result))
@@ -879,6 +881,25 @@ class TestCommands:
         assert result.exit_code == 2
         assert "q does not apply to pkf" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["kf", "ukf", "urts"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_iterations_for_a_one_pass_baseline_exits_2(self, tmp_path, algorithm, source):
+        out = tmp_path / "o.json"
+        args = ["run", "--algorithm", algorithm, "--input", panel_csv(tmp_path),
+                "--output", str(out)]
+        if source == "flag":
+            args += ["--iterations", "7"]
+        else:
+            args += ["--config", write_text(tmp_path / "cfg.json", '{"iterations": 7}')]
+        result = CliRunner().invoke(main, args)
+        assert (result.exit_code, result.stderr) == (
+            2, "error: iterations applies only to pkf and ipls, which iterate\n"
+        )
+        assert not out.exists()
+        with pytest.raises(InvalidConfigError, match="^iterations applies only to pkf and ipls"):
+            RunConfig(algorithm=algorithm, iterations=1)
+        assert RunConfig(algorithm="ipls").spec().iterations == DEFAULT_ITERATIONS
 
     @pytest.mark.parametrize(
         "config, flags",

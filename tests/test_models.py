@@ -622,7 +622,7 @@ class TestKernelAgainstScalarFit:
             (fit,), (posterior,), step = fits, ref[0][0], got[0]
             assert_rows_match(fit, 0, posterior)
             delta = float(times[index] - times[index - 1])
-            assert (step.steady, step.decay) == relaxation_step(posterior, delta)
+            assert (step.steady, step.slope) == relaxation_step(posterior, delta)
             moments = outcome(lambda: posterior_moments(posterior).estimate)[0]
             if moments is None:
                 assert not (math.isfinite(fit.means[0]) and math.isfinite(step.variance))

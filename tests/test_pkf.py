@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -549,7 +549,8 @@ class TestRunPkfBlock:
         retain_history &= algorithm == "pkf"  # RunConfig rejects history for a baseline
         lone = [lone_outcome(algorithm, data, kind, retain_history) for data in series]
         q = None if algorithm == "pkf" else 2.5
-        config = RunConfig(algorithm, kind, 3, q, retain_history=retain_history)
+        iterations = 3 if algorithm in ("pkf", "ipls") else None  # the others reject it
+        config = RunConfig(algorithm, kind, iterations, q, retain_history=retain_history)
         summary = batch_run(config, series)  # blocks of BLOCK_ROWS; failed blocks re-run
         got = [
             o.error if o.error is not None else json.dumps(result_record(o.result))
@@ -594,6 +595,11 @@ class TestKernelProperties:
 
     @settings(deadline=None, max_examples=200)
     @given(columns(POSITIVE, POSITIVE, POSITIVE, NON_NEGATIVE, NON_NEGATIVE))
+    # w_data + w_model rounds to 1 + 2.2e-16 here: uncapped, Q = 1 and a
+    # zero loss give -2.2e-16
+    @example(columns_=tuple(np.array([v]) for v in (
+        662163253.9812518, 2.5858343709885357e-05, 5.431212873550959e-09, 1.0, 0.0,
+    )))
     def test_process_uncertainty_non_negative(self, columns_):
         a, b, c, q, loss = columns_
         w = pkf_weights(a, b, c)

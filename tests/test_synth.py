@@ -330,6 +330,21 @@ class TestGenePanel:
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             GenePanelScenario((gene,), times=tuple(np.arange(6.0)))
 
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ((), r"times must hold at least 3 points, got 0"),
+            ((0.0, math.nan, 1.0), r"times must be finite, got nan"),
+            ((2.0, 1.0, 3.0), r"times must be strictly increasing"),
+        ],
+        ids=["empty", "nan", "decreasing"],
+    )
+    def test_bad_times_rejected(self, times, message):
+        gene = GeneSpec("g", PiecewiseConstant.constant(8.0), PiecewiseConstant.constant(2.0),
+                        4.0, 1.0, STATIC_LABEL)
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            GenePanelScenario((gene,), times=times)
+
     @pytest.mark.parametrize("n_timepoints", [4, 5, 6, 7])
     def test_short_grid_sees_every_dynamic_step(self, n_timepoints):
         # a change point leaves at least one grid point after it, so every
