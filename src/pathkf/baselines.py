@@ -28,7 +28,7 @@ from .core import (
     Trajectory,
     _isfinite,
 )
-from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, fit_spline_posterior
+from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, _check_kind, fit_spline_posterior
 from .models import uniform_posterior  # noqa: F401  perfbench traces the fallback here too
 
 
@@ -79,6 +79,9 @@ class FlowStepDynamics:
     z_means: np.ndarray
     z_vars: np.ndarray
     scan: ScanGrid = ScanGrid()
+
+    def __post_init__(self):
+        _check_kind(self.kind)
 
     def step_map(self, times: np.ndarray, ref_means: np.ndarray, index: int):
         """The step into ``index``, fitted on ``ref_means``. A fit whose
@@ -209,6 +212,8 @@ def _unscented(data: TimeSeriesData, model, q: float, smoothing_passes: int) -> 
     _check_q(q)
     grid = data.grid
     dynamics = FlowStepDynamics(model, *data.summaries()) if isinstance(model, ModelKind) else model
+    if not hasattr(dynamics, "step_map"):
+        raise InvalidParameterError(f"model must be a ModelKind or have step_map, got {model!r}")
     # the forward passes check each estimate; only an RTS pass needs the final check
     with np.errstate(over="ignore", invalid="ignore"):
         forward = _kalman_forward(data, _affine_predict(dynamics, grid.times, q))
@@ -231,6 +236,7 @@ def run_ukf(data: TimeSeriesData, model=ModelKind.BIRTH_DEATH, q: float = 1.0) -
     window-fitted on the filter's own past means, or any object with a
     ``step_map(times, ref_means, index)`` method that returns an affine step:
     a callable with a ``slope`` attribute, ``x -> step(0) + slope * x``.
+    Anything else raises :class:`InvalidParameterError`.
     """
     return _unscented(data, model, q, 0)
 

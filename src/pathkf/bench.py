@@ -19,7 +19,7 @@ from .core import (
     Trajectory,
 )
 from .models import ModelKind
-from .pkf import PkfResult, run_pkf_block
+from .pkf import PkfResult, _check_grid, run_pkf_block
 from .pkf import run_pkf  # noqa: F401  perfbench traces calls at pathkf.bench.run_pkf
 from .synth import BirthDeathScenario, simulate_birth_death
 
@@ -233,11 +233,13 @@ def q_ratio_summary(
     For each series the statistic is the time-average of
     ``log(max(Q_t, floor) / max(V(Z_t), floor))``. Series are then grouped
     by their label and binned into deciles of their mean data variance.
+    Each result must be a run on the grid of its series.
     """
     if not results:
         raise InvalidDataError("q_ratio_summary needs at least one series")
     entries = []
     for label, result, data in results:
+        _check_grid(result, data)
         _, z_vars = data.summaries()
         q = np.maximum(result.final.process_uncertainty, VARIANCE_FLOOR)
         v = np.maximum(z_vars, VARIANCE_FLOOR)

@@ -88,28 +88,33 @@ def _csv_rows(path: str, header: list[str]):
     """``(line, series_id, other fields)`` for each row of the CSV file at
     ``path``, whose header must be ``header`` (``series_id`` first).
 
-    Blank and whitespace-only lines are skipped. A row with the wrong number
-    of fields or an empty ``series_id`` fails naming its 1-based line.
+    The file is read as UTF-8 on every platform. Blank and whitespace-only
+    lines are skipped. A row with the wrong number of fields or an empty
+    ``series_id`` fails naming its 1-based line, and bytes that are not
+    UTF-8 fail naming the file.
     """
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise ParseError(1, f"expected header '{','.join(header)}'")
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ParseError(line, f"expected {len(header)} fields, got {len(row)}")
-            series_id = row[0].strip()
-            if not series_id:
-                raise ParseError(line, "empty series_id")
-            yield line, series_id, row[1:]
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise ParseError(1, f"expected header '{','.join(header)}'")
+            for row in reader:
+                line = reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(line, f"expected {len(header)} fields, got {len(row)}")
+                series_id = row[0].strip()
+                if not series_id:
+                    raise ParseError(line, "empty series_id")
+                yield line, series_id, row[1:]
+        except UnicodeDecodeError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def read_series_csv(path: str) -> IngestResult:
@@ -303,17 +308,17 @@ def _json_key(key) -> str:
 
 @contextlib.contextmanager
 def _replacing(path: str, newline: str | None = None):
-    """A text handle whose contents replace ``path`` when the block ends:
-    a temporary file in the same directory, with the mode ``open(path, "w")``
-    would leave, moved into place by ``os.replace``. On a failure it is
-    removed and ``path`` keeps its old bytes; an ``OSError`` is raised as
-    ``IoError``."""
+    """A UTF-8 text handle whose contents replace ``path`` when the block
+    ends: a temporary file in the same directory, with the mode
+    ``open(path, "w")`` would leave, moved into place by ``os.replace``. On
+    a failure it is removed and ``path`` keeps its old bytes; an ``OSError``
+    is raised as ``IoError``."""
     target = os.path.realpath(path)  # through a symlink, as ``open(path, "w")`` writes
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         try:
-            with open(temp, "x", newline=newline) as handle:
+            with open(temp, "x", newline=newline, encoding="utf-8") as handle:
                 yield handle
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
@@ -387,6 +392,8 @@ class RunConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidConfigError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.model, ModelKind):
+            raise InvalidConfigError(f"model must be a ModelKind, got {self.model!r}")
         if self.algorithm == "pkf" and self.q is not None:
             raise InvalidConfigError(
                 "q does not apply to pkf, which estimates its own process uncertainty"
@@ -560,9 +567,9 @@ def _load_config_file(path: str | None, kinds: dict) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             loaded = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # a syntax error, or an integer past Python's digit limit
         raise InvalidConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -50,6 +50,13 @@ class ModelKind(enum.Enum):
     CONSTANT_REGULATION = "const-reg"
 
 
+def _check_kind(kind) -> None:
+    """Reject a model kind that is not a :class:`ModelKind`; a string such as
+    ``"birth-death"`` is not coerced."""
+    if not isinstance(kind, ModelKind):
+        raise InvalidParameterError(f"model kind must be a ModelKind, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Configuration of the free-parameter scan.
@@ -150,8 +157,9 @@ def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid):
 class SplineFit(NamedTuple):
     """The spline posterior of every window of a layout, one row per window:
     weights, the scanned ``k_deg`` and steady state ``k_exp / k_deg`` of each
-    spline (``None`` for birth/death, whose one column stands for every
-    spline), and the posterior moments, variances floored at ``VARIANCE_FLOOR``."""
+    spline, and the posterior moments, variances floored at ``VARIANCE_FLOOR``.
+    Birth/death has one spline: one column of weight ``1.0``, ``None`` for
+    ``k_deg`` and ``steady``, and its prediction as the mean."""
 
     weights: np.ndarray
     k_deg: np.ndarray | None
@@ -187,16 +195,17 @@ def fit_spline_posterior(
     to the call on that row alone: the grid-only tables broadcast unchanged
     and every reduction runs along the last, C-contiguous axis.
 
-    A window whose weights all vanish falls back to :func:`uniform_posterior`
-    (logged). The kernel raises nothing of its own: a window whose steady
-    state or predictions left the finite range gets non-finite moments, and
-    the caller, which knows the series and the timepoint, checks what it reads.
+    The kernel raises nothing of its own: a window whose steady state or
+    predictions left the finite range gets non-finite moments, and the
+    caller, which knows the series and the timepoint, checks what it reads.
 
-    Birth/death predictions do not depend on the scanned parameter, so its
-    posterior collapses to the closed form ``va * exp(growth * (t - ta))``
-    with variance ``VARIANCE_FLOOR`` and no scan. Constant regulation scans
-    a ``(windows, K)`` array whose grid-only factors are memoized per window
-    layout on the most recent grid.
+    Birth/death predictions do not depend on the scanned parameter, so the
+    kernel returns its one spline before any scoring: weight ``1.0``, mean
+    ``xa * exp(growth * (t - ta))`` and variance ``VARIANCE_FLOOR`` (NaN
+    where the prediction is not finite), with no scan and no fallback.
+    Constant regulation scans a ``(windows, K)`` array whose grid-only
+    factors are memoized per window layout on the most recent grid; a window
+    whose weights all vanish falls back to :func:`uniform_posterior` (logged).
     """
     times = np.asarray(times, dtype=float)
     ia, ib, targets = (np.asarray(i, dtype=np.intp) for i in (ia, ib, targets))
@@ -206,23 +215,21 @@ def fit_spline_posterior(
             xa = np.maximum(anchors.take(ia, axis=-1), POSITIVE_VALUE_FLOOR)
             xb = np.maximum(anchors.take(ib, axis=-1), POSITIVE_VALUE_FLOOR)
             growth = np.log(xb / xa) / (times[ib] - times[ia])
-            # one column: every weight below is one, so the mean is this
-            # prediction and the variance is zero before the floor
-            predictions = (xa * np.exp(growth * (times[targets] - times[ia])))[..., None]
-            k_deg = steady = None
-        else:
-            k_deg, decay, denom, relax = _const_reg_tables(
-                times.tobytes(), ia.tobytes() + ib.tobytes() + targets.tobytes(), scan
-            )
-            xa, xb = anchors.take(ia, axis=-1), anchors.take(ib, axis=-1)
-            # (xb - xa * decay) / denom, then steady + (xa - steady) * relax,
-            # each step written into a fresh buffer: never into an input
-            steady = np.multiply(xa[..., None], decay)
-            np.subtract(xb[..., None], steady, out=steady)
-            np.divide(steady, denom, out=steady)
-            predictions = np.subtract(xa[..., None], steady)
-            np.multiply(predictions, relax, out=predictions)
-            np.add(steady, predictions, out=predictions)
+            p = xa * np.exp(growth * (times[targets] - times[ia]))
+            return SplineFit(np.ones_like(p)[..., None], None, None, p,
+                             np.maximum((p - p) ** 2, VARIANCE_FLOOR))
+        k_deg, decay, denom, relax = _const_reg_tables(
+            times.tobytes(), ia.tobytes() + ib.tobytes() + targets.tobytes(), scan
+        )
+        xa, xb = anchors.take(ia, axis=-1), anchors.take(ib, axis=-1)
+        # (xb - xa * decay) / denom, then steady + (xa - steady) * relax,
+        # each step written into a fresh buffer: never into an input
+        steady = np.multiply(xa[..., None], decay)
+        np.subtract(xb[..., None], steady, out=steady)
+        np.divide(steady, denom, out=steady)
+        predictions = np.subtract(xa[..., None], steady)
+        np.multiply(predictions, relax, out=predictions)
+        np.add(steady, predictions, out=predictions)
         scale = 2.0 * np.maximum(variances, VARIANCE_FLOOR)
         # the losses (p - mean)^2 / scale, then in the same buffer the weights
         # exp(min(loss) - loss), twice normalized: the peak log-weight shift
@@ -265,6 +272,9 @@ class SplinePathModel:
 
     kind: ModelKind
     scan: ScanGrid = ScanGrid()
+
+    def __post_init__(self):
+        _check_kind(self.kind)
 
     def predict_path(
         self, grid: TimeGrid, means: np.ndarray, variances: np.ndarray

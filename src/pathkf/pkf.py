@@ -310,7 +310,8 @@ def run_pkf(
     ``model`` is a :class:`~pathkf.models.ModelKind` (resolved to the spline
     predictor) or any object with a
     ``predict_path(grid, means, variances) -> (means, variances)`` method;
-    it receives the ``(n,)`` path of this series.
+    it receives the ``(n,)`` path of this series. Anything else, a string
+    such as ``"birth-death"`` included, raises :class:`InvalidParameterError`.
 
     Iteration zero initializes the path and the process uncertainty from
     the per-timepoint data summaries. Each subsequent iteration fits the
@@ -318,6 +319,10 @@ def run_pkf(
     closed-form weights, and updates the process uncertainty.
     """
     predictor = SplinePathModel(model) if isinstance(model, ModelKind) else model
+    if not hasattr(predictor, "predict_path"):
+        raise InvalidParameterError(
+            f"model must be a ModelKind or have predict_path, got {model!r}"
+        )
     z_means, z_vars = data.summaries()
     return _results(predictor, (data,), z_means, z_vars, iterations, retain_history)[0]
 
@@ -347,10 +352,17 @@ def run_pkf_block(
     return _results(SplinePathModel(kind), series, z_means, z_vars, iterations, retain_history)
 
 
+def _check_grid(result: PkfResult, data: TimeSeriesData) -> None:
+    """Reject a result whose grid is not the grid of ``data``, naming the series."""
+    if not np.array_equal(result.final.filter.grid.times, data.grid.times):
+        raise InvalidDataError(f"series {data.series_id!r}: the result and series grids differ")
+
+
 def classify_regimes(result: PkfResult, data: TimeSeriesData) -> tuple[RegimeLabel, ...]:
     """Per-timepoint regime labels, thresholded at the series' medians of Q
     and V(Z), each at least ``VARIANCE_FLOOR``; a value at its threshold
-    classifies as high."""
+    classifies as high. ``result`` must be a run on the grid of ``data``."""
+    _check_grid(result, data)
     _, z_vars = data.summaries()
     q = result.final.process_uncertainty
     high_q = q >= max(float(np.median(q)), VARIANCE_FLOOR)

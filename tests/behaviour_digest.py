@@ -8,15 +8,17 @@ It prints a single hex digest over the trajectories and the error strings
 of the runs below. With ``--expect``, it exits 1, printing both digests,
 unless the digest starts with the given hex prefix, so a before/after
 check is one command. ``--dump`` saves every run by its label: its arrays
-or its error, and the sha256 of every other text it digests (JSON records,
-warning lines, batch documents, command output). ``--against`` compares
-this run with such a dump, run by run, and prints per class (algorithm,
-model, and mild, harsh or spike series) how many runs are bit-identical,
-moved, changed their error text, or switched between a result and an
-error, with the largest move of the means over the series' scale (the
-largest absolute data mean) and of the variances over the run's largest
-variance, and then every changed error problem. Dump on the old commit,
-compare on the new one. The runs are:
+or its error, the text of each batch's warning lines, and the sha256 of
+every other text it digests (JSON records, batch documents, command
+output). ``--against`` compares this run with such a dump, run by run, and
+prints per class (algorithm, model, and mild, harsh or spike series) how
+many runs are bit-identical, moved, changed their error text, or switched
+between a result and an error, with the largest move of the means over the
+series' scale (the largest absolute data mean) and of the variances over
+the run's largest variance, then every changed error problem, and then,
+per warnings class whose lines moved, how many lines were removed and
+added (batch by batch, as multisets) and each distinct message. Dump on
+the old commit, compare on the new one. The runs are:
 
 - the baseline set: 500 mild and 150 harsh random series and the
   spike-pair series (:func:`spike_pair`), both models,
@@ -204,13 +206,15 @@ def series_class(b: int) -> str:
 
 class Run(NamedTuple):
     """One run as ``--dump`` keeps it: its class, its arrays or its error,
-    or the sha256 of its text, and for a trajectory the series' scale."""
+    or the sha256 of its text, for a trajectory the series' scale, and for
+    warning lines their text."""
 
     group: tuple[str, ...]
     arrays: list[np.ndarray]
     error: str | None = None
     text: str | None = None
     scale: float | None = None
+    lines: list[str] | None = None
 
 
 class Digest:
@@ -248,10 +252,12 @@ class Digest:
         self._keep(label, Run(group, [], text if error else None,
                               None if error else hashlib.sha256(text.encode()).hexdigest()))
 
-    def add_bytes(self, label: str, group: tuple[str, ...], payload: bytes) -> None:
-        """Digest ``payload`` alone, as part of the run before it: not a run."""
+    def add_bytes(self, label: str, group: tuple[str, ...], payload: bytes,
+                  lines: list[str] | None = None) -> None:
+        """Digest ``payload`` alone, as part of the run before it: not a run.
+        ``lines``, the text ``payload`` encodes, is kept for ``--against``."""
         self.sha.update(payload)
-        self._keep(label, Run(group, [], text=hashlib.sha256(payload).hexdigest()))
+        self._keep(label, Run(group, [], text=hashlib.sha256(payload).hexdigest(), lines=lines))
 
     def run(self, label: str, group: tuple[str, ...], compute,
             scale: float | None = None) -> None:
@@ -266,8 +272,9 @@ class Digest:
 
 def save_dump(runs: dict[str, Run], path: str) -> None:
     """Every kept run in one ``.npz`` file: the arrays end to end, and a
-    JSON index of the labels, classes, errors, text hashes and sizes."""
-    index = [[label, list(r.group), r.error, r.text, r.scale, [len(a) for a in r.arrays]]
+    JSON index of the labels, classes, errors, text hashes, sizes and
+    warning lines."""
+    index = [[label, list(r.group), r.error, r.text, r.scale, [len(a) for a in r.arrays], r.lines]
              for label, r in runs.items()]
     arrays = [a for r in runs.values() for a in r.arrays]
     with open(path, "wb") as handle:
@@ -278,17 +285,18 @@ def save_dump(runs: dict[str, Run], path: str) -> None:
 
 
 def load_dump(path: str) -> dict[str, Run]:
-    """The runs that :func:`save_dump` wrote to ``path``."""
+    """The runs that :func:`save_dump` wrote to ``path``; a dump written
+    before warning lines were kept has none."""
     with np.load(path, allow_pickle=False) as npz:
         values = npz["values"]
         index = json.loads(npz["index"].tobytes())
     runs, at = {}, 0
-    for label, group, error, text, scale, sizes in index:
+    for label, group, error, text, scale, sizes, *lines in index:
         arrays = []
         for size in sizes:
             arrays.append(values[at:at + size])
             at += size
-        runs[label] = Run(tuple(group), arrays, error, text, scale)
+        runs[label] = Run(tuple(group), arrays, error, text, scale, *lines)
     if at != len(values):
         raise ValueError("the index does not cover the values")
     return runs
@@ -315,11 +323,16 @@ def compare(old: dict[str, Run], new: dict[str, Run]) -> list[str]:
     counts: dict[str, Counter] = defaultdict(Counter)
     moves: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0])
     changed: dict[str, Counter] = defaultdict(Counter)
+    removed: dict[str, Counter] = defaultdict(Counter)
+    added: dict[str, Counter] = defaultdict(Counter)
     for label in old.keys() - new.keys():
         counts[" ".join(old[label].group)]["gone"] += 1
     for label, run in new.items():
         group = " ".join(run.group)
         before = old.get(label)
+        if before is not None and before.lines is not None and run.lines is not None:
+            removed[group].update(Counter(before.lines) - Counter(run.lines))
+            added[group].update(Counter(run.lines) - Counter(before.lines))
         if before is None:
             counts[group]["new"] += 1
         elif before.error is not None or run.error is not None:
@@ -357,6 +370,14 @@ def compare(old: dict[str, Run], new: dict[str, Run]) -> list[str]:
         for (was, now, moved_place), n in sorted(changed[group].items()):
             place = ", elsewhere" if moved_place else ""
             lines.append(f"{group}: {n} x {was!r} -> {now!r}{place}")
+    for group in sorted(removed.keys() | added.keys()):
+        gone, came = removed[group], added[group]
+        if not (gone or came):
+            continue
+        lines.append(f"{group}: {gone.total()} lines removed ({len(gone)} distinct), "
+                     f"{came.total()} added ({len(came)} distinct)")
+        lines += [f"  - {n} x {message!r}" for message, n in sorted(gone.items())]
+        lines += [f"  + {n} x {message!r}" for message, n in sorted(came.items())]
     return lines
 
 
@@ -410,7 +431,7 @@ def add_cli_batches(digest: Digest, blocks) -> None:
                         else:
                             digest.add_text(f"{label} {o.series_id}", group, o.error, error=True)
                     digest.add_bytes(f"{label} warnings", (f"{group[0]} warnings", *group[1:]),
-                                     "\n".join(warned.lines).encode())
+                                     "\n".join(warned.lines).encode(), list(warned.lines))
                     warned.lines.clear()
                     write_batch_results(summary, document)
                     with open(document, "rb") as handle:

@@ -259,6 +259,15 @@ class TestQRatioSummary:
         assert len(summary.bins) == 10
         assert sum(b.count for b in summary.bins) == 4
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.5]],
+                             ids=["other-length", "other-times"])
+    def test_a_series_on_another_grid_is_named(self, times):
+        other = TimeSeriesData("other", TimeGrid(times), self.data.samples[:1] * len(times))
+        results = [("all", fabricate_result(self.grid, [self.v] * 3), self.data),
+                   ("all", fabricate_result(self.grid, [self.v] * 3), other)]
+        with pytest.raises(InvalidDataError, match="series 'other': the result and series grids"):
+            q_ratio_summary(results)
+
     def test_panel_direction_small(self):
         scenario = GenePanelScenario.default(n_genes=20, seed=7)
         labels = panel_labels(scenario)

@@ -10,6 +10,8 @@ import multiprocessing
 import os
 import re
 import stat
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -141,6 +143,32 @@ class TestReadSeriesCsv:
     def test_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
             read_series_csv(str(tmp_path / "nope.csv"))
+
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the written bytes and the read ids do not depend on the locale
+        series_id = "g\u00e8ne-\u03b1"
+        code = (  # the id as an ASCII literal: the locale would mangle it in argv
+            "import sys; from pathkf import TimeGrid, TimeSeriesData; "
+            "from pathkf.cli import read_series_csv, write_series_csv; "
+            f"sid = {ascii(series_id)}; "
+            "data = TimeSeriesData(sid, TimeGrid([0.0, 1.0, 2.0]), ([1.0], [2.0], [3.0])); "
+            "write_series_csv([data], sys.argv[1]); "
+            "print(read_series_csv(sys.argv[1]).series[0].series_id == sid)"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.path.join(os.path.dirname(__file__), os.pardir, "src")}
+        env.pop("PYTHONIOENCODING", None)
+        ascii_path = tmp_path / "ascii.csv"
+        run = subprocess.run([sys.executable, "-c", code, str(ascii_path)],
+                             env=env, capture_output=True, text=True, errors="replace")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "True\n", "")
+        native_path = tmp_path / "native.csv"
+        write_series_csv(
+            [TimeSeriesData(series_id, TimeGrid([0.0, 1.0, 2.0]), ([1.0], [2.0], [3.0]))],
+            str(native_path),
+        )
+        assert ascii_path.read_bytes() == native_path.read_bytes()
+        assert series_id.encode("utf-8") in ascii_path.read_bytes()
 
     @settings(
         deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -715,6 +743,18 @@ class TestCommands:
             main, ["run", "--input", bad, "--output", str(tmp_path / "o.json")]
         )
         assert result.exit_code == 2
+
+    def test_undecodable_data_exits_2_naming_the_file(self, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"series_id,time,value\n" + b"".join(
+            b"caf\xe9,%d,1.0\n" % t for t in range(4)
+        ))
+        out = tmp_path / "o.json"
+        result = CliRunner().invoke(main, ["run", "--input", str(bad), "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
+        assert not out.exists()
 
     def test_missing_paths_exit_2(self):
         runner = CliRunner()

@@ -414,12 +414,16 @@ class TestPathKernel:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_overflowing_losses_fall_back_to_uniform_weights(self, kind, caplog):
+        # birth/death has one spline and scores none, so it has nothing to fall back from
         grid = TimeGrid(np.arange(6.0))
         means = np.array([1.0, 1.0, 1.0, 1e150, 1.0, 1.0])
         variances = np.full(6, VARIANCE_FLOOR)
         with caplog.at_level("WARNING", logger="pathkf.models"):
             got_means, got_vars = SplinePathModel(kind).predict_path(grid, means, variances)
-        assert "degenerate spline posterior at t=3.0" in caplog.text
+        if kind is ModelKind.BIRTH_DEATH:
+            assert caplog.text == ""
+        else:
+            assert "degenerate spline posterior at t=3.0" in caplog.text
         assert np.all(np.isfinite(got_means)) and np.all(np.isfinite(got_vars))
         with np.errstate(over="ignore"):
             ref_means, _ = scalar_predict_path(kind, grid, means, variances)
@@ -661,6 +665,60 @@ class TestKernelAgainstScalarFit:
             assert messages == ["degenerate spline posterior at t=3.0; using uniform weights"]
             assert np.all(fit.weights[row] == fit.weights[row][0])
             np.testing.assert_allclose(fit.weights[row], 1.0 / 200, rtol=1e-15)
+
+
+@st.composite
+def birth_death_layouts(draw):
+    """Times, 1-3 stacked rows of harsh path values (an anchor now and then
+    inf, -inf or NaN), and a window layout on them: the centered windows, or
+    1-8 random windows with ``times[ia] < times[ib]`` and any target."""
+    times, rows = draw(stacked_paths())
+    rows = rows[:draw(st.integers(1, 3))]
+    anchors, means, variances = (np.stack(parts) for parts in zip(*rows))
+    for _ in range(draw(st.integers(0, 2))):
+        row, index = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(times) - 1))
+        anchors[row, index] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    n = len(times)
+    if draw(st.booleans()):
+        ia, ib, targets = pathkf.models._centered_windows(n)
+    else:
+        pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+            lambda pair: pair[0] < pair[1]
+        )
+        windows = draw(st.lists(st.tuples(pairs, st.integers(0, n - 1)), min_size=1, max_size=8))
+        ia, ib, targets = (np.array(v) for v in ([a for (a, _), _ in windows],
+                                                  [b for (_, b), _ in windows],
+                                                  [t for _, t in windows]))
+        means, variances = means[:, targets], variances[:, targets]
+    return times, ia, ib, targets, anchors, means, variances
+
+
+class TestBirthDeathClosedForm:
+    """The birth/death kernel is its one spline, returned before any scoring."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(birth_death_layouts())
+    def test_fit_is_the_closed_form_without_fallback(self, layout):
+        times, ia, ib, targets, anchors, means, variances = layout
+        with mock.patch.object(pathkf.models, "uniform_posterior") as fallback:
+            fit, error, messages = outcome(lambda: kernel(
+                ModelKind.BIRTH_DEATH, ScanGrid(), times, ia, ib, targets, anchors, means,
+                variances,
+            ))
+        assert (error, messages, fallback.call_count) == (None, [], 0)
+        with np.errstate(all="ignore"):
+            xa = np.maximum(anchors[:, ia], pathkf.models.POSITIVE_VALUE_FLOOR)
+            xb = np.maximum(anchors[:, ib], pathkf.models.POSITIVE_VALUE_FLOOR)
+            growth = np.log(xb / xa) / (times[ib] - times[ia])
+            prediction = xa * np.exp(growth * (times[targets] - times[ia]))
+        finite = np.isfinite(prediction)
+        event(f"{np.count_nonzero(~finite)} non-finite predictions")
+        assert (fit.k_deg, fit.steady) == (None, None)
+        assert fit.weights.shape == (*prediction.shape, 1)
+        assert fit.weights.tobytes() == np.ones(fit.weights.shape).tobytes()
+        assert fit.means.tobytes() == prediction.tobytes()
+        assert fit.variances[finite].tobytes() == np.full(finite.sum(), VARIANCE_FLOOR).tobytes()
+        assert np.isnan(fit.variances[~finite]).all()
 
 
 class TestKernelBuffers:

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from pathkf import (
     VARIANCE_FLOOR,
     BirthDeathScenario,
+    InvalidConfigError,
     InvalidDataError,
     InvalidParameterError,
     ModelKind,
@@ -34,6 +35,7 @@ from pathkf import (
     simulate_birth_death,
     update_process_uncertainty,
 )
+from pathkf.baselines import FlowStepDynamics
 from pathkf.bench import ALGORITHMS, BLOCK_ROWS, run_spec
 from pathkf.cli import RunConfig, batch_run, result_record
 from pathkf.pkf import PkfState, run_pkf_block
@@ -818,3 +820,45 @@ class TestRegimes:
         labels = classify_regimes(pkf_converged, data)
         assert len(labels) == len(data.grid)
         assert len(set(labels)) >= 2
+
+    @pytest.mark.parametrize("times", [np.arange(7.0), np.arange(6.0) + 0.5],
+                             ids=["other-length", "other-times"])
+    def test_a_series_on_another_grid_is_rejected(self, times):
+        samples = tuple(np.array([5.0 + t, 6.0 + t]) for t in range(6))
+        result = run_pkf(TimeSeriesData("a", TimeGrid(np.arange(6.0)), samples), iterations=1)
+        other = TimeSeriesData("b", TimeGrid(times), (samples * 2)[:len(times)])
+        with pytest.raises(InvalidDataError, match="series 'b': the result and series grids"):
+            classify_regimes(result, other)
+
+
+def _kind_series():
+    samples = tuple(np.array([5.0 + t, 6.0 + t]) for t in range(6))
+    return TimeSeriesData("s", TimeGrid(np.arange(6.0)), samples)
+
+
+class _Custom:
+    """A model object with neither ``predict_path`` nor ``step_map``."""
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda d: SplinePathModel("birth-death"), InvalidParameterError),
+        (lambda d: FlowStepDynamics("birth-death", *d.summaries()), InvalidParameterError),
+        (lambda d: run_pkf_block((d,), "birth-death", 2), InvalidParameterError),
+        (lambda d: run_pkf_block((d,), RecordingModel()), InvalidParameterError),
+        (lambda d: RunConfig(model="birth-death"), InvalidConfigError),
+        (lambda d: run_adaptive_kf(d, "birth-death"), InvalidParameterError),
+        (lambda d: run_pkf(d, "birth-death"), InvalidParameterError),
+        (lambda d: run_pkf(d, _Custom()), InvalidParameterError),
+        (lambda d: run_ukf(d, "birth-death"), InvalidParameterError),
+        (lambda d: run_ipls(d, _Custom(), iterations=2), InvalidParameterError),
+    ],
+    ids=["spline-model", "step-dynamics", "block-string", "block-predictor", "run-config",
+         "kf-string", "pkf-string", "pkf-object", "ukf-string", "ipls-object"],
+)
+def test_a_model_that_is_not_a_model_kind_is_rejected(call, error):
+    # a string is never coerced, and a custom model needs the method its
+    # algorithm calls: none of these runs the const-reg model instead
+    with pytest.raises(error, match="birth-death|_Custom|RecordingModel"):
+        call(_kind_series())
