@@ -19,7 +19,7 @@ from .core import (
     Trajectory,
 )
 from .models import ModelKind
-from .pkf import PkfResult, _check_grid, run_pkf_block
+from .pkf import PkfResult, _block_outcomes, _check_grid
 from .pkf import run_pkf  # noqa: F401  perfbench traces calls at pathkf.bench.run_pkf
 from .synth import BirthDeathScenario, simulate_birth_death
 
@@ -36,12 +36,11 @@ def mse(filter_trajectory: Trajectory, truth: GroundTruth) -> float:
     return float(np.mean(squared_error_trace(filter_trajectory, truth)))
 
 
-#: How many series of one grid each algorithm takes per ``run_spec`` call.
-#: The PKF stacks them into one block: past about 32 rows the (S, n, 200)
-#: scan temporaries no longer fit a 2 MiB L2 cache. The baselines run one
-#: series at a time, so a failing series never re-runs its neighbours.
-BLOCK_ROWS = {"pkf": 32, "kf": 1, "ukf": 1, "urts": 1, "ipls": 1}
-ALGORITHMS = tuple(BLOCK_ROWS)
+#: How many series of one grid go to one ``run_spec`` call. The PKF stacks
+#: them into one block: past about 32 rows the (S, n, 200) scan temporaries
+#: no longer fit a 2 MiB L2 cache.
+BLOCK_ROWS = 32
+ALGORITHMS = ("pkf", "kf", "ukf", "urts", "ipls")
 
 
 @dataclass(frozen=True)
@@ -92,14 +91,17 @@ def run_spec(
     series: tuple[TimeSeriesData, ...],
     kind: ModelKind,
     retain_history: bool = False,
-) -> list[PkfResult | Trajectory]:
-    """Run one spec on series that share one grid: one result per series,
-    each bitwise equal to that series' lone run, the PKF's full result or a
-    baseline's trajectory. The PKF runs the series as one stacked block, so
-    a lone series is a block of one; a baseline runs each in turn.
-    ``retain_history`` applies to the PKF only."""
+) -> list[PkfResult | Trajectory | Exception]:
+    """Run one spec on series that share one grid: one outcome per series,
+    each bitwise equal to that series' lone run. An outcome is the PKF's
+    full result or a baseline's trajectory, or the exception the lone run
+    raises. The PKF runs the series as one stacked block, which drops a
+    failing row and runs the others on; a baseline runs each in turn. An
+    error of the whole call, which names no series (an unknown algorithm, a
+    block on two grids), is raised. ``retain_history`` applies to the PKF
+    only."""
     if spec.algorithm == "pkf":
-        return run_pkf_block(series, kind, spec.iterations, retain_history)
+        return _block_outcomes(series, kind, spec.iterations, retain_history)[0]
     run = {
         "kf": lambda data: baselines.run_adaptive_kf(data, kind, spec.q),
         "ukf": lambda data: baselines.run_ukf(data, kind, spec.q),
@@ -108,7 +110,13 @@ def run_spec(
     }.get(spec.algorithm)
     if run is None:
         raise InvalidConfigError(f"unknown algorithm {spec.algorithm!r}")
-    return [run(data) for data in series]
+    outcomes: list[Trajectory | Exception] = []
+    for data in series:
+        try:
+            outcomes.append(run(data))
+        except Exception as exc:  # this series' failure, isolated from the others
+            outcomes.append(exc)
+    return outcomes
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +169,8 @@ def run_benchmark(
     for spec in specs:
         try:
             [result] = run_spec(spec, (data,), ModelKind.BIRTH_DEATH)
+            if isinstance(result, Exception):
+                raise result
             pkf_result = result if isinstance(result, PkfResult) else None
             trajectory = result if pkf_result is None else result.final.filter
             sq_errors = squared_error_trace(trajectory, truth)

@@ -88,13 +88,14 @@ def _csv_rows(path: str, header: list[str]):
     """``(line, series_id, other fields)`` for each row of the CSV file at
     ``path``, whose header must be ``header`` (``series_id`` first).
 
-    The file is read as UTF-8 on every platform. Blank and whitespace-only
+    The file is read as UTF-8 on every platform, after a byte-order mark if
+    it starts with one, as spreadsheets save it. Blank and whitespace-only
     lines are skipped. A row with the wrong number of fields or an empty
     ``series_id`` fails naming its 1-based line, and bytes that are not
     UTF-8 fail naming the file.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -438,43 +439,30 @@ class BatchSummary:
 WORKER_DIED = "BrokenProcessPool: a worker process died"
 
 
-#: The logger of the spline fallback warnings, which a block holds back.
-_models_logger = logging.getLogger("pathkf.models")
-
-
 def _execute_block(config: RunConfig, block: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
-    """Outcomes of a run of series that share a grid, from one ``run_spec``
-    call. If that raises, a lone series records the error, and each series
-    of a longer block runs again as a block of one, so every series gets
-    exactly the result or error it gets alone. The model warnings of a
-    longer block that fails are dropped, so that each warning is logged
-    once, by the run whose outcome is kept."""
-    held: list[logging.LogRecord] = []
-    hold = held.append  # a filter that returns None drops the record
-    _models_logger.addFilter(hold)
+    """Outcomes of series that share a grid, from one ``run_spec`` call: each
+    series gets exactly the result or error it gets alone, and its model
+    warnings are logged once. An error that names no series, which
+    ``run_spec`` raises, is the outcome of every series of the block."""
     try:
-        results, error = run_spec(config.spec(), block, config.model, config.retain_history), None
-    except Exception as exc:  # per-series isolation
-        results, error = [None], f"{type(exc).__name__}: {exc}"
-    finally:
-        _models_logger.removeFilter(hold)
-    if error is not None and len(block) > 1:  # the lone runs say which series fails, and how
-        return [outcome for data in block for outcome in _execute_block(config, (data,))]
-    for record in held:
-        _models_logger.handle(record)
-    return [SeriesOutcome(d.series_id, r, error) for d, r in zip(block, results)]
+        outcomes = run_spec(config.spec(), block, config.model, config.retain_history)
+    except Exception as exc:  # an error of the whole block
+        outcomes = [exc] * len(block)
+    return [
+        SeriesOutcome(data.series_id, None, f"{type(outcome).__name__}: {outcome}")
+        if isinstance(outcome, Exception) else SeriesOutcome(data.series_id, outcome, None)
+        for data, outcome in zip(block, outcomes)
+    ]
 
 
 def _execute_chunk(config: RunConfig, chunk: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
     """Outcomes in input order: each run of consecutive series with equal
-    grid bytes goes to ``_execute_block`` in blocks of the algorithm's
-    ``BLOCK_ROWS``."""
-    rows = BLOCK_ROWS[config.algorithm]
+    grid bytes goes to ``_execute_block`` in blocks of ``BLOCK_ROWS``."""
     outcomes = []
     for _, run in itertools.groupby(chunk, key=lambda data: data.grid.times.tobytes()):
         run = tuple(run)
-        for start in range(0, len(run), rows):
-            outcomes += _execute_block(config, run[start:start + rows])
+        for start in range(0, len(run), BLOCK_ROWS):
+            outcomes += _execute_block(config, run[start:start + BLOCK_ROWS])
     return outcomes
 
 
@@ -504,7 +492,7 @@ def batch_run(
     size = max(1, len(series) // (config.jobs * 4))
     chunks = [series[i:i + size] for i in range(0, len(series), size)]
     outcomes: list[SeriesOutcome] = []
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(config.jobs, len(chunks))) as pool:
         futures = [pool.submit(_execute_chunk, config, chunk) for chunk in chunks]
         for chunk, future in zip(chunks, futures):
             try:
@@ -567,7 +555,7 @@ def _load_config_file(path: str | None, kinds: dict) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             loaded = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
@@ -734,11 +722,14 @@ def run(**options):
 @click.option("--summary", "summary_path", default=None, help="Ratio summary JSON to write.")
 def batch(labels_path, summary_path, **options):
     """Gene-panel workflow: pathspace filter per series plus a ratio summary."""
+    if labels_path and not summary_path:
+        raise InvalidConfigError("--labels applies only with --summary")
+    # before any series runs: a bad labels file costs no batch and writes no results
+    labels = read_labels_csv(labels_path) if labels_path else {}
     summary, series = _run_batch_command(
         pkf_only="the batch workflow runs the pathspace filter", **options
     )
     if summary_path:
-        labels = read_labels_csv(labels_path) if labels_path else {}
         series_by_id = {data.series_id: data for data in series}
         results = [
             (labels.get(o.series_id, "all"), o.result, series_by_id[o.series_id])

@@ -22,6 +22,7 @@ from .core import (
     InvalidDataError,
     InvalidParameterError,
     NumericalOverflowError,
+    PathkfError,
     TimeSeriesData,
     Trajectory,
     _setstate_readonly,
@@ -208,11 +209,6 @@ def update_process_uncertainty(q_prev, w_data, w_model, loss):
     return _updated_q(q_prev, gain, loss)
 
 
-def _where(series: tuple[TimeSeriesData, ...], index: tuple[int, ...]) -> str:
-    """The series and timepoint of entry ``index`` of an ``(n,)`` or ``(S, n)`` array."""
-    return series[index[0] if len(index) == 2 else 0]._where(int(index[-1]))
-
-
 def _iterate(predictor, series, z_means, z_vars, iterations: int):
     """The filter iterations on the stacked summaries of ``series``, which
     share one grid: ``(n,)`` arrays for one series, ``(S, n)`` for a block,
@@ -225,23 +221,30 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
     that overflowed leaves non-finite and a custom predictor may return
     negative. One test per iteration finds a non-finite model prediction, a
     negative model variance, an overflowed weight denominator or a
-    non-finite update, and raises the first of them in that order, naming
-    the series, the timepoint and the iteration.
+    non-finite update. A row that fails is dropped with the error its lone
+    run raises: its first failing check in that order, at its first failing
+    timepoint, naming the series, the timepoint and the iteration. The
+    other rows run on in the same pass.
 
-    Returns ``(steps, max_abs_dq, max_filter_variance)``: ``steps`` holds
-    ``(iteration, means, variances, q, weights)`` after every iteration,
-    ``weights`` the ``(3, ...)`` array of :func:`_weights`, and each trace
-    one per-row array per iteration.
+    Returns ``(rows, steps, max_abs_dq, max_filter_variance, errors)``:
+    ``rows`` indexes the series that ran every iteration; ``steps`` holds
+    ``(iteration, means, variances, q, weights)`` of those rows after every
+    iteration, ``weights`` the ``(3, ...)`` array of :func:`_weights`, and
+    each trace one per-row array per iteration; ``errors`` maps each dropped
+    series' index to its error, in the order the loop met them: by
+    iteration, then check, then row.
     """
     if iterations < 1:
         raise InvalidParameterError("iterations must be at least 1")
     grid = series[0].grid
+    rows = np.arange(len(series))
+    errors: dict[int, PathkfError] = {}
     steps: list[tuple] = []
     trace_dq: list[np.ndarray] = []
     trace_vmax: list[np.ndarray] = []
     f_means, f_vars, q = z_means, z_vars, z_vars
-    # every overflow below is checked and raised typed; numpy's warnings would
-    # only repeat it on stderr
+    # every overflow below is checked and recorded typed; numpy's warnings
+    # would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, iterations + 1):
             m_means, m_vars = predictor.predict_path(grid, f_means, f_vars)
@@ -259,9 +262,10 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
             # new Q is; a sum is finite only if every term is
             total = (dq + vmax).sum() + new_means.sum() + denom.sum()
             if not (b.min() >= 0.0 and math.isfinite(total)):  # NaN fails too
-                # the first failing check, in a fixed order: the model's moments,
-                # the model variances, the weights, the update; if none fails,
-                # only the sum overflowed
+                # each row's first failing check, in a fixed order: the model's
+                # moments, the model variances, the weights, the update; if
+                # none fails, only the sum overflowed
+                dropped = np.zeros(len(rows), dtype=bool)
                 for error, bad, problem in (
                     (NumericalOverflowError, ~(np.isfinite(m_means) & np.isfinite(m_vars)),
                      "the model prediction left the finite range"),
@@ -271,32 +275,50 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
                      ~(np.isfinite(new_q) & np.isfinite(new_means) & np.isfinite(new_vars)),
                      "the filter update left the finite range"),
                 ):
-                    if bad.any():
-                        raise error(f"{_where(series, _first(bad))}: {problem} at iteration {i}")
+                    bad = bad.reshape(len(rows), -1)
+                    failing = bad.any(axis=-1) & ~dropped
+                    for row in np.flatnonzero(failing):
+                        where = series[rows[row]]._where(int(np.argmax(bad[row])))
+                        errors[int(rows[row])] = error(f"{where}: {problem} at iteration {i}")
+                    dropped |= failing
+                if dropped.all():
+                    return rows[:0], [], [], [], errors
+                if dropped.any():  # a block: keep the other rows, and their past
+                    keep = ~dropped
+                    rows, z_means, z_vars = rows[keep], z_means[keep], z_vars[keep]
+                    new_means, new_vars, new_q = new_means[keep], new_vars[keep], new_q[keep]
+                    weights, dq, vmax = weights[:, keep], dq[keep], vmax[keep]
+                    steps = [(j, m[keep], v[keep], s[keep], u[:, keep]) for j, m, v, s, u in steps]
+                    trace_dq = [d[keep] for d in trace_dq]
+                    trace_vmax = [v[keep] for v in trace_vmax]
             trace_dq.append(dq)
             trace_vmax.append(vmax)
 
             f_means, f_vars, q = new_means, new_vars, new_q
             steps.append((i, f_means, f_vars, q, weights))
-    return steps, trace_dq, trace_vmax
+    return rows, steps, trace_dq, trace_vmax, errors
 
 
-def _results(predictor, series, z_means, z_vars, iterations, retain_history) -> list[PkfResult]:
-    """The results of :func:`_iterate`, one per row: a lone ``(n,)`` series
-    is the one row ``...``, so every index below leaves its arrays whole."""
-    steps, trace_dq, trace_vmax = _iterate(predictor, series, z_means, z_vars, iterations)
+def _results(predictor, series, z_means, z_vars, iterations, retain_history):
+    """The outcomes of :func:`_iterate`, one per row: its result, or the
+    error that dropped it; and the errors in the order the loop met them. A
+    lone ``(n,)`` series is the one row ``...``, so every index below leaves
+    its arrays whole."""
+    rows, steps, trace_dq, trace_vmax, errors = _iterate(
+        predictor, series, z_means, z_vars, iterations
+    )
     trace_dq, trace_vmax = np.array(trace_dq), np.array(trace_vmax)
     kept = steps if retain_history else steps[-1:]
-    results = []
-    for row in range(len(series)) if z_means.ndim == 2 else [...]:
+    outcomes: list[PkfResult | PathkfError] = [errors.get(row) for row in range(len(series))]
+    for row, at in zip(rows, range(len(rows)) if z_means.ndim == 2 else [...]):
         states = tuple(
-            PkfState(i, Trajectory(series[0].grid, means[row], variances[row]), q[row],
-                     PkfWeights(*weights[:, row]))
+            PkfState(i, Trajectory(series[0].grid, means[at], variances[at]), q[at],
+                     PkfWeights(*weights[:, at]))
             for i, means, variances, q, weights in kept
         )
         history = states if retain_history else None
-        results.append(PkfResult(states[-1], history, trace_dq[:, row], trace_vmax[:, row]))
-    return results
+        outcomes[row] = PkfResult(states[-1], history, trace_dq[:, at], trace_vmax[:, at])
+    return outcomes, list(errors.values())
 
 
 def run_pkf(
@@ -324,7 +346,26 @@ def run_pkf(
             f"model must be a ModelKind or have predict_path, got {model!r}"
         )
     z_means, z_vars = data.summaries()
-    return _results(predictor, (data,), z_means, z_vars, iterations, retain_history)[0]
+    [result], errors = _results(predictor, (data,), z_means, z_vars, iterations, retain_history)
+    if errors:
+        raise errors[0]
+    return result
+
+
+def _block_outcomes(
+    series: tuple[TimeSeriesData, ...], kind: ModelKind, iterations: int, retain_history: bool
+) -> tuple[list[PkfResult | PathkfError], list[PathkfError]]:
+    """The outcomes of :func:`_results` for series that share one grid, run
+    as one ``(S, n)`` block; a block that is empty or spans two grids is an
+    error of the block, raised."""
+    if not series:
+        raise InvalidDataError("a block needs at least one series")
+    grid = series[0].grid
+    if any(data.grid.times.tobytes() != grid.times.tobytes() for data in series):
+        raise InvalidDataError("the series of a block must share one time grid")
+    z_means = np.stack([data.summaries()[0] for data in series])
+    z_vars = np.stack([data.summaries()[1] for data in series])
+    return _results(SplinePathModel(kind), series, z_means, z_vars, iterations, retain_history)
 
 
 def run_pkf_block(
@@ -337,19 +378,15 @@ def run_pkf_block(
     one ``(S, n)`` block through the loop of :func:`run_pkf`.
 
     Each result is bitwise equal to ``run_pkf(data, kind, iterations,
-    retain_history)`` on its series alone. If any series fails,
-    the block raises the first error the stacked loop meets, which names
-    one failing series; callers that must isolate failures re-run the series
-    one at a time.
+    retain_history)`` on its series alone. If any series fails, the block
+    raises the first error the stacked loop records: the earliest
+    iteration, then the first check in the loop's order, then the first
+    row. ``bench.run_spec`` gives each series its own outcome instead.
     """
-    if not series:
-        raise InvalidDataError("a block needs at least one series")
-    grid = series[0].grid
-    if any(data.grid.times.tobytes() != grid.times.tobytes() for data in series):
-        raise InvalidDataError("the series of a block must share one time grid")
-    z_means = np.stack([data.summaries()[0] for data in series])
-    z_vars = np.stack([data.summaries()[1] for data in series])
-    return _results(SplinePathModel(kind), series, z_means, z_vars, iterations, retain_history)
+    results, errors = _block_outcomes(series, kind, iterations, retain_history)
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _check_grid(result: PkfResult, data: TimeSeriesData) -> None:

@@ -12,13 +12,14 @@ or its error, the text of each batch's warning lines, and the sha256 of
 every other text it digests (JSON records, batch documents, command
 output). ``--against`` compares this run with such a dump, run by run, and
 prints per class (algorithm, model, and mild, harsh or spike series) how
-many runs are bit-identical, moved, changed their error text, or switched
-between a result and an error, with the largest move of the means over the
-series' scale (the largest absolute data mean) and of the variances over
-the run's largest variance, then every changed error problem, and then,
-per warnings class whose lines moved, how many lines were removed and
-added (batch by batch, as multisets) and each distinct message. Dump on
-the old commit, compare on the new one. The runs are:
+many runs are bit-identical, logged the same warning lines in another
+order (``reordered``, batches only), moved, changed their error text, or
+switched between a result and an error, with the largest move of the means
+over the series' scale (the largest absolute data mean) and of the
+variances over the run's largest variance, then every changed error
+problem, and then, per warnings class whose lines moved, how many lines
+were removed and added (batch by batch, as multisets) and each distinct
+message. Dump on the old commit, compare on the new one. The runs are:
 
 - the baseline set: 500 mild and 150 harsh random series and the
   spike-pair series (:func:`spike_pair`), both models,
@@ -346,9 +347,15 @@ def compare(old: dict[str, Run], new: dict[str, Run]) -> list[str]:
             moved_place = (was and was.group()) != (now and now.group())
             changed[group][(WHERE.sub("", before.error or "(result)"),
                             WHERE.sub("", run.error or "(result)"), moved_place)] += 1
-        elif before.text != run.text or [a.tobytes() for a in before.arrays] != [
+        elif before.text == run.text and [a.tobytes() for a in before.arrays] == [
             a.tobytes() for a in run.arrays
         ]:
+            counts[group]["same"] += 1
+        elif before.lines is not None and run.lines is not None and (
+            Counter(before.lines) == Counter(run.lines)
+        ):
+            counts[group]["reordered"] += 1
+        else:
             counts[group]["moved"] += 1
             if run.scale is not None and len(run.arrays) == len(before.arrays) == 2 and all(
                 a.shape == b.shape for a, b in zip(run.arrays, before.arrays)
@@ -358,14 +365,12 @@ def compare(old: dict[str, Run], new: dict[str, Run]) -> list[str]:
                 move = moves[group]
                 move[0] = max(move[0], relative_move(m0, m1, run.scale))
                 move[1] = max(move[1], relative_move(v0, v1, largest))
-        else:
-            counts[group]["same"] += 1
-    columns = ("same", "moved", "text", "ok>err", "err>ok", "gone", "new")
-    lines = [f"{'class':<34}" + "".join(f"{c:>8}" for c in columns)
+    columns = ("same", "reordered", "moved", "text", "ok>err", "err>ok", "gone", "new")
+    lines = [f"{'class':<34}" + "".join(f"{c:>10}" for c in columns)
              + f"{'mean/scale':>12}{'var/max':>10}"]
     for group in sorted(counts):
         move = (f"{moves[group][0]:>12.2g}{moves[group][1]:>10.2g}" if group in moves else "")
-        lines.append(f"{group:<34}" + "".join(f"{counts[group][c]:>8}" for c in columns) + move)
+        lines.append(f"{group:<34}" + "".join(f"{counts[group][c]:>10}" for c in columns) + move)
     for group in sorted(changed):
         for (was, now, moved_place), n in sorted(changed[group].items()):
             place = ", elsewhere" if moved_place else ""

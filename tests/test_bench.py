@@ -181,10 +181,9 @@ class TestTimeShift:
             for kind in ModelKind:
                 outcomes = []
                 for data in pair:
-                    try:
-                        result = run_spec(spec, (data,), kind)[0]
-                    except Exception as exc:  # the same failure at either origin
-                        outcomes.append(type(exc))
+                    [result] = run_spec(spec, (data,), kind)
+                    if isinstance(result, Exception):  # the same failure at either origin
+                        outcomes.append(type(result))
                         continue
                     got = result.final.filter if isinstance(result, PkfResult) else result
                     outcomes.append(got.means.tobytes() + got.variances.tobytes())

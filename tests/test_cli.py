@@ -1,6 +1,7 @@
 """Ingestion, serialization, batch execution, and the command-line surface."""
 
 import collections
+import concurrent.futures
 import csv
 import errno
 import functools
@@ -34,6 +35,7 @@ from pathkf import (
     simulate_birth_death,
 )
 import pathkf.cli
+import pathkf.models
 from pathkf.bench import ALGORITHMS, BenchmarkReport
 from pathkf.pkf import DEFAULT_ITERATIONS
 from pathkf.cli import (
@@ -170,6 +172,17 @@ class TestReadSeriesCsv:
         assert ascii_path.read_bytes() == native_path.read_bytes()
         assert series_id.encode("utf-8") in ascii_path.read_bytes()
 
+    def test_a_byte_order_mark_reads_as_without(self, tmp_path):
+        text = "series_id,time,value\na,0,1.5\na,1,2.5\na,2,3.5\nb,0,1\nb,1,2\n"
+        plain = write_text(tmp_path / "plain.csv", text)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (a,), skipped = read_series_csv(plain)
+        (b,), marked_skipped = read_series_csv(str(marked))
+        assert (b.series_id, marked_skipped) == (a.series_id, skipped) == ("a", ("b",))
+        assert b.grid.times.tobytes() == a.grid.times.tobytes()
+        assert [g.tobytes() for g in b.samples] == [g.tobytes() for g in a.samples]
+
     @settings(
         deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -214,6 +227,12 @@ class TestReadLabelsCsv:
         path = write_text(tmp_path / "l.csv", "series_id,label\na,up\nb,flat\n a ,down\n")
         with pytest.raises(ParseError, match=r"^line 4: repeated series_id 'a'$"):
             read_labels_csv(path)
+
+    def test_a_byte_order_mark_reads_as_without(self, tmp_path):
+        text = "series_id,label\na,up\nb,flat\n"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_labels_csv(str(marked)) == read_labels_csv(write_text(tmp_path / "l.csv", text))
 
 
 class TestWriteResult:
@@ -486,6 +505,33 @@ class TestBatchRun:
         serial.pop("g5")
         assert pooled == serial
 
+    @pytest.mark.parametrize("jobs, workers", [(5000, 6), (2, 2)])
+    def test_the_pool_asks_for_no_more_workers_than_chunks(self, monkeypatch, jobs, workers):
+        asked = []
+
+        class InProcess:
+            """An executor that records its size and runs each call at once."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(pathkf.cli, "ProcessPoolExecutor", InProcess)
+        series = tuple(spiked(f"g{i}") for i in range(6))
+        summary = batch_run(RunConfig(iterations=1, jobs=jobs), series)
+        assert asked == [workers]
+        assert summary.n_ok == 6
+
     def test_repeated_series_id_rejected(self):
         series = (spiked("g"), spiked("h"), spiked("g", 50.0))
         with pytest.raises(InvalidConfigError, match="^repeated series_id 'g'$"):
@@ -533,6 +579,22 @@ class TestBatchRun:
         lines = warning_lines(caplog, lambda: outcomes.extend(batch_run(config, block).outcomes))
         assert all(o.error is None for o in outcomes)
         assert stacked and lines == stacked
+
+    def test_a_failing_pkf_series_leaves_its_block_one_fit_per_iteration(self, monkeypatch):
+        rows = []
+        fit = pathkf.models.fit_spline_posterior
+
+        def counted(*args):
+            rows.append(len(args[6]))  # the anchors, one row per series still running
+            return fit(*args)
+
+        monkeypatch.setattr(pathkf.models, "fit_spline_posterior", counted)
+        block = (spiked("a"), spiked("bad", 1e154), *(spiked(f"c{i}") for i in range(30)))
+        config = RunConfig(model=ModelKind.CONSTANT_REGULATION, iterations=10)
+        summary = batch_run(config, block)
+        assert [o.series_id for o in summary.outcomes if o.error is not None] == ["bad"]
+        assert len(rows) == 10
+        assert (rows[0], rows[-1]) == (32, 31)
 
     def test_a_failing_baseline_series_and_its_neighbours_run_once(self, monkeypatch):
         calls = collections.Counter()
@@ -1082,6 +1144,45 @@ class TestCommands:
         assert result.exit_code == 2
         assert "No such option" in result.stderr
         assert not out.exists()
+
+    def test_batch_labels_without_summary_exits_2_writing_nothing(self, tmp_path):
+        out = tmp_path / "o.json"
+        labels = write_text(tmp_path / "labels.csv", "series_id,label\ng0,up\n")
+        result = CliRunner().invoke(
+            main, ["batch", "--input", panel_csv(tmp_path), "--output", str(out),
+                   "--labels", labels],
+        )
+        assert (result.exit_code, result.stderr) == (
+            2, "error: --labels applies only with --summary\n"
+        )
+        assert not out.exists()
+
+    def test_a_bad_labels_file_fails_before_any_series_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pathkf.cli, "batch_run", None)  # a run would fail here
+        out, summary = tmp_path / "o.json", tmp_path / "s.json"
+        labels = write_text(tmp_path / "labels.csv", "id,label\ng0,up\n")
+        result = CliRunner().invoke(
+            main, ["batch", "--input", panel_csv(tmp_path), "--output", str(out),
+                   "--labels", labels, "--summary", str(summary)],
+        )
+        assert (result.exit_code, result.stderr) == (
+            2, "error: line 1: expected header 'series_id,label'\n"
+        )
+        assert not out.exists() and not summary.exists()
+
+    def test_a_config_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        text = json.dumps({"iterations": 2, "input": panel_csv(tmp_path)})
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        outputs = []
+        for name, config in (("plain", write_text(tmp_path / "plain.json", text)), ("marked", marked)):
+            out = tmp_path / f"{name}.json.out"
+            result = CliRunner().invoke(
+                main, ["run", "--config", str(config), "--output", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append((result.stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_birth_death_labels_exit_2_writing_nothing(self, tmp_path):
         data, labels = tmp_path / "data.csv", tmp_path / "labels.csv"

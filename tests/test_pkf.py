@@ -553,19 +553,40 @@ class TestRunPkfBlock:
         q = None if algorithm == "pkf" else 2.5
         iterations = 3 if algorithm in ("pkf", "ipls") else None  # the others reject it
         config = RunConfig(algorithm, kind, iterations, q, retain_history=retain_history)
-        summary = batch_run(config, series)  # blocks of BLOCK_ROWS; failed blocks re-run
+        summary = batch_run(config, series)  # blocks of BLOCK_ROWS
         got = [
             o.error if o.error is not None else json.dumps(result_record(o.result))
             for o in summary.outcomes
         ]
         assert got == lone
-        rows = BLOCK_ROWS[algorithm]
-        event(f"{summary.n_failed} failed, {'over' if len(series) > rows else 'within'} one block")
-        ok = tuple(data for data, o in zip(series, summary.outcomes) if o.error is None)
-        if ok:
-            block = run_spec(config.spec(), ok, kind, retain_history)
-            records = [text for text in lone if text.startswith("{")]
-            assert [json.dumps(result_record(r)) for r in block] == records
+        within = "within" if len(series) <= BLOCK_ROWS else "over"
+        event(f"{'some' if summary.n_failed else 'none'} failed, {within} one block")
+        block = run_spec(config.spec(), series, kind, retain_history)  # failing rows included
+        assert [
+            f"{type(o).__name__}: {o}" if isinstance(o, Exception) else json.dumps(result_record(o))
+            for o in block
+        ] == lone
+
+    def test_a_failing_block_raises_its_earliest_error(self):
+        # the earliest iteration, then the first check in the loop's order,
+        # then the first row: at iteration 1, the model prediction of the last
+        # row fails before the weight products of the third, and the second
+        # row fails only at iteration 3
+        def spiked(series_id, values):
+            groups = [np.array([10.0 + t, 10.5 + t]) for t in range(8)]
+            groups[4] = np.array(values)
+            return TimeSeriesData(series_id, TimeGrid(np.arange(8.0)), tuple(groups))
+
+        block = (spiked("calm", [14.0, 14.5]), spiked("late", [1e154, 1e154]),
+                 spiked("products", [0.0, 2e80]), spiked("model", [1e200, 1e200]))
+        kind = ModelKind.CONSTANT_REGULATION
+        lone = [lone_outcome("pkf", data, kind, False) for data in block]
+        assert lone[1].endswith("the model prediction left the finite range at iteration 3")
+        assert lone[2].endswith("the weight products overflowed at iteration 1")
+        assert lone[3].endswith("the model prediction left the finite range at iteration 1")
+        with pytest.raises(NumericalOverflowError) as raised:
+            run_pkf_block(block, kind, 3)
+        assert f"{type(raised.value).__name__}: {raised.value}" == lone[3]
 
     def test_a_failing_series_fails_the_block_with_a_located_error(self):
         grid = wide_series().grid
