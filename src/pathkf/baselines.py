@@ -85,7 +85,8 @@ class FlowStepDynamics:
 
     def step_map(self, times: np.ndarray, ref_means: np.ndarray, index: int):
         """The step into ``index``, fitted on ``ref_means``. A fit whose
-        posterior mean left the finite range raises :class:`NumericalOverflowError`."""
+        posterior mean or steady state left the finite range raises
+        :class:`NumericalOverflowError`."""
         if index < 2:
             return _IDENTITY
         delta = float(times[index] - times[index - 1])
@@ -105,12 +106,12 @@ class FlowStepDynamics:
             self.kind, self.scan, times, into - 2, into - 1, into, ref_means,
             self.z_means[into], self.z_vars[into],
         )
-        if not math.isfinite(fit.means[0]):  # the callers name the series and timepoint
+        k_deg = float(fit.k_deg[0, np.argmax(fit.weights[0])])
+        xa, xb = ref_means[index - 2], ref_means[index - 1]
+        with np.errstate(all="ignore"):
+            steady = float(xa - (xb - xa) / np.expm1(-k_deg * (times[index - 1] - times[index - 2])))
+        if not (math.isfinite(fit.means[0]) and math.isfinite(steady)):  # the callers place it
             raise NumericalOverflowError("the model fit left the finite range")
-        best = int(np.argmax(fit.weights[0]))
-        k_deg = float(fit.k_deg[0, best])
-        # k_exp / k_deg as the scalar fit derived it; reading steady differs in the last bit
-        steady = float(k_deg * fit.steady[0, best]) / k_deg
         return _Relaxation(steady, math.exp(-k_deg * delta), float(fit.variances[0]))
 
 

@@ -71,12 +71,13 @@ class ScanGrid:
     k_max: float | None = None
 
     def __post_init__(self):
-        if self.num < 1:
-            raise InvalidParameterError("scan grid needs at least one point")
-        if self.k_min <= 0:
-            raise InvalidParameterError("k_min must be positive")
-        if self.k_max is not None and self.k_max <= self.k_min:
-            raise InvalidParameterError("k_max must exceed k_min")
+        whole = isinstance(self.num, (int, np.integer)) and not isinstance(self.num, bool)
+        if not whole or self.num < 1:
+            raise InvalidParameterError(f"num must be a positive integer, got {self.num!r}")
+        if not (math.isfinite(self.k_min) and self.k_min > 0):
+            raise InvalidParameterError(f"k_min must be finite and positive, got {self.k_min!r}")
+        if not (self.k_max is None or math.isfinite(self.k_max) and self.k_max > self.k_min):
+            raise InvalidParameterError(f"k_max must be finite, above k_min, got {self.k_max!r}")
 
     def values(self, window_span) -> np.ndarray:
         """Scan values for one window span, or one row per span of an array.
@@ -134,10 +135,11 @@ def _grid_memo(times: bytes, scan: ScanGrid) -> dict:
 
 
 def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid):
-    """Per window and scanned ``k_deg`` of a layout: the scan value, the
-    anchor decay ``exp(-k_deg * dt)`` and its complement (via expm1, so small
-    rates stay accurate) and the relaxation factor from the earlier anchor to
-    the target. Built on first use, under the error state that
+    """Per window and scanned ``k_deg`` of a layout: the scan value and the
+    share ``g = expm1(-k_deg * (tt - ta)) / expm1(-k_deg * (tb - ta))`` of the
+    anchor gap that the flow through both anchors adds at the target, so that
+    every spline predicts ``xa + (xb - xa) * g`` (expm1 keeps small rates
+    accurate). Built on first use, under the error state that
     :func:`fit_spline_posterior` sets; read-only because callers share them."""
     memo = _grid_memo(times, scan)
     if layout in memo:
@@ -145,10 +147,8 @@ def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid):
     t = np.frombuffer(times)
     ta, tb, tt = (t[i] for i in np.frombuffer(layout, dtype=np.intp).reshape(3, -1))
     k1 = scan.values(np.maximum(tb, tt) - np.minimum(ta, tt))
-    decay = np.exp(-k1 * (tb - ta)[:, None])
-    denom = -np.expm1(-k1 * (tb - ta)[:, None])
-    relax = np.exp(-k1 * (tt - ta)[:, None])
-    tables = memo[layout] = (k1, decay, denom, relax)
+    g = np.expm1(-k1 * (tt - ta)[:, None]) / np.expm1(-k1 * (tb - ta)[:, None])
+    tables = memo[layout] = (k1, g)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -156,14 +156,13 @@ def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid):
 
 class SplineFit(NamedTuple):
     """The spline posterior of every window of a layout, one row per window:
-    weights, the scanned ``k_deg`` and steady state ``k_exp / k_deg`` of each
-    spline, and the posterior moments, variances floored at ``VARIANCE_FLOOR``.
-    Birth/death has one spline: one column of weight ``1.0``, ``None`` for
-    ``k_deg`` and ``steady``, and its prediction as the mean."""
+    weights, the scanned ``k_deg`` of each spline, and the posterior moments,
+    variances floored at ``VARIANCE_FLOOR``. Birth/death has one spline: one
+    column of weight ``1.0``, ``None`` for ``k_deg``, and its prediction as
+    the mean."""
 
     weights: np.ndarray
     k_deg: np.ndarray | None
-    steady: np.ndarray | None
     means: np.ndarray
     variances: np.ndarray
 
@@ -195,17 +194,20 @@ def fit_spline_posterior(
     to the call on that row alone: the grid-only tables broadcast unchanged
     and every reduction runs along the last, C-contiguous axis.
 
-    The kernel raises nothing of its own: a window whose steady state or
-    predictions left the finite range gets non-finite moments, and the
-    caller, which knows the series and the timepoint, checks what it reads.
+    The kernel raises nothing of its own: a window whose predictions or
+    moments left the finite range gets non-finite moments, and the caller,
+    which knows the series and the timepoint, checks what it reads.
 
     Birth/death predictions do not depend on the scanned parameter, so the
     kernel returns its one spline before any scoring: weight ``1.0``, mean
     ``xa * exp(growth * (t - ta))`` and variance ``VARIANCE_FLOOR`` (NaN
     where the prediction is not finite), with no scan and no fallback.
-    Constant regulation scans a ``(windows, K)`` array whose grid-only
-    factors are memoized per window layout on the most recent grid; a window
-    whose weights all vanish falls back to :func:`uniform_posterior` (logged).
+    Every constant-regulation spline predicts ``xa + (xb - xa) * g`` with a
+    grid-only ``(windows, K)`` table ``g``, memoized per window layout on the
+    most recent grid. The moments are taken on that table: mean ``xa + (xb -
+    xa) * E[g]`` and variance ``(xb - xa)^2 * Var[g]``, with ``Var[g]``
+    summed around ``E[g]``, so nothing cancels. A window whose weights all
+    vanish falls back to :func:`uniform_posterior` (logged).
     """
     times = np.asarray(times, dtype=float)
     ia, ib, targets = (np.asarray(i, dtype=np.intp) for i in (ia, ib, targets))
@@ -216,50 +218,46 @@ def fit_spline_posterior(
             xb = np.maximum(anchors.take(ib, axis=-1), POSITIVE_VALUE_FLOOR)
             growth = np.log(xb / xa) / (times[ib] - times[ia])
             p = xa * np.exp(growth * (times[targets] - times[ia]))
-            return SplineFit(np.ones_like(p)[..., None], None, None, p,
+            return SplineFit(np.ones_like(p)[..., None], None, p,
                              np.maximum((p - p) ** 2, VARIANCE_FLOOR))
-        k_deg, decay, denom, relax = _const_reg_tables(
-            times.tobytes(), ia.tobytes() + ib.tobytes() + targets.tobytes(), scan
-        )
-        xa, xb = anchors.take(ia, axis=-1), anchors.take(ib, axis=-1)
-        # (xb - xa * decay) / denom, then steady + (xa - steady) * relax,
-        # each step written into a fresh buffer: never into an input
-        steady = np.multiply(xa[..., None], decay)
-        np.subtract(xb[..., None], steady, out=steady)
-        np.divide(steady, denom, out=steady)
-        predictions = np.subtract(xa[..., None], steady)
-        np.multiply(predictions, relax, out=predictions)
-        np.add(steady, predictions, out=predictions)
-        scale = 2.0 * np.maximum(variances, VARIANCE_FLOOR)
-        # the losses (p - mean)^2 / scale, then in the same buffer the weights
-        # exp(min(loss) - loss), twice normalized: the peak log-weight shift
-        # (-loss) - max(-loss) without the negation, which is exact in IEEE
-        weights = np.subtract(predictions, means[..., None])
+        layout = ia.tobytes() + ib.tobytes() + targets.tobytes()
+        k_deg, g = _const_reg_tables(times.tobytes(), layout, scan)
+        xa = anchors.take(ia, axis=-1)
+        delta = anchors.take(ib, axis=-1) - xa
+        # the predictions xa + delta * g, then in the same buffer the losses
+        # (p - mean)^2 / scale and the normalized weights exp(min(loss) - loss):
+        # the peak log-weight shift without the negation, exact in IEEE
+        weights = np.multiply(delta[..., None], g)
+        np.add(weights, xa[..., None], out=weights)
+        np.subtract(weights, means[..., None], out=weights)
         np.square(weights, out=weights)
+        scale = 2.0 * np.maximum(variances, VARIANCE_FLOOR)
         np.divide(weights, scale[..., None], out=weights)
         low = np.min(weights, axis=-1, keepdims=True)
         np.subtract(low, weights, out=weights)
         np.exp(weights, out=weights)
         np.divide(weights, weights.sum(axis=-1, keepdims=True), out=weights)
-        np.divide(weights, weights.sum(axis=-1, keepdims=True), out=weights)
         degenerate = ~np.isfinite(low[..., 0])
         fallback = degenerate.any()
         if fallback:
-            weights[degenerate] = uniform_posterior(predictions.shape[-1])
-        # the moments sum(w * p) and sum((p - mean)^2 * w) in one scratch buffer
-        scratch = np.multiply(weights, predictions)
-        out_means = np.sum(scratch, axis=-1)
-        np.subtract(predictions, out_means[..., None], out=scratch)
+            weights[degenerate] = uniform_posterior(g.shape[-1])
+        # the moments on the table; a variance term overflows only where the
+        # spline's own deviation delta * (g - E[g]) does
+        scratch = np.multiply(weights, g)
+        mean_g = np.sum(scratch, axis=-1)
+        np.subtract(g, mean_g[..., None], out=scratch)
+        np.multiply(scratch, delta[..., None], out=scratch)
         np.square(scratch, out=scratch)
         np.multiply(scratch, weights, out=scratch)
         out_vars = np.sum(scratch, axis=-1)
+        out_means = xa + delta * mean_g
     if fallback:  # windows in row-major order: the j-th targets targets[j % len(targets)]
         for j in np.flatnonzero(degenerate.reshape(-1)):
             logger.warning(
                 "degenerate spline posterior at t=%s; using uniform weights",
                 times[targets[j % len(targets)]],
             )
-    return SplineFit(weights, k_deg, steady, out_means, np.maximum(out_vars, VARIANCE_FLOOR))
+    return SplineFit(weights, k_deg, out_means, np.maximum(out_vars, VARIANCE_FLOOR))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Everything here is deliberately implemented by a different route than the
 code under test: fixed-step numerical integration instead of analytic
 flows, exhaustive grid search instead of closed-form minimizers, plain
-scalar Kalman recursions instead of the shared Kalman core, the weight form
-of the Kalman update instead of the gain form, a plain-float
+scalar Kalman recursions instead of the shared Kalman core, the flow in
+50-digit arithmetic instead of the grid table of the const-reg kernel, the
+weight form of the Kalman update instead of the gain form, a plain-float
 pathspace-filter step instead of the array kernel, one replicate group at
 a time instead of the stacked summary kernel, one three-point window at a
 time instead of the spline-posterior kernel, one regime label at a time
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from pathkf import (
@@ -593,13 +595,63 @@ def scalar_predict_path(kind, grid, means, variances, scan=ScanGrid()):
     )
 
 
-def relaxation_step(posterior: SplinePosterior, delta: float) -> tuple[float, float]:
-    """Steady state and decay of the constant-regulation step at the
-    posterior argmax, over a step of length ``delta``."""
-    best = int(np.argmax(posterior.weights))
-    k_deg = float(posterior.k1_grid[best])
-    steady = float(posterior.k2_values[best]) / k_deg
-    return steady, math.exp(-k_deg * delta)
+# --- the 50-digit referee of the constant-regulation window posterior ---
+
+#: Working precision of :func:`exact_posterior`, in decimal digits.
+EXACT_DIGITS = 50
+
+
+class ExactPosterior(NamedTuple):
+    """A window posterior at :data:`EXACT_DIGITS` digits: the weights, the
+    mean and the variance, not floored, as ``mpmath.mpf``."""
+
+    weights: list
+    mean: mpmath.mpf
+    variance: mpmath.mpf
+
+
+def exact_posterior(window: Window, grid: ScanGrid = ScanGrid(), uniform=False) -> ExactPosterior:
+    """The K-point point-mass posterior of one constant-regulation window,
+    evaluated at :data:`EXACT_DIGITS` digits from the float inputs as given.
+
+    Each scanned ``k`` predicts by the flow itself: the steady state of
+    :func:`exact_steady`, relaxed from the earlier anchor to the target time.
+    Its weight is ``exp(-(p - mean)^2 / (2 * max(variance, VARIANCE_FLOOR)))``
+    against the target's estimate, normalized; ``uniform`` gives every spline
+    the same weight instead, as the kernel's fallback does.
+    """
+    (ta, xa), _ = window.ordered_anchors()
+    tt, target = window.target
+    with mpmath.workdps(EXACT_DIGITS):
+        mean = mpmath.mpf(target.mean)
+        scale = 2 * mpmath.mpf(max(target.variance, VARIANCE_FLOOR))
+        predictions = []
+        for k in grid.values(window.span()):
+            steady = exact_steady(window, k)
+            relax = mpmath.exp(-mpmath.mpf(float(k)) * (mpmath.mpf(tt) - mpmath.mpf(ta)))
+            predictions.append(steady + (mpmath.mpf(xa) - steady) * relax)
+        if uniform:
+            weights = [mpmath.mpf(1) / len(predictions)] * len(predictions)
+        else:
+            losses = [(p - mean) ** 2 / scale for p in predictions]
+            low = min(losses)
+            raw = [mpmath.exp(low - loss) for loss in losses]
+            total = mpmath.fsum(raw)
+            weights = [w / total for w in raw]
+        first = mpmath.fdot(weights, predictions)
+        second = mpmath.fsum(w * (p - first) ** 2 for w, p in zip(weights, predictions))
+    return ExactPosterior(weights, first, second)
+
+
+def exact_steady(window: Window, k) -> mpmath.mpf:
+    """The steady state ``k_exp / k_deg`` of the constant-regulation flow with
+    ``k_deg = k`` through both anchors of ``window``, ``(xb - xa * e) / (1 -
+    e)`` with ``e = exp(-k * (tb - ta))``, at :data:`EXACT_DIGITS` digits."""
+    (ta, xa), (tb, xb) = window.ordered_anchors()
+    with mpmath.workdps(EXACT_DIGITS):
+        ta, xa, tb, xb = (mpmath.mpf(v) for v in (ta, xa, tb, xb))
+        decay = mpmath.exp(-mpmath.mpf(float(k)) * (tb - ta))
+        return (xb - xa * decay) / (1 - decay)
 
 
 def q_ratio_groups(entries) -> tuple[dict, list[tuple]]:
