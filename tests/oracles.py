@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from pathkf import (
@@ -606,8 +605,8 @@ class ExactPosterior(NamedTuple):
     mean and the variance, not floored, as ``mpmath.mpf``."""
 
     weights: list
-    mean: mpmath.mpf
-    variance: mpmath.mpf
+    mean: object
+    variance: object
 
 
 def exact_posterior(window: Window, grid: ScanGrid = ScanGrid(), uniform=False) -> ExactPosterior:
@@ -620,6 +619,8 @@ def exact_posterior(window: Window, grid: ScanGrid = ScanGrid(), uniform=False) 
     against the target's estimate, normalized; ``uniform`` gives every spline
     the same weight instead, as the kernel's fallback does.
     """
+    import mpmath  # only this referee needs it
+
     (ta, xa), _ = window.ordered_anchors()
     tt, target = window.target
     with mpmath.workdps(EXACT_DIGITS):
@@ -643,10 +644,13 @@ def exact_posterior(window: Window, grid: ScanGrid = ScanGrid(), uniform=False) 
     return ExactPosterior(weights, first, second)
 
 
-def exact_steady(window: Window, k) -> mpmath.mpf:
+def exact_steady(window: Window, k):
     """The steady state ``k_exp / k_deg`` of the constant-regulation flow with
     ``k_deg = k`` through both anchors of ``window``, ``(xb - xa * e) / (1 -
-    e)`` with ``e = exp(-k * (tb - ta))``, at :data:`EXACT_DIGITS` digits."""
+    e)`` with ``e = exp(-k * (tb - ta))``, at :data:`EXACT_DIGITS` digits,
+    as an ``mpmath.mpf``."""
+    import mpmath
+
     (ta, xa), (tb, xb) = window.ordered_anchors()
     with mpmath.workdps(EXACT_DIGITS):
         ta, xa, tb, xb = (mpmath.mpf(v) for v in (ta, xa, tb, xb))

@@ -409,19 +409,18 @@ class TestPathKernel:
             # 200 copies of one value, i.e. rounding noise of order
             # (eps * mean)^2; the kernel gives the floor it approximates
             noise = 200 * (eps * np.abs(ref_means)) ** 2
-            apart = (np.abs(got_means - ref_means) > 1e-12 * np.abs(ref_means),
-                     np.abs(got_vars - ref_vars) > 1e-12 * ref_vars + noise)
+            apart = (np.abs(got_means - ref_means) > 1e-12 * np.abs(ref_means)) | (
+                np.abs(got_vars - ref_vars) > 1e-12 * ref_vars + noise)
             # the scalar const-reg fit predicts through the steady state, whose
-            # rounding its moments can carry past 1e-12; where a moment parts
-            # from it, the kernel's is at least as close to the 50-digit one
-            for t in np.flatnonzero(apart[0] | apart[1]):
+            # rounding its moments can carry past 1e-12; where one parts from
+            # it, the window is held to the 50-digit posterior instead, with
+            # uniform weights where the scalar fit fell back to them
+            for t in np.flatnonzero(apart):
                 assert kind is ModelKind.CONSTANT_REGULATION
-                exact = exact_posterior(window_at(grid, means, variances, t, kind)[0])
-                pairs = ((got_means, ref_means, exact.mean),
-                         (got_vars, ref_vars, max(exact.variance, VARIANCE_FLOOR)))
-                for moved, (got, ref, want) in zip(apart, pairs):
-                    if moved[t]:
-                        assert abs(mpmath.mpf(got[t]) - want) <= abs(mpmath.mpf(ref[t]) - want)
+                window, pos = window_at(grid, means, variances, t, kind)
+                fell_back = outcome(lambda: fit_windows(kind, grid.times, [t],
+                                                        lambda _: (window, pos)))[2]
+                assert_exact_moments(got_means[t], got_vars[t], window, uniform=bool(fell_back))
             if kind is ModelKind.BIRTH_DEATH:
                 assert np.all(got_vars == VARIANCE_FLOOR)
 
@@ -641,42 +640,104 @@ EXACT_VARIANCE_ERROR = 1e-9
 ARGMAX_TIE = 1e-9
 #: The gap between a kernel weight and the scalar fit's, as a multiple of the
 #: shift that rounding the scalar predictions can cause (see
-#: :func:`assert_rows_match`). Measured over the same runs: at most 0.2.
+#: :func:`assert_rows_match`). Measured over 27,703 windows (eight Hypothesis
+#: seeds of ``TestKernelAgainstScalarFit``): at most 0.092, and the bound
+#: reached 1, where it says nothing, on 1,103 of them.
 WEIGHT_GAP = 1.0
+#: How far the kernel's predictions may lie from the scalar fit's, as a
+#: multiple of :func:`scalar_rounding`; it bounds the moments in
+#: :func:`assert_moments_near`. Measured over the same windows: at most 1.
+PREDICTION_GAP = 4.0
 
 
-def assert_exact(fit, row, window, uniform=False):
-    """Kernel row ``row`` against the 50-digit posterior of ``window``, or
-    against its uniform weights where the scalar fit fell back to them."""
+def assert_exact_moments(mean, variance, window, uniform=False):
+    """A kernel mean and variance against the 50-digit posterior of
+    ``window``, or against its uniform weights where the scalar fit fell back
+    to them. Returns that posterior."""
     exact = exact_posterior(window, uniform=uniform)
     (_, xa), (_, xb) = window.ordered_anchors()
     scale = max(abs(mpmath.mpf(xa)), abs(mpmath.mpf(xb)), abs(exact.mean))
-    variance = max(exact.variance, VARIANCE_FLOOR)
-    assert abs(mpmath.mpf(fit.means[row]) - exact.mean) <= EXACT_MEAN_ERROR * scale + SUBNORMAL
-    assert abs(mpmath.mpf(fit.variances[row]) - variance) <= EXACT_VARIANCE_ERROR * variance
+    floored = max(exact.variance, VARIANCE_FLOOR)
+    assert abs(mpmath.mpf(mean) - exact.mean) <= EXACT_MEAN_ERROR * scale + SUBNORMAL
+    assert abs(mpmath.mpf(variance) - floored) <= EXACT_VARIANCE_ERROR * floored
+    return exact
+
+
+def assert_exact(fit, row, window, uniform=False):
+    """Kernel row ``row`` against the 50-digit posterior of ``window``: its
+    moments, and its argmax at the referee's top weight within a tie."""
+    exact = assert_exact_moments(fit.means[row], fit.variances[row], window, uniform)
     best = int(np.argmax(fit.weights[row]))
     assert exact.weights[best] >= max(exact.weights) * (1 - ARGMAX_TIE)
+
+
+def scalar_rounding(posterior, window):
+    """How far rounding can move each scalar prediction from the flow. The
+    scalar fit predicts through the steady state ``(xb - xa * e) / (1 - e)``,
+    whose terms reach ``(|xa| + |xb|) / (1 - e)`` and, below the normal
+    range, round by the subnormal spacing each, and relaxes from ``xa`` by
+    ``exp(-k * (t - ta))``, which exceeds 1 before ``ta``."""
+    (ta, xa), (tb, xb) = window.ordered_anchors()
+    tt, _ = window.target
+    k = posterior.k1_grid
+    with np.errstate(over="ignore"):
+        denom = -np.expm1(-k * (tb - ta))
+        terms = EPS * ((abs(xa) + abs(xb)) / denom + abs(xa)) + SUBNORMAL / denom
+        return terms * np.maximum(1.0, np.exp(-k * (tt - ta)))
 
 
 def assert_rows_match(fit, row, posterior, window):
     """Kernel row ``row`` against the scalar posterior of ``window``: the same
     scan values bit for bit, and weights within ``WEIGHT_GAP`` times the
-    weight shift that rounding the scalar predictions can cause, plus the
-    rounding of the weights themselves. The scalar fit predicts through the
-    steady state ``(xb - xa * e) / (1 - e)``, whose terms reach ``(|xa| +
-    |xb|) / (1 - e)``; a loss moves by ``2 * |p - mean| / scale`` per unit of
-    prediction. Returns whether the argmaxes agree."""
+    weight shift that the :func:`scalar_rounding` of the predictions can
+    cause, plus the rounding of the weights themselves; a loss moves by ``2 *
+    |p - mean| / scale`` per unit of prediction. Where that bound reaches 1
+    it says nothing, and the check is skipped as a Hypothesis event. Returns
+    whether the argmaxes agree."""
     assert fit.k_deg[row].tobytes() == posterior.k1_grid.tobytes()
-    (ta, xa), (tb, xb) = window.ordered_anchors()
     _, target = window.target
-    terms = (abs(xa) + abs(xb)) / -np.expm1(-posterior.k1_grid * (tb - ta)) + abs(xa)
-    with np.errstate(over="ignore"):
-        shift = float(np.max(np.abs(posterior.predictions - target.mean) * terms))
-    shift *= EPS / max(target.variance, VARIANCE_FLOOR)
-    gap = float(np.max(np.abs(fit.weights[row] - posterior.weights)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = float(np.max(np.abs(posterior.predictions - target.mean)
+                             * scalar_rounding(posterior, window)))
+    shift /= max(target.variance, VARIANCE_FLOOR)
     # a weight exp(low - loss) rounds by up to about 745 eps where it does not vanish
-    assert gap <= WEIGHT_GAP * shift + 1024 * EPS
+    bound = WEIGHT_GAP * shift + 1024 * EPS
+    if bound < 1:
+        assert float(np.max(np.abs(fit.weights[row] - posterior.weights))) <= bound
+    else:  # weights lie in [0, 1]; inf and nan land here too
+        event("a weight bound says nothing")
     return np.argmax(fit.weights[row]) == np.argmax(posterior.weights)
+
+
+def assert_moments_near(fit, row, posterior, estimate, window):
+    """Kernel row ``row``'s moments against the scalar fit's ``estimate``,
+    within 1e-12 of their size plus what the kernel's weights ``v`` and its
+    predictions, within ``d = PREDICTION_GAP * scalar_rounding`` of the
+    scalar ``p``, can move them. With the scalar weights ``w`` and mean
+    ``m``, the mean moves by at most ``sum |v - w| * |p - m| + sum v * d``.
+    The kernel's standard deviation is ``||p - m||_v`` within ``||d||_v``
+    plus that move, and ``||p - m||_v^2`` is the scalar variance within
+    ``sum |v - w| * (p - m)^2``; flooring both variances moves neither
+    difference further. Splines that neither side weights are left out."""
+    assert math.isfinite(fit.means[row]) and math.isfinite(fit.variances[row])
+    (_, xa), (_, xb) = window.ordered_anchors()
+    v, w = fit.weights[row], posterior.weights
+    used = (v > 0) | (w > 0)
+    v, w = v[used], w[used]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = PREDICTION_GAP * scalar_rounding(posterior, window)[used]
+        dev = posterior.predictions[used] - estimate.mean
+        gap = np.abs(v - w)
+        moved = abs(fit.means[row] - estimate.mean)
+        size = max(abs(xa), abs(xb), float(w @ np.abs(posterior.predictions[used])))
+        mean_bound = float(gap @ np.abs(dev) + v @ d) + 1e-12 * size
+        reach = math.sqrt(v @ d**2) + moved
+        variance_bound = (float(gap @ dev**2) + reach * (2 * math.sqrt(v @ dev**2) + reach)
+                          + 1e-12 * estimate.variance)
+    if not (math.isfinite(mean_bound) and math.isfinite(variance_bound)):
+        event("a moment bound is not finite")
+    assert moved <= mean_bound
+    assert abs(fit.variances[row] - estimate.variance) <= variance_bound
 
 
 class TestKernelAgainstExactPosterior:
@@ -709,11 +770,12 @@ class TestKernelAgainstExactPosterior:
 
 class TestKernelAgainstScalarFit:
     """The constant-regulation kernel against the scalar window fit on both
-    window layouts: the same scan values, weights within ``WEIGHT_GAP``, and
-    the same fallbacks and warnings wherever that fit completes; where it
-    fails, the kernel's moments are non-finite. The scalar fit predicts
-    through the steady state, so the moments (and the step's steady state)
-    are held to the 50-digit referee instead: on one drawn window of each
+    window layouts: the same scan values, weights within ``WEIGHT_GAP``,
+    moments within what those weights and the rounding of the predictions
+    allow, and the same fallbacks and warnings wherever that fit completes;
+    where it fails, the kernel's moments are non-finite. The scalar fit
+    predicts through the steady state, so the moments (and the step's steady
+    state) are also held to the 50-digit referee: on one drawn window of each
     path, and on every window whose argmax differs from the scalar fit's.
     Birth/death is a closed form of that fit and is compared within rounding
     in ``TestPathKernel``."""
@@ -737,10 +799,10 @@ class TestKernelAgainstScalarFit:
                 assert not (math.isfinite(fit.means[row]) and math.isfinite(fit.variances[row]))
                 continue
             warned += messages
-            (posterior,), _ = ref
+            (posterior,), (estimate,) = ref
             window, _ = window_at(grid, means, variances, row, CONST_REG)
             same_argmax = assert_rows_match(fit, row, posterior, window)
-            assert math.isfinite(fit.means[row]) and math.isfinite(fit.variances[row])
+            assert_moments_near(fit, row, posterior, estimate, window)
             if row == pick % len(times) or not same_argmax:
                 assert_exact(fit, row, window, uniform=bool(messages))
         event(f"{len(warned)} fallbacks, {len(failed)} failed windows")
@@ -784,7 +846,8 @@ class TestKernelAgainstScalarFit:
             if moments is None:
                 assert not (math.isfinite(fit.means[0]) and math.isfinite(step.variance))
                 continue
-            assert math.isfinite(fit.means[0]) and step.variance == fit.variances[0]
+            assert step.variance == fit.variances[0]
+            assert_moments_near(fit, 0, posterior, moments, window)
             if index == 2 + pick % (len(times) - 2) or not same_argmax:
                 assert_exact(fit, 0, window, uniform=bool(ref[2]))
 
