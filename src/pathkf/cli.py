@@ -440,7 +440,7 @@ WORKER_DIED = "BrokenProcessPool: a worker process died"
 
 
 def _execute_block(config: RunConfig, block: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
-    """Outcomes of series that share a grid, from one ``run_spec`` call: each
+    """Outcomes of series of one length, from one ``run_spec`` call: each
     series gets exactly the result or error it gets alone, and its model
     warnings are logged once. An error that names no series, which
     ``run_spec`` raises, is the outcome of every series of the block."""
@@ -456,10 +456,11 @@ def _execute_block(config: RunConfig, block: tuple[TimeSeriesData, ...]) -> list
 
 
 def _execute_chunk(config: RunConfig, chunk: tuple[TimeSeriesData, ...]) -> list[SeriesOutcome]:
-    """Outcomes in input order: each run of consecutive series with equal
-    grid bytes goes to ``_execute_block`` in blocks of ``BLOCK_ROWS``."""
+    """Outcomes in the chunk's order: each run of consecutive series of one
+    length goes to ``_execute_block`` in blocks of ``BLOCK_ROWS``, whatever
+    their grids."""
     outcomes = []
-    for _, run in itertools.groupby(chunk, key=lambda data: data.grid.times.tobytes()):
+    for _, run in itertools.groupby(chunk, key=lambda data: len(data.grid)):
         run = tuple(run)
         for start in range(0, len(run), BLOCK_ROWS):
             outcomes += _execute_block(config, run[start:start + BLOCK_ROWS])
@@ -473,12 +474,15 @@ def batch_run(
 ) -> BatchSummary:
     """Run the configured algorithm on every series.
 
-    Series run on a worker pool of ``config.jobs`` processes; results come
-    back in input order, so output is identical at any parallelism degree.
-    Each series id may appear once. Per-series failures are isolated and
-    reported in the summary. If a worker process dies, every series whose
-    outcome had not arrived fails with ``WORKER_DIED``; the others keep
-    their outcomes.
+    The series run sorted stably by length, so that series of one length
+    stack into blocks of ``BLOCK_ROWS`` whatever their grids, on a worker
+    pool of ``config.jobs`` processes that takes chunks of that order. The
+    outcomes come back in input order, each equal to its series' lone run,
+    so output is identical at any parallelism degree; model warnings are
+    logged in block order. Each series id may appear once. Per-series
+    failures are isolated and reported in the summary. If a worker process
+    dies, every series whose outcome had not arrived fails with
+    ``WORKER_DIED``; the others keep their outcomes.
     """
     if not series:
         raise InvalidConfigError("no series to process")
@@ -487,18 +491,24 @@ def batch_run(
         if data.series_id in seen:
             raise InvalidConfigError(f"repeated series_id {data.series_id!r}")
         seen.add(data.series_id)
+    order = sorted(range(len(series)), key=lambda i: len(series[i].grid))
+    ordered = tuple(series[i] for i in order)
     if config.jobs == 1:
-        return BatchSummary(tuple(_execute_chunk(config, series)), tuple(skipped))
-    size = max(1, len(series) // (config.jobs * 4))
-    chunks = [series[i:i + size] for i in range(0, len(series), size)]
-    outcomes: list[SeriesOutcome] = []
-    with ProcessPoolExecutor(max_workers=min(config.jobs, len(chunks))) as pool:
-        futures = [pool.submit(_execute_chunk, config, chunk) for chunk in chunks]
-        for chunk, future in zip(chunks, futures):
-            try:
-                outcomes.extend(future.result())
-            except BrokenProcessPool:
-                outcomes.extend(SeriesOutcome(d.series_id, None, WORKER_DIED) for d in chunk)
+        done = _execute_chunk(config, ordered)
+    else:
+        size = max(1, len(series) // (config.jobs * 4))
+        chunks = [ordered[i:i + size] for i in range(0, len(series), size)]
+        done = []
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(chunks))) as pool:
+            futures = [pool.submit(_execute_chunk, config, chunk) for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
+                try:
+                    done.extend(future.result())
+                except BrokenProcessPool:
+                    done.extend(SeriesOutcome(d.series_id, None, WORKER_DIED) for d in chunk)
+    outcomes: list[SeriesOutcome] = [None] * len(series)
+    for i, outcome in zip(order, done):
+        outcomes[i] = outcome
     return BatchSummary(tuple(outcomes), tuple(skipped))
 
 

@@ -80,7 +80,9 @@ class ScanGrid:
             raise InvalidParameterError(f"k_max must be finite, above k_min, got {self.k_max!r}")
 
     def values(self, window_span) -> np.ndarray:
-        """Scan values for one window span, or one row per span of an array.
+        """Scan values for one window span, or one row per span of an array:
+        the windows of one grid. A block of series on their own grids calls
+        it once per grid.
 
         Rows are C-contiguous, so row reductions sum in the same order as
         for a single span.
@@ -128,26 +130,37 @@ def flow_const_reg(x0: float, k_exp: float, k_deg: float, dt: float) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_memo(times: bytes, scan: ScanGrid) -> dict:
-    """Grid-only tables by window layout, for the most recent grid only: each
-    iteration and each following series on that grid hit this one slot."""
+def _grid_memo(times: bytes, lead: tuple[int, ...], scan: ScanGrid) -> dict:
+    """Grid-only tables by window layout, for the most recent times only: each
+    iteration and each following series or block on those times hit this one
+    slot. ``lead`` is the times' leading shape, so a ``(2, 7)`` block of grids
+    and a ``(14,)`` grid with the same bytes never share a slot."""
     return {}
 
 
-def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid):
+def _const_reg_tables(times: bytes, layout: bytes, scan: ScanGrid, lead: tuple[int, ...] = ()):
     """Per window and scanned ``k_deg`` of a layout: the scan value and the
     share ``g = expm1(-k_deg * (tt - ta)) / expm1(-k_deg * (tb - ta))`` of the
     anchor gap that the flow through both anchors adds at the target, so that
     every spline predicts ``xa + (xb - xa) * g`` (expm1 keeps small rates
-    accurate). Built on first use, under the error state that
-    :func:`fit_spline_posterior` sets; read-only because callers share them."""
-    memo = _grid_memo(times, scan)
+    accurate). ``times`` holds one grid, or with ``lead = (S,)`` one grid per
+    row, and the tables gain the same leading axes. They are built one grid
+    at a time in place, so no temporary outgrows one grid's table. Built on
+    first use, under the error state that :func:`fit_spline_posterior` sets;
+    read-only because callers share them."""
+    memo = _grid_memo(times, lead, scan)
     if layout in memo:
         return memo[layout]
-    t = np.frombuffer(times)
-    ta, tb, tt = (t[i] for i in np.frombuffer(layout, dtype=np.intp).reshape(3, -1))
-    k1 = scan.values(np.maximum(tb, tt) - np.minimum(ta, tt))
-    g = np.expm1(-k1 * (tt - ta)[:, None]) / np.expm1(-k1 * (tb - ta)[:, None])
+    t = np.frombuffer(times).reshape(*lead, -1)
+    ta, tb, tt = (t[..., i] for i in np.frombuffer(layout, dtype=np.intp).reshape(3, -1))
+    span = np.maximum(tb, tt) - np.minimum(ta, tt)
+    k1 = np.empty((*span.shape, scan.num))
+    g = np.empty_like(k1)
+    for row in np.ndindex(lead):  # the one grid is the one row ()
+        k1[row] = scan.values(span[row])
+        np.multiply(k1[row], -(tt - ta)[row][:, None], out=g[row])
+        np.expm1(g[row], out=g[row])
+        g[row] /= np.expm1(k1[row] * -(tb - ta)[row][:, None])
     tables = memo[layout] = (k1, g)
     for arr in tables:
         arr.setflags(write=False)
@@ -190,9 +203,12 @@ def fit_spline_posterior(
 
     ``anchors``, ``means`` and ``variances`` may carry leading axes, one
     series per row, e.g. ``(S, n)`` anchors with ``(S, windows)`` targets;
-    every output then gains the same leading axes. Each row is bitwise equal
-    to the call on that row alone: the grid-only tables broadcast unchanged
-    and every reduction runs along the last, C-contiguous axis.
+    every output then gains the same leading axes. ``times`` is the one
+    ``(n,)`` grid of every row, or ``(S, n)``, one grid per row for series of
+    one length on grids of their own. Each row is bitwise equal to the call
+    on that row alone, with its own ``(n,)`` times: the grid-only tables are
+    built per grid from the same values and broadcast unchanged, and every
+    reduction runs along the last, C-contiguous axis.
 
     The kernel raises nothing of its own: a window whose predictions or
     moments left the finite range gets non-finite moments, and the caller,
@@ -203,11 +219,13 @@ def fit_spline_posterior(
     ``xa * exp(growth * (t - ta))`` and variance ``VARIANCE_FLOOR`` (NaN
     where the prediction is not finite), with no scan and no fallback.
     Every constant-regulation spline predicts ``xa + (xb - xa) * g`` with a
-    grid-only ``(windows, K)`` table ``g``, memoized per window layout on the
-    most recent grid. The moments are taken on that table: mean ``xa + (xb -
-    xa) * E[g]`` and variance ``(xb - xa)^2 * Var[g]``, with ``Var[g]``
-    summed around ``E[g]``, so nothing cancels. A window whose weights all
-    vanish falls back to :func:`uniform_posterior` (logged).
+    grid-only ``(windows, K)`` table ``g`` (``(S, windows, K)`` on per-row
+    grids), memoized per window layout on the most recent times, so the
+    iterations of a block build it once. The moments are taken on that table:
+    mean ``xa + (xb - xa) * E[g]`` and variance ``(xb - xa)^2 * Var[g]``,
+    with ``Var[g]`` summed around ``E[g]``, so nothing cancels. A window
+    whose weights all vanish falls back to :func:`uniform_posterior`, logged
+    at its own row's target time, in row-major order.
     """
     times = np.asarray(times, dtype=float)
     ia, ib, targets = (np.asarray(i, dtype=np.intp) for i in (ia, ib, targets))
@@ -216,12 +234,13 @@ def fit_spline_posterior(
         if kind is ModelKind.BIRTH_DEATH:
             xa = np.maximum(anchors.take(ia, axis=-1), POSITIVE_VALUE_FLOOR)
             xb = np.maximum(anchors.take(ib, axis=-1), POSITIVE_VALUE_FLOOR)
-            growth = np.log(xb / xa) / (times[ib] - times[ia])
-            p = xa * np.exp(growth * (times[targets] - times[ia]))
+            ta, tb, tt = times.take(ia, -1), times.take(ib, -1), times.take(targets, -1)
+            growth = np.log(xb / xa) / (tb - ta)
+            p = xa * np.exp(growth * (tt - ta))
             return SplineFit(np.ones_like(p)[..., None], None, p,
                              np.maximum((p - p) ** 2, VARIANCE_FLOOR))
         layout = ia.tobytes() + ib.tobytes() + targets.tobytes()
-        k_deg, g = _const_reg_tables(times.tobytes(), layout, scan)
+        k_deg, g = _const_reg_tables(times.tobytes(), layout, scan, times.shape[:-1])
         xa = anchors.take(ia, axis=-1)
         delta = anchors.take(ib, axis=-1) - xa
         # the predictions xa + delta * g, then in the same buffer the losses
@@ -251,12 +270,9 @@ def fit_spline_posterior(
         np.multiply(scratch, weights, out=scratch)
         out_vars = np.sum(scratch, axis=-1)
         out_means = xa + delta * mean_g
-    if fallback:  # windows in row-major order: the j-th targets targets[j % len(targets)]
-        for j in np.flatnonzero(degenerate.reshape(-1)):
-            logger.warning(
-                "degenerate spline posterior at t=%s; using uniform weights",
-                times[targets[j % len(targets)]],
-            )
+    if fallback:  # in row-major order, each at its own row's target time
+        for t in np.broadcast_to(times[..., targets], degenerate.shape)[degenerate]:
+            logger.warning("degenerate spline posterior at t=%s; using uniform weights", t)
     return SplineFit(weights, k_deg, out_means, np.maximum(out_vars, VARIANCE_FLOOR))
 
 
@@ -266,7 +282,9 @@ class SplinePathModel:
     and variance at every timepoint of the previous filter trajectory, from
     the centered window around it, in one :func:`fit_spline_posterior` call.
     ``means`` and ``variances`` are one ``(n,)`` path or an ``(S, n)`` block
-    of paths on the grid; the outputs have their shape."""
+    of paths of one length; the outputs have their shape. ``grid`` is the
+    paths' one :class:`TimeGrid`, or the ``(S, n)`` array of a block's
+    per-row times when its series lie on grids of their own."""
 
     kind: ModelKind
     scan: ScanGrid = ScanGrid()
@@ -275,10 +293,11 @@ class SplinePathModel:
         _check_kind(self.kind)
 
     def predict_path(
-        self, grid: TimeGrid, means: np.ndarray, variances: np.ndarray
+        self, grid: TimeGrid | np.ndarray, means: np.ndarray, variances: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        times = grid.times if isinstance(grid, TimeGrid) else grid
         fit = fit_spline_posterior(
-            self.kind, self.scan, grid.times, *_centered_windows(len(grid)),
+            self.kind, self.scan, times, *_centered_windows(times.shape[-1]),
             means, means, variances,
         )
         return fit.means, fit.variances

@@ -23,6 +23,7 @@ from .core import (
     InvalidParameterError,
     NumericalOverflowError,
     PathkfError,
+    TimeGrid,
     TimeSeriesData,
     Trajectory,
     _setstate_readonly,
@@ -209,11 +210,13 @@ def update_process_uncertainty(q_prev, w_data, w_model, loss):
     return _updated_q(q_prev, gain, loss)
 
 
-def _iterate(predictor, series, z_means, z_vars, iterations: int):
+def _iterate(predictor, series, grid, z_means, z_vars, iterations: int):
     """The filter iterations on the stacked summaries of ``series``, which
-    share one grid: ``(n,)`` arrays for one series, ``(S, n)`` for a block,
-    one series per row. Every step is elementwise or reduces along the last
-    axis, so each row is bitwise equal to running its series alone.
+    have one length: ``(n,)`` arrays for one series, ``(S, n)`` for a block,
+    one series per row. ``grid`` is what ``predictor.predict_path`` gets: the
+    rows' one :class:`TimeGrid`, or the ``(S, n)`` array of their own times.
+    Every step is elementwise or reduces along the last axis, so each row is
+    bitwise equal to running its series alone.
 
     The loop calls the unchecked kernels of :func:`pkf_weights` and
     :func:`update_process_uncertainty`: their inputs are finite and
@@ -236,7 +239,6 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
     """
     if iterations < 1:
         raise InvalidParameterError("iterations must be at least 1")
-    grid = series[0].grid
     rows = np.arange(len(series))
     errors: dict[int, PathkfError] = {}
     steps: list[tuple] = []
@@ -286,6 +288,8 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
                 if dropped.any():  # a block: keep the other rows, and their past
                     keep = ~dropped
                     rows, z_means, z_vars = rows[keep], z_means[keep], z_vars[keep]
+                    if not isinstance(grid, TimeGrid):  # per-row times leave with their rows
+                        grid = grid[keep]
                     new_means, new_vars, new_q = new_means[keep], new_vars[keep], new_q[keep]
                     weights, dq, vmax = weights[:, keep], dq[keep], vmax[keep]
                     steps = [(j, m[keep], v[keep], s[keep], u[:, keep]) for j, m, v, s, u in steps]
@@ -299,20 +303,20 @@ def _iterate(predictor, series, z_means, z_vars, iterations: int):
     return rows, steps, trace_dq, trace_vmax, errors
 
 
-def _results(predictor, series, z_means, z_vars, iterations, retain_history):
-    """The outcomes of :func:`_iterate`, one per row: its result, or the
-    error that dropped it; and the errors in the order the loop met them. A
-    lone ``(n,)`` series is the one row ``...``, so every index below leaves
-    its arrays whole."""
+def _results(predictor, series, grid, z_means, z_vars, iterations, retain_history):
+    """The outcomes of :func:`_iterate`, one per row: its result, on its own
+    series' grid, or the error that dropped it; and the errors in the order
+    the loop met them. A lone ``(n,)`` series is the one row ``...``, so
+    every index below leaves its arrays whole."""
     rows, steps, trace_dq, trace_vmax, errors = _iterate(
-        predictor, series, z_means, z_vars, iterations
+        predictor, series, grid, z_means, z_vars, iterations
     )
     trace_dq, trace_vmax = np.array(trace_dq), np.array(trace_vmax)
     kept = steps if retain_history else steps[-1:]
     outcomes: list[PkfResult | PathkfError] = [errors.get(row) for row in range(len(series))]
     for row, at in zip(rows, range(len(rows)) if z_means.ndim == 2 else [...]):
         states = tuple(
-            PkfState(i, Trajectory(series[0].grid, means[at], variances[at]), q[at],
+            PkfState(i, Trajectory(series[row].grid, means[at], variances[at]), q[at],
                      PkfWeights(*weights[:, at]))
             for i, means, variances, q, weights in kept
         )
@@ -346,7 +350,9 @@ def run_pkf(
             f"model must be a ModelKind or have predict_path, got {model!r}"
         )
     z_means, z_vars = data.summaries()
-    [result], errors = _results(predictor, (data,), z_means, z_vars, iterations, retain_history)
+    [result], errors = _results(
+        predictor, (data,), data.grid, z_means, z_vars, iterations, retain_history
+    )
     if errors:
         raise errors[0]
     return result
@@ -355,17 +361,22 @@ def run_pkf(
 def _block_outcomes(
     series: tuple[TimeSeriesData, ...], kind: ModelKind, iterations: int, retain_history: bool
 ) -> tuple[list[PkfResult | PathkfError], list[PathkfError]]:
-    """The outcomes of :func:`_results` for series that share one grid, run
-    as one ``(S, n)`` block; a block that is empty or spans two grids is an
-    error of the block, raised."""
+    """The outcomes of :func:`_results` for series of one length, run as one
+    ``(S, n)`` block: on their one grid where every row's times are equal bit
+    for bit, else on the ``(S, n)`` array of each row's own times. A block
+    that is empty or mixes lengths is an error of the block, raised."""
     if not series:
         raise InvalidDataError("a block needs at least one series")
     grid = series[0].grid
+    if any(len(data.grid) != len(grid) for data in series):
+        raise InvalidDataError("the series of a block must have one number of timepoints")
     if any(data.grid.times.tobytes() != grid.times.tobytes() for data in series):
-        raise InvalidDataError("the series of a block must share one time grid")
+        grid = np.stack([data.grid.times for data in series])
     z_means = np.stack([data.summaries()[0] for data in series])
     z_vars = np.stack([data.summaries()[1] for data in series])
-    return _results(SplinePathModel(kind), series, z_means, z_vars, iterations, retain_history)
+    return _results(
+        SplinePathModel(kind), series, grid, z_means, z_vars, iterations, retain_history
+    )
 
 
 def run_pkf_block(
@@ -374,8 +385,9 @@ def run_pkf_block(
     iterations: int = DEFAULT_ITERATIONS,
     retain_history: bool = False,
 ) -> list[PkfResult]:
-    """Run the pathspace filter on several series that share one grid, as
-    one ``(S, n)`` block through the loop of :func:`run_pkf`.
+    """Run the pathspace filter on several series of one length, as one
+    ``(S, n)`` block through the loop of :func:`run_pkf`: on their one grid
+    where they share it, else with each row on its own times.
 
     Each result is bitwise equal to ``run_pkf(data, kind, iterations,
     retain_history)`` on its series alone. If any series fails, the block

@@ -37,6 +37,12 @@ message. Dump on the old commit, compare on the new one. The runs are:
   (``result_record``) or its error string, and each batch adds the warning
   lines it logged under the ``pathkf`` logger, in order, and the bytes of
   the results document that ``write_batch_results`` writes for it;
+- the ragged command-line path: the same batches, both models, each over
+  all 651 series at once, interleaved (the first series of every block,
+  then the second, and so on, each renamed ``b/s`` by its block and place),
+  so that neighbours sit on different grids of mixed lengths. It adds what
+  the per-block batches add, in the classes ``ragged cli ...``, its warning
+  lines and documents in the class ``all``;
 - the command line itself, with valid config files (:data:`COMMANDS`):
   ``simulate`` for both scenarios, ``run``, ``batch --summary --labels``,
   ``convergence`` and ``bench --trajectories``, each with flags over some
@@ -410,8 +416,18 @@ class WarningLines(logging.Handler):
         self.lines.append(record.getMessage())
 
 
+def interleaved(blocks) -> tuple[TimeSeriesData, ...]:
+    """The series of every block, interleaved: the first of each block, then
+    the second, and so on, each renamed ``b/s`` by its block and place."""
+    return tuple(
+        TimeSeriesData(f"{b}/{s}", block[s].grid, block[s].samples)
+        for s in range(BLOCK) for b, block in enumerate(blocks) if s < len(block)
+    )
+
+
 def add_cli_batches(digest: Digest, blocks) -> None:
-    """Every block through ``batch_run`` under each of ``CLI_RUNS``."""
+    """Every block through ``batch_run`` under each of ``CLI_RUNS``, and then
+    all their series at once, :func:`interleaved`."""
     logging.disable(logging.NOTSET)
     package_logger = logging.getLogger("pathkf")
     warned = WarningLines()
@@ -419,29 +435,36 @@ def add_cli_batches(digest: Digest, blocks) -> None:
     package_logger.propagate = False
     directory = tempfile.TemporaryDirectory()
     document = os.path.join(directory.name, "batch.json")
+    # (label, class prefix, series, class of the batch, class of each series)
+    batches = [(str(b), "cli", tuple(block), series_class(b), [series_class(b)] * len(block))
+               for b, block in enumerate(blocks)]
+    ragged = interleaved(blocks)
+    batches.append(("ragged", "ragged cli", ragged, "all",
+                    [series_class(int(data.series_id.split("/")[0])) for data in ragged]))
     try:
-        for b, block in enumerate(blocks):
+        for name, prefix, series, batch_class, classes in batches:
             for kind in ModelKind:
                 for algorithm, q, iterations, history in CLI_RUNS:
                     read = {} if iterations is None else {"iterations": iterations}
                     config = RunConfig(algorithm=algorithm, model=kind, q=q,
                                        retain_history=history, **read)
-                    label = f"{b} {kind.value} cli {algorithm} q={q}"
-                    group = (f"cli {algorithm}", kind.value, series_class(b))
-                    summary = batch_run(config, tuple(block))
-                    for o in summary.outcomes:
+                    label = f"{name} {kind.value} cli {algorithm} q={q}"
+                    summary = batch_run(config, series)
+                    for o, class_ in zip(summary.outcomes, classes):
+                        group = (f"{prefix} {algorithm}", kind.value, class_)
                         if o.error is None:
                             digest.add_text(f"{label} {o.series_id}", group,
                                             json.dumps(result_record(o.result)))
                         else:
                             digest.add_text(f"{label} {o.series_id}", group, o.error, error=True)
-                    digest.add_bytes(f"{label} warnings", (f"{group[0]} warnings", *group[1:]),
+                    batch = (kind.value, batch_class)
+                    digest.add_bytes(f"{label} warnings", (f"{prefix} {algorithm} warnings", *batch),
                                      "\n".join(warned.lines).encode(), list(warned.lines))
                     warned.lines.clear()
                     write_batch_results(summary, document)
                     with open(document, "rb") as handle:
-                        digest.add_bytes(f"{label} document", (f"{group[0]} document", *group[1:]),
-                                         handle.read())
+                        digest.add_bytes(f"{label} document", (f"{prefix} {algorithm} document",
+                                                               *batch), handle.read())
     finally:
         package_logger.removeHandler(warned)
         package_logger.propagate = True

@@ -7,6 +7,7 @@ import errno
 import functools
 import json
 import logging
+import math
 import multiprocessing
 import os
 import re
@@ -36,7 +37,7 @@ from pathkf import (
 )
 import pathkf.cli
 import pathkf.models
-from pathkf.bench import ALGORITHMS, BenchmarkReport
+from pathkf.bench import ALGORITHMS, BLOCK_ROWS, BenchmarkReport
 from pathkf.pkf import DEFAULT_ITERATIONS
 from pathkf.cli import (
     WORKER_DIED,
@@ -595,6 +596,34 @@ class TestBatchRun:
         assert [o.series_id for o in summary.outcomes if o.error is not None] == ["bad"]
         assert len(rows) == 10
         assert (rows[0], rows[-1]) == (32, 31)
+
+    def test_series_of_one_length_stack_whatever_their_grids(self, monkeypatch):
+        # N const-reg series on N grids over L lengths, interleaved: one fit
+        # per iteration for each block of up to BLOCK_ROWS series of a length
+        times = []
+        fit = pathkf.models.fit_spline_posterior
+
+        def counted(*args):
+            times.append(np.shape(args[2]))
+            return fit(*args)
+
+        monkeypatch.setattr(pathkf.models, "fit_spline_posterior", counted)
+        rng = np.random.default_rng(28)
+        counts = {6: 40, 9: 5, 13: 33}
+        lengths = rng.permutation([n for n, count in counts.items() for _ in range(count)])
+        series = tuple(
+            TimeSeriesData(f"g{i}", TimeGrid(np.cumsum(rng.uniform(0.5, 2.0, n))),
+                           tuple(np.array([10.0 + t, 10.5 + t]) for t in range(n)))
+            for i, n in enumerate(lengths)
+        )
+        summary = batch_run(RunConfig(model=ModelKind.CONSTANT_REGULATION, iterations=4), series)
+        assert summary.n_failed == 0
+        assert [o.series_id for o in summary.outcomes] == [data.series_id for data in series]
+        assert len(times) == 4 * sum(math.ceil(count / BLOCK_ROWS) for count in counts.values())
+        # blocks in length order, each on its rows' own times; a block of one
+        # is on its grid
+        blocks = [(32, 6), (8, 6), (5, 9), (32, 13), (13,)]
+        assert times == [shape for shape in blocks for _ in range(4)]
 
     def test_a_failing_baseline_series_and_its_neighbours_run_once(self, monkeypatch):
         calls = collections.Counter()

@@ -395,6 +395,21 @@ def random_path(rng, kind):
     return TimeGrid(times), means, variances
 
 
+@st.composite
+def per_row_paths(draw):
+    """``(S, n)`` times and 1-6 rows of :func:`path_values` on them: each row
+    on a random 3-25 point grid of its own, or on an earlier row's grid."""
+    n = draw(st.integers(3, 25))
+    times = []
+    for _ in range(draw(st.integers(1, 6))):
+        if times and draw(st.booleans()):
+            times.append(times[draw(st.integers(0, len(times) - 1))])
+        else:
+            gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 3.0)))
+            times.append(np.cumsum(np.r_[draw(st.floats(-5.0, 5.0)), gaps]))
+    return np.stack(times), [path_values(draw, n) for _ in times]
+
+
 class TestPathKernel:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_scalar_window_fits(self, kind):
@@ -543,6 +558,56 @@ class TestPathKernel:
             m, v = model.predict_path(grid, means, variances)
             outputs.append(m.tobytes() + v.tobytes())
         assert outputs[0] == outputs[1] == outputs[3]
+
+    @settings(deadline=None, max_examples=150)
+    @given(per_row_paths(), st.sampled_from(list(ModelKind)), st.booleans())
+    def test_per_row_times_equal_lone_rows(self, paths, kind, centered):
+        # each row of an (S, n) times call is its lone (n,) call, bitwise, on
+        # the centered or the right-endpoint layout; the warnings are the
+        # rows' own, each at its row's target time, in row order
+        times, rows = paths
+        n = times.shape[1]
+        if centered:
+            ia, ib, targets = pathkf.models._centered_windows(n)
+        else:
+            targets = np.arange(2, n)
+            ia, ib = targets - 2, targets - 1
+        lone = [
+            outcome(lambda: kernel(kind, ScanGrid(), row_times, ia, ib, targets, anchors,
+                                   means[targets], variances[targets]))
+            for row_times, (anchors, means, variances) in zip(times, rows)
+        ]
+        anchors, means, variances = (np.stack(parts) for parts in zip(*rows))
+        stacked = outcome(lambda: kernel(kind, ScanGrid(), times, ia, ib, targets, anchors,
+                                         means[:, targets], variances[:, targets]))
+        assert stacked[1] is None and all(error is None for _, error, _ in lone)
+        assert stacked[2] == [message for _, _, messages in lone for message in messages]
+        distinct = len({row.tobytes() for row in times})
+        event(f"{len(times)} rows on {distinct} grids, {len(stacked[2])} fallbacks")
+        for k, got in enumerate(stacked[0]):  # weights, k_deg, means, variances
+            if got is None:  # birth/death has no scan values
+                assert all(fit[k] is None for fit, _, _ in lone)
+            else:
+                assert got.tobytes() == np.stack([fit[k] for fit, _, _ in lone]).tobytes()
+
+    def test_a_block_of_grids_and_a_grid_of_the_same_bytes_get_their_own_tables(self):
+        rng = np.random.default_rng(28)
+        times = np.cumsum(rng.uniform(0.5, 2.0, 14))
+        layout = pathkf.models._centered_windows(7)
+        key, scan = b"".join(i.tobytes() for i in layout), ScanGrid()
+        one = pathkf.models._const_reg_tables(times.tobytes(), key, scan)
+        block = pathkf.models._const_reg_tables(times.tobytes(), key, scan, (2,))
+        assert (one[1].shape, block[1].shape) == ((7, 200), (2, 7, 200))
+        # right after a (14,) call with the same bytes and layout, each row of
+        # the (2, 7) block still gets its own grid's fit
+        anchors = rng.uniform(0.5, 2.0, (2, 7))
+        variances = rng.uniform(0.01, 0.1, (2, 7))
+        lone = [kernel(CONST_REG, scan, row_times, *layout, a, a, v)
+                for row_times, a, v in zip(times.reshape(2, 7), anchors, variances)]
+        kernel(CONST_REG, scan, times, *layout, anchors.reshape(-1), anchors[0], variances[0])
+        fit = kernel(CONST_REG, scan, times.reshape(2, 7), *layout, anchors, anchors, variances)
+        for got, want in zip(fit, zip(*lone)):
+            assert got.tobytes() == np.stack(want).tobytes()
 
     @pytest.mark.parametrize("scan", [ScanGrid(), ScanGrid(num=37, k_min=1e-3, k_max=5.0)])
     def test_scan_values_of_many_spans_match_single_spans(self, scan):

@@ -1,6 +1,10 @@
 """Pathspace filter: weights, uncertainty update, step, full runs, regimes."""
 
+import collections
+import dataclasses
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -37,7 +41,7 @@ from pathkf import (
 )
 from pathkf.baselines import FlowStepDynamics
 from pathkf.bench import ALGORITHMS, BLOCK_ROWS, run_spec
-from pathkf.cli import RunConfig, batch_run, result_record
+from pathkf.cli import RunConfig, batch_run, result_record, write_batch_results
 from pathkf.pkf import PkfState, run_pkf_block
 
 from oracles import (
@@ -497,27 +501,45 @@ def wide_series():
     return TimeSeriesData("wide", TimeGrid(np.arange(6.0)), tuple(groups))
 
 
+def random_grid(rng, n):
+    """A random ``n``-point grid: gaps from 0.01 to 3, from a start in [-5, 5]."""
+    return TimeGrid(np.cumsum(np.r_[rng.uniform(-5.0, 5.0), rng.uniform(0.01, 3.0, n - 1)]))
+
+
+#: How :func:`block_panels` lays its series out on grids.
+LAYOUTS = ("one grid", "one length", "mixed lengths")
+
+
 @st.composite
-def shared_grid_panels(draw):
-    """1-40 series with 1-3 replicates per point on one random 3-25 point
-    grid, at a scale from 1e-4 to 1e6. One series may carry a replicate
-    spread near 1e80, which overflows the weight products, and one a single
-    replicate spiked to 1e150, which makes its windows degenerate."""
-    n = draw(st.integers(3, 25))
+def block_panels(draw):
+    """1-40 series with 1-3 replicates per point at a scale from 1e-4 to
+    1e6, in one of :data:`LAYOUTS`: all on one random 3-25 point grid; of one
+    length on 2-6 random grids, so that some rows share a grid and some do
+    not; or of 2-4 lengths, each on 2-6 grids, interleaved at random in input
+    order. One series may carry a replicate spread near 1e80, which
+    overflows the weight products, and one a single replicate spiked to
+    1e150, which makes its windows degenerate."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    count = draw(st.integers(2, 4)) if layout == "mixed lengths" else 1
+    lengths = draw(st.lists(st.integers(3, 25), min_size=count, max_size=count, unique=True))
     size = draw(st.integers(1, 40))
-    gaps = draw(arrays(float, n - 1, elements=st.floats(0.01, 3.0)))
-    grid = TimeGrid(np.cumsum(np.r_[draw(st.floats(-5.0, 5.0)), gaps]))
     scale = 10.0 ** draw(st.floats(-4.0, 6.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_length = 1 if layout == "one grid" else int(rng.integers(2, 7))
+    pools = [[random_grid(rng, n) for _ in range(per_length)] for n in lengths]
+    grids = [pools[rng.integers(len(pools))][rng.integers(per_length)] for _ in range(size)]
     rows = []
-    for _ in range(size):
-        level = rng.uniform(0.2, 2.0, n)
+    for grid in grids:
+        level = rng.uniform(0.2, 2.0, len(grid))
         rows.append([scale * (v + 0.1 * rng.standard_normal(rng.integers(1, 4))) for v in level])
-    if draw(st.booleans()):
-        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, n - 1))] = np.array([0.0, 2e80])
-    if draw(st.booleans()):
-        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, n - 1))] = np.array([1e150])
-    return tuple(TimeSeriesData(f"s{i}", grid, tuple(groups)) for i, groups in enumerate(rows))
+    for spike in (np.array([0.0, 2e80]), np.array([1e150])):
+        if draw(st.booleans()):
+            row = rows[draw(st.integers(0, size - 1))]
+            row[draw(st.integers(0, 24)) % len(row)] = spike
+    event(layout)
+    return tuple(
+        TimeSeriesData(f"s{i}", grid, tuple(groups)) for i, (grid, groups) in enumerate(zip(grids, rows))
+    )
 
 
 #: The direct public call of each algorithm on one series: 3 iterations,
@@ -540,31 +562,48 @@ def lone_outcome(algorithm, data, kind, retain_history):
     return json.dumps(result_record(result))
 
 
+def batch_document(summary) -> bytes:
+    """The bytes ``write_batch_results`` writes for ``summary``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "batch.json")
+        write_batch_results(summary, path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
 class TestRunPkfBlock:
-    """Series that share a grid run as one stacked block, bitwise equal to
-    running each alone."""
+    """Series of one length run as one stacked block, on their one grid or
+    on per-row times, bitwise equal to running each alone."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @settings(deadline=None, max_examples=40)
-    @given(shared_grid_panels(), st.sampled_from(list(ModelKind)), st.booleans())
-    def test_stacked_runs_equal_lone_runs(self, algorithm, series, kind, retain_history):
+    @given(block_panels(), st.sampled_from(list(ModelKind)), st.booleans(), st.integers(0, 4))
+    def test_stacked_runs_equal_lone_runs(self, algorithm, series, kind, retain_history, pool):
         retain_history &= algorithm == "pkf"  # RunConfig rejects history for a baseline
         lone = [lone_outcome(algorithm, data, kind, retain_history) for data in series]
         q = None if algorithm == "pkf" else 2.5
         iterations = 3 if algorithm in ("pkf", "ipls") else None  # the others reject it
         config = RunConfig(algorithm, kind, iterations, q, retain_history=retain_history)
-        summary = batch_run(config, series)  # blocks of BLOCK_ROWS
+        summary = batch_run(config, series)  # blocks of BLOCK_ROWS, by length
         got = [
             o.error if o.error is not None else json.dumps(result_record(o.result))
             for o in summary.outcomes
         ]
         assert got == lone
-        within = "within" if len(series) <= BLOCK_ROWS else "over"
+        lengths = collections.Counter(len(data.grid) for data in series)
+        within = "within" if max(lengths.values()) <= BLOCK_ROWS else "over"
         event(f"{'some' if summary.n_failed else 'none'} failed, {within} one block")
-        block = run_spec(config.spec(), series, kind, retain_history)  # failing rows included
+        if pool == 2:  # a few examples: chunks of the length order on a pool of two
+            event("jobs=2")
+            pooled = batch_run(dataclasses.replace(config, jobs=2), series)
+            assert batch_document(pooled) == batch_document(summary)
+        outcomes = {}
+        for n in lengths:  # one run_spec call per length, failing rows included
+            block = tuple(data for data in series if len(data.grid) == n)
+            outcomes.update(zip(block, run_spec(config.spec(), block, kind, retain_history)))
         assert [
             f"{type(o).__name__}: {o}" if isinstance(o, Exception) else json.dumps(result_record(o))
-            for o in block
+            for o in map(outcomes.get, series)
         ] == lone
 
     def test_a_failing_block_raises_its_earliest_error(self):
@@ -595,9 +634,20 @@ class TestRunPkfBlock:
             run_pkf_block((calm, wide_series(), calm), ModelKind.CONSTANT_REGULATION, 2)
 
     def test_rejects_series_on_different_grids(self):
+        # series of one length stack on their own grids; mixed lengths do not
         _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
-        with pytest.raises(InvalidDataError, match="share one time grid"):
+        with pytest.raises(InvalidDataError, match="^the series of a block must have one "
+                                                   "number of timepoints$"):
             run_pkf_block((data, wide_series()), ModelKind.BIRTH_DEATH)
+        calm = tuple(np.array([1.0, 2.0]) + t for t in range(6))
+        block = tuple(TimeSeriesData(f"calm{i}", TimeGrid(times), calm) for i, times in enumerate(
+            (np.arange(6.0), 0.5 + 1.5 * np.arange(6.0), np.arange(6.0) ** 1.5)
+        ))
+        for kind in ModelKind:
+            stacked = run_pkf_block(block, kind, 3)
+            assert [json.dumps(result_record(r)) for r in stacked] == [
+                lone_outcome("pkf", data, kind, False) for data in block
+            ]
         with pytest.raises(InvalidDataError, match="at least one series"):
             run_pkf_block((), ModelKind.BIRTH_DEATH)
 
