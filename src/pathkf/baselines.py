@@ -32,10 +32,12 @@ from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, _check_kind, fit_
 from .models import uniform_posterior  # noqa: F401  perfbench traces the fallback here too
 
 
-def _check_q(q: float) -> None:
-    """Reject a constant process uncertainty ``q`` that is negative or not finite."""
+def _check_q(q: float) -> float:
+    """The constant process uncertainty ``q`` as a float; one that is negative
+    or not finite is rejected."""
     if not _isfinite(q) or q < 0:
         raise InvalidParameterError("q must be finite and non-negative")
+    return float(q)
 
 
 #: The problem of a filter estimate that is not finite. The data summaries
@@ -128,12 +130,12 @@ def run_adaptive_kf(
     propagates the previous filter estimate. The prediction variance is the
     step's model variance plus ``q``; a birth/death step fits no window.
     """
-    _check_q(q)
+    q = _check_q(q)
     z_means, z_vars = data.summaries()
     dynamics = FlowStepDynamics(kind, z_means, z_vars)
     times = data.grid.times
 
-    def predict(t, m, p):
+    def predict(t, m, p, means):
         flow = dynamics.step_map(times, z_means, t)
         return flow(m[t - 1]), flow.variance + q, 0.0
 
@@ -144,44 +146,68 @@ def run_adaptive_kf(
 
 def _kalman_forward(data: TimeSeriesData, predict, start: int = 1):
     """The Kalman filter over the summaries of ``data`` with the prediction step
-    ``predict(t, m, p) -> (m_pred, p_pred, cross)``, from the timepoint
+    ``predict(t, m, p, means) -> (m_pred, p_pred, cross)``, from the timepoint
     ``start`` on; the timepoints before it take the data summaries.
 
-    ``predict`` reads the filter means ``m`` and variances ``p`` up to
-    ``t - 1`` and returns the predicted moments at ``t`` and the
-    cross-covariance of the states at ``t - 1`` and ``t``. Each estimate is
+    The time loop computes on Python floats held in lists, the same IEEE
+    doubles as numpy's float64 in the same order of operations, so every
+    result has the bits of a loop over numpy scalars. ``predict`` reads the
+    filter means ``m`` and variances ``p`` up to ``t - 1``, as lists, and
+    gets the same means as a float64 array ``means`` for a step map that
+    fits on them; it returns the predicted moments at ``t`` and the
+    cross-covariance of the states at ``t - 1`` and ``t``. A predicted
+    variance is at least 0 and each data variance at least
+    ``VARIANCE_FLOOR``, so the gain never divides by zero. Each estimate is
     checked as it is made, so the run stops at the first one that is not
-    finite. Returns the filter moments, the predicted moments and the
-    cross-covariances, in the order ``_rts_backward`` takes them. Like the
-    backward pass, it runs under its caller's error state.
+    finite. Returns lists of the filter moments, the predicted moments and
+    the cross-covariances, in the order ``_rts_backward`` takes them. Like
+    the backward pass, it runs under its caller's error state.
     """
-    z_means, z_vars = data.summaries()
+    z_means, z_vars = (a.tolist() for a in data.summaries())
     n = len(z_means)
-    m, p, m_pred, p_pred, cross = (np.zeros(n) for _ in range(5))
-    m[:start] = z_means[:start]
-    p[:start] = z_vars[:start]
+    m = z_means[:start] + [0.0] * (n - start)
+    p = z_vars[:start] + [0.0] * (n - start)
+    means = np.array(m)
+    m_pred, p_pred, cross = [0.0] * n, [0.0] * n, [0.0] * n
     for t in range(start, n):
         try:
-            mean, variance, cross[t] = predict(t, m, p)
+            mean, variance, cross[t] = predict(t, m, p, means)
         except NumericalOverflowError as exc:
             raise NumericalOverflowError(f"{data._where(t)}: {exc}") from exc
         m_pred[t], p_pred[t] = mean, variance
         gain = variance / (variance + z_vars[t])
-        m[t] = estimate = mean + gain * (z_means[t] - mean)
+        m[t] = means[t] = estimate = mean + gain * (z_means[t] - mean)
         p[t] = spread = max((1.0 - gain) * variance, VARIANCE_FLOOR)
         if not (math.isfinite(estimate) and math.isfinite(spread)):
             raise NumericalOverflowError(f"{data._where(t)}: {_ESTIMATE_LEFT_RANGE}")
     return m, p, m_pred, p_pred, cross
 
 
-def _rts_backward(m, p, m_pred, p_pred, cross) -> tuple[np.ndarray, np.ndarray]:
-    """The Rauch-Tung-Striebel backward pass over a ``_kalman_forward`` run."""
-    ms = m.copy()
-    ps = p.copy()
+def _rts_backward(m, p, m_pred, p_pred, cross) -> tuple[list[float], list[float]]:
+    """The Rauch-Tung-Striebel backward pass over a ``_kalman_forward`` run,
+    on its lists of Python floats; returns the smoothed means and variances
+    as lists, with the bits of the same loop over float64 scalars.
+
+    A zero predicted variance (an unfloored pass with ``q = 0`` and a slope
+    whose square underflows) gives the gain that IEEE division gives, an
+    infinity or NaN, where a float division raises; the gain is squared by
+    ``pow``, as a float64 ``**`` squares it, and a square past the float
+    range is ``inf``. Either way the smoothed estimate is not finite, for
+    the caller to place. Like the forward pass, it runs under its caller's
+    error state.
+    """
+    ms, ps = m[:], p[:]
     for t in range(len(m) - 2, -1, -1):
-        gain = cross[t + 1] / p_pred[t + 1]
+        try:
+            gain = cross[t + 1] / p_pred[t + 1]
+        except ZeroDivisionError:
+            gain = float(np.float64(cross[t + 1]) / p_pred[t + 1])
+        try:
+            square = gain**2  # pow rounds differently from gain * gain
+        except OverflowError:
+            square = math.inf
         ms[t] = m[t] + gain * (ms[t + 1] - m_pred[t + 1])
-        ps[t] = max(p[t] + gain**2 * (ps[t + 1] - p_pred[t + 1]), VARIANCE_FLOOR)
+        ps[t] = max(p[t] + square * (ps[t + 1] - p_pred[t + 1]), VARIANCE_FLOOR)
     return ms, ps
 
 
@@ -190,10 +216,17 @@ def _affine_predict(dynamics, times: np.ndarray, q: float, ref_means=None):
     own means or on ``ref_means``: mean ``step(m)``, variance ``slope**2 * p``
     plus ``q`` (floored before ``q`` in the UKF pass, which has no
     ``ref_means``) and cross-covariance ``slope * p``. The unscented transform
-    and the statistical linearization of an affine step give these too."""
+    and the statistical linearization of an affine step give these too.
 
-    def predict(t, m, p):
-        step = dynamics.step_map(times, m if ref_means is None else ref_means, t)
+    The prediction takes ``(t, m, p, means)`` from ``_kalman_forward``, or
+    ``(t, m, p)`` with ``m`` an array, which then stands for ``means``."""
+
+    def predict(t, m, p, means=None):
+        if ref_means is not None:
+            means = ref_means
+        elif means is None:
+            means = m
+        step = dynamics.step_map(times, means, t)
         if not hasattr(step, "slope"):
             raise InvalidParameterError("a step map must return an affine step with a slope")
         slope, prior = step.slope, p[t - 1]
@@ -210,20 +243,22 @@ def _unscented(data: TimeSeriesData, model, q: float, smoothing_passes: int) -> 
     RTS pass over the UKF, then the further IPLS iterations, each a forward
     pass with the steps fitted on the last smoothed means and its RTS pass.
     No pass is the UKF, one the URTS, more the IPLS."""
-    _check_q(q)
+    q = _check_q(q)
     grid = data.grid
     dynamics = FlowStepDynamics(model, *data.summaries()) if isinstance(model, ModelKind) else model
     if not hasattr(dynamics, "step_map"):
         raise InvalidParameterError(f"model must be a ModelKind or have step_map, got {model!r}")
-    # the forward passes check each estimate; only an RTS pass needs the final check
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the forward passes check each estimate; only an RTS pass needs the final
+    # check, and only its gain can divide by zero
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         forward = _kalman_forward(data, _affine_predict(dynamics, grid.times, q))
         if not smoothing_passes:
             return Trajectory(grid, *forward[:2])
         ms, ps = _rts_backward(*forward)
         for _ in range(1, smoothing_passes):
-            predict = _affine_predict(dynamics, grid.times, q, ms)
+            predict = _affine_predict(dynamics, grid.times, q, np.array(ms))
             ms, ps = _rts_backward(*_kalman_forward(data, predict))
+    ms, ps = np.array(ms), np.array(ps)
     bad = ~(np.isfinite(ms) & np.isfinite(ps))
     if bad.any():
         raise NumericalOverflowError(f"{data._where(int(np.argmax(bad)))}: {_ESTIMATE_LEFT_RANGE}")

@@ -19,7 +19,9 @@ over the series' scale (the largest absolute data mean) and of the
 variances over the run's largest variance, then every changed error
 problem, and then, per warnings class whose lines moved, how many lines
 were removed and added (batch by batch, as multisets) and each distinct
-message. Dump on the old commit, compare on the new one. The runs are:
+message. Its last line counts the runs that are ``same`` out of all runs
+and names every class with a run that is not. Dump on the old commit,
+compare on the new one. The runs are:
 
 - the baseline set: 500 mild and 150 harsh random series and the
   spike-pair series (:func:`spike_pair`), both models,
@@ -389,6 +391,11 @@ def compare(old: dict[str, Run], new: dict[str, Run]) -> list[str]:
                      f"{came.total()} added ({len(came)} distinct)")
         lines += [f"  - {n} x {message!r}" for message, n in sorted(gone.items())]
         lines += [f"  + {n} x {message!r}" for message, n in sorted(came.items())]
+    same = sum(c["same"] for c in counts.values())
+    total = sum(c.total() for c in counts.values())
+    differing = [group for group in sorted(counts) if counts[group]["same"] < counts[group].total()]
+    lines.append(f"{same} of {total} runs same" + (
+        f"; not same: {', '.join(differing)}" if differing else ""))
     return lines
 
 

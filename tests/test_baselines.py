@@ -27,7 +27,7 @@ from pathkf import (
     run_urts,
 )
 
-from pathkf.baselines import FlowStepDynamics, _affine_predict, _Relaxation
+from pathkf.baselines import FlowStepDynamics, _affine_predict, _Relaxation, _rts_backward
 
 from oracles import AffineStepDynamics, adaptive_kf, linear_kf, linear_rts
 
@@ -260,8 +260,8 @@ class TestUnscentedKF:
         out = run_ukf(data, dynamics, q=q)
         z_means, z_vars = data.summaries()
         m_ref, p_ref, _, _ = linear_kf(data.grid.times, z_means, z_vars, slope, intercept, q)
-        np.testing.assert_allclose(out.means, m_ref, rtol=1e-8)
-        np.testing.assert_allclose(out.variances, p_ref, rtol=1e-8)
+        np.testing.assert_array_equal(out.means, m_ref)
+        np.testing.assert_array_equal(out.variances, p_ref)
 
     def test_constant_data_fixed_point(self):
         data = series_from_groups([[10.0, 10.0]] * 8)
@@ -296,6 +296,57 @@ class TestUnscentedRTS:
         run_ipls(data, ModelKind.BIRTH_DEATH, iterations=3)
         assert calls == 3 * list(range(1, 12))
 
+    def test_step_maps_get_float_arrays_of_the_reference_means(self, monkeypatch):
+        # every pass hands a step map float64 arrays: the kf the data means,
+        # the unscented pass its filter means so far, and each later IPLS
+        # pass the smoothed means of the pass before it
+        data = random_series(np.random.default_rng(20), n=8)
+        z_means = data.summaries()[0]
+        seen = []
+
+        def record(times, ref_means, index):
+            for a in (times, ref_means):
+                assert type(a) is np.ndarray and a.dtype == np.float64
+            np.testing.assert_array_equal(times, data.grid.times)
+            seen.append((index, ref_means.copy()))
+
+        step_map = FlowStepDynamics.step_map
+
+        def recording(self, times, ref_means, index):
+            record(times, ref_means, index)
+            return step_map(self, times, ref_means, index)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FlowStepDynamics, "step_map", recording)
+            run_adaptive_kf(data, ModelKind.BIRTH_DEATH)
+        assert [index for index, _ in seen] == list(range(2, 8))
+        for _, ref_means in seen:
+            np.testing.assert_array_equal(ref_means, z_means)
+
+        def relaxing(times, ref_means, index):
+            record(times, ref_means, index)
+            return _Relaxation(20.0, 0.9, VARIANCE_FLOOR)
+
+        dynamics = types.SimpleNamespace(step_map=relaxing)
+        seen.clear()
+        run_ipls(data, dynamics, iterations=3)
+        assert [index for index, _ in seen] == 3 * list(range(1, 8))
+        filtered = run_ukf(data, dynamics).means
+        for index, ref_means in seen[:7]:
+            np.testing.assert_array_equal(ref_means[:index], filtered[:index])
+        for k, smoothed in enumerate(
+            (run_urts(data, dynamics), run_ipls(data, dynamics, iterations=2)), start=1
+        ):
+            for _, ref_means in seen[7 * k : 7 * (k + 1)]:
+                np.testing.assert_array_equal(ref_means, smoothed.means)
+
+    def test_the_gain_is_squared_as_a_float64_power(self):
+        # pow and a product round some squares apart, this gain's among them
+        # with glibc; the float loop squares as float64 ** 2 and the referee do
+        gain = 0.5073711867288875
+        _, ps = _rts_backward([0.0, 0.0], [0.0, 2.0], [0.0, 0.0], [0.0, 1.0], [0.0, gain])
+        assert ps[0] == np.float64(gain) ** 2
+
     def test_last_point_equals_forward_estimate(self):
         rng = np.random.default_rng(17)
         data = random_series(rng)
@@ -311,8 +362,8 @@ class TestUnscentedRTS:
         out = run_urts(data, dynamics, q=q)
         z_means, z_vars = data.summaries()
         ms_ref, ps_ref = linear_rts(data.grid.times, z_means, z_vars, slope, intercept, q)
-        np.testing.assert_allclose(out.means, ms_ref, rtol=1e-8)
-        np.testing.assert_allclose(out.variances, ps_ref, rtol=1e-8)
+        np.testing.assert_array_equal(out.means, ms_ref)
+        np.testing.assert_array_equal(out.variances, ps_ref)
 
 
 class TestIpls:
@@ -340,8 +391,8 @@ class TestIpls:
         out = run_ipls(data, dynamics, q=q, iterations=4)
         z_means, z_vars = data.summaries()
         ms_ref, ps_ref = linear_rts(data.grid.times, z_means, z_vars, slope, intercept, q)
-        np.testing.assert_allclose(out.means, ms_ref, rtol=1e-8)
-        np.testing.assert_allclose(out.variances, ps_ref, rtol=1e-8)
+        np.testing.assert_array_equal(out.means, ms_ref)
+        np.testing.assert_array_equal(out.variances, ps_ref)
 
     def test_iterations_validated(self):
         data = random_series(np.random.default_rng(15))
@@ -463,6 +514,24 @@ class TestOverflow:
         for run in (run_ukf, run_urts, lambda *args: run_ipls(*args, iterations=3)):
             out = run(data, ModelKind.BIRTH_DEATH, q)
             assert np.all(np.isfinite(out.means)) and np.all(np.isfinite(out.variances))
+
+    @pytest.mark.parametrize("slope", [0.0, 1e-170, 1e-160, 1e-155])
+    def test_zero_smoother_denominator_names_the_timepoint(self, slope):
+        # with q = 0, the IPLS pass propagates a variance of slope**2 * p,
+        # which is 0 or, past the first step, underflows to 0: the RTS gain
+        # divides by it and is infinite or NaN, or its square overflows
+        def step_map(times, ref_means, index):
+            return _Relaxation(0.0, slope if index >= 2 else 1.0, VARIANCE_FLOOR)
+
+        data = series_from_groups([[1.0 + t, 3.5 + t] for t in range(5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert error_text(
+                run_ipls, data, types.SimpleNamespace(step_map=step_map), 0.0, 2
+            ) == (
+                "NumericalOverflowError: series 's': timepoint 0 (t=0.0): "
+                "the filter estimate left the finite range"
+            )
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("algorithm", ["kf", "ukf", "urts", "ipls"])
