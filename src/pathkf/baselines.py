@@ -26,6 +26,7 @@ from .core import (
     NumericalOverflowError,
     TimeSeriesData,
     Trajectory,
+    _check_iterations,
     _isfinite,
 )
 from .models import POSITIVE_VALUE_FLOOR, ModelKind, ScanGrid, _check_kind, fit_spline_posterior
@@ -46,10 +47,14 @@ def _check_q(q: float) -> float:
 _ESTIMATE_LEFT_RANGE = "the filter estimate left the finite range"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Relaxation:
     """The affine step ``x -> steady + (x - steady) * slope``, with the model
-    variance of the window it was fitted on."""
+    variance of the window it was fitted on.
+
+    Each ``step_map`` call builds one, and the prediction that reads it drops
+    it, so it is a plain slotted record: building and reading a frozen one
+    costs two to three times as much, and no step is shared or hashed."""
 
     steady: float
     slope: float
@@ -57,10 +62,6 @@ class _Relaxation:
 
     def __call__(self, x):
         return self.steady + (x - self.steady) * self.slope
-
-
-#: The step into the second timepoint, where no window exists yet.
-_IDENTITY = _Relaxation(0.0, 1.0, VARIANCE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,13 @@ class FlowStepDynamics:
         _check_kind(self.kind)
 
     def step_map(self, times: np.ndarray, ref_means: np.ndarray, index: int):
-        """The step into ``index``, fitted on ``ref_means``. A fit whose
-        posterior mean or steady state left the finite range raises
+        """The step into ``index``, fitted on ``ref_means``: a new
+        :class:`_Relaxation` on every call, the identity
+        ``_Relaxation(0.0, 1.0, VARIANCE_FLOOR)`` into timepoints 0 and 1. A
+        fit whose posterior mean or steady state left the finite range raises
         :class:`NumericalOverflowError`."""
         if index < 2:
-            return _IDENTITY
+            return _Relaxation(0.0, 1.0, VARIANCE_FLOOR)
         delta = float(times[index] - times[index - 1])
         if self.kind is ModelKind.BIRTH_DEATH:
             na = max(float(ref_means[index - 2]), POSITIVE_VALUE_FLOOR)
@@ -218,15 +221,11 @@ def _affine_predict(dynamics, times: np.ndarray, q: float, ref_means=None):
     ``ref_means``) and cross-covariance ``slope * p``. The unscented transform
     and the statistical linearization of an affine step give these too.
 
-    The prediction takes ``(t, m, p, means)`` from ``_kalman_forward``, or
-    ``(t, m, p)`` with ``m`` an array, which then stands for ``means``."""
+    The prediction has the signature ``(t, m, p, means)`` that
+    ``_kalman_forward`` calls it with; the UKF pass fits on ``means``."""
 
-    def predict(t, m, p, means=None):
-        if ref_means is not None:
-            means = ref_means
-        elif means is None:
-            means = m
-        step = dynamics.step_map(times, means, t)
+    def predict(t, m, p, means):
+        step = dynamics.step_map(times, means if ref_means is None else ref_means, t)
         if not hasattr(step, "slope"):
             raise InvalidParameterError("a step map must return an affine step with a slope")
         slope, prior = step.slope, p[t - 1]
@@ -294,6 +293,5 @@ def run_ipls(
     the RTS smoother on them; an affine step is its own statistical
     linearization, with no residual. ``model`` is as in :func:`run_ukf`.
     """
-    if iterations < 1:
-        raise InvalidParameterError("iterations must be at least 1")
+    _check_iterations(iterations)
     return _unscented(data, model, q, iterations)

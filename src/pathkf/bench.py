@@ -14,9 +14,9 @@ from .core import (
     GroundTruth,
     InvalidConfigError,
     InvalidDataError,
-    InvalidParameterError,
     TimeSeriesData,
     Trajectory,
+    _check_iterations,
 )
 from .models import ModelKind
 from .pkf import PkfResult, _block_outcomes, _check_grid
@@ -59,8 +59,7 @@ class AlgorithmSpec:
 
     def __post_init__(self):
         baselines._check_q(self.q)
-        if self.iterations < 1:
-            raise InvalidParameterError("iterations must be at least 1")
+        _check_iterations(self.iterations)
 
     def params_text(self) -> str:
         if self.algorithm == "pkf":

@@ -45,6 +45,7 @@ from .core import (
     TimeGrid,
     TimeSeriesData,
     Trajectory,
+    _is_integer,
 )
 from .models import ModelKind
 from .pkf import DEFAULT_ITERATIONS, PkfResult, PkfState
@@ -380,7 +381,8 @@ class RunConfig:
     ``iterations`` is ``None`` unless set; ``pkf`` and ``ipls`` then run
     ``DEFAULT_ITERATIONS``, and ``kf``, ``ukf`` and ``urts``, which do not
     iterate, reject any value. ``retain_history`` keeps each PKF iteration,
-    so a baseline rejects it.
+    so a baseline rejects it. ``jobs`` is a Python or numpy integer of at
+    least 1, not a ``bool``.
     """
 
     algorithm: str = "pkf"
@@ -405,6 +407,8 @@ class RunConfig:
             raise InvalidConfigError(
                 "retain_history applies only to pkf, whose iterations it keeps"
             )
+        if not _is_integer(self.jobs):
+            raise InvalidConfigError(f"jobs must be an integer, got {self.jobs!r}")
         if self.jobs < 1:
             raise InvalidConfigError("jobs must be at least 1")
         self.spec()  # raises on a bad q or iterations count

@@ -50,6 +50,20 @@ def _isfinite(value) -> bool:
         return False
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a ``bool`` is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_iterations(iterations) -> None:
+    """Reject an ``iterations`` count that is not an integer, naming it, or
+    that is below 1."""
+    if not _is_integer(iterations):
+        raise InvalidParameterError(f"iterations must be an integer, got {iterations!r}")
+    if iterations < 1:
+        raise InvalidParameterError("iterations must be at least 1")
+
+
 def _setstate_readonly(self, state: dict) -> None:
     """``__setstate__`` of the value types pickled by their state: pickle
     rebuilds numpy arrays writable, so each array in ``state`` is marked

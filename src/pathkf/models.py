@@ -33,6 +33,7 @@ from .core import (
     InvalidParameterError,
     NumericalOverflowError,
     TimeGrid,
+    _is_integer,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,8 +72,7 @@ class ScanGrid:
     k_max: float | None = None
 
     def __post_init__(self):
-        whole = isinstance(self.num, (int, np.integer)) and not isinstance(self.num, bool)
-        if not whole or self.num < 1:
+        if not _is_integer(self.num) or self.num < 1:
             raise InvalidParameterError(f"num must be a positive integer, got {self.num!r}")
         if not (math.isfinite(self.k_min) and self.k_min > 0):
             raise InvalidParameterError(f"k_min must be finite and positive, got {self.k_min!r}")

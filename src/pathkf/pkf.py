@@ -26,6 +26,7 @@ from .core import (
     TimeGrid,
     TimeSeriesData,
     Trajectory,
+    _check_iterations,
     _setstate_readonly,
 )
 from .models import ModelKind, SplinePathModel
@@ -237,8 +238,7 @@ def _iterate(predictor, series, grid, z_means, z_vars, iterations: int):
     series' index to its error, in the order the loop met them: by
     iteration, then check, then row.
     """
-    if iterations < 1:
-        raise InvalidParameterError("iterations must be at least 1")
+    _check_iterations(iterations)
     rows = np.arange(len(series))
     errors: dict[int, PathkfError] = {}
     steps: list[tuple] = []

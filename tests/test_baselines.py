@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pathkf.models
 from pathkf import (
     VARIANCE_FLOOR,
     InvalidParameterError,
@@ -30,6 +31,7 @@ from pathkf import (
 from pathkf.baselines import FlowStepDynamics, _affine_predict, _Relaxation, _rts_backward
 
 from oracles import AffineStepDynamics, adaptive_kf, linear_kf, linear_rts
+from test_core import BAD_ITERATIONS
 
 
 def series_from_groups(groups, times=None):
@@ -90,7 +92,8 @@ class TestAffinePredict:
         # 2 ulp, and the mean within 4 ulp of its larger term
         step = _Relaxation(steady, slope, VARIANCE_FLOOR)
         predict = _affine_predict(FixedStep(step), None, 0.0, None if ukf else np.zeros(2))
-        got_mean, got_var, got_cross = predict(1, np.array([mean, 0.0]), np.array([variance, 0.0]))
+        means = np.array([mean, 0.0])
+        got_mean, got_var, got_cross = predict(1, means, np.array([variance, 0.0]), means)
         a, p = Fraction(slope), Fraction(variance)
         want_var = max(a * a * p, Fraction(VARIANCE_FLOOR)) if ukf else a * a * p
         term = (Fraction(mean) - Fraction(steady)) * a
@@ -107,9 +110,9 @@ class TestAffinePredict:
         data = series_from_groups([[1.0]] * 3)
         dynamics = FlowStepDynamics(ModelKind.BIRTH_DEATH, *data.summaries())
         m, p = np.array([1.0, 0.0, 0.0]), np.zeros(3)
-        _, variance, _ = _affine_predict(dynamics, data.grid.times, 0.0)(1, m, p)
+        _, variance, _ = _affine_predict(dynamics, data.grid.times, 0.0)(1, m, p, m)
         assert variance == VARIANCE_FLOOR
-        _, variance, _ = _affine_predict(dynamics, data.grid.times, 0.0, m)(1, m, p)
+        _, variance, _ = _affine_predict(dynamics, data.grid.times, 0.0, m)(1, m, p, m)
         assert variance == 0.0
 
     @pytest.mark.parametrize("run", [run_ukf, run_urts, run_ipls])
@@ -394,10 +397,38 @@ class TestIpls:
         np.testing.assert_array_equal(out.means, ms_ref)
         np.testing.assert_array_equal(out.variances, ps_ref)
 
-    def test_iterations_validated(self):
+    @pytest.mark.parametrize("iterations, message", BAD_ITERATIONS)
+    def test_iterations_validated(self, iterations, message):
         data = random_series(np.random.default_rng(15))
-        with pytest.raises(InvalidParameterError):
-            run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=0)
+        with pytest.raises(InvalidParameterError, match=message):
+            run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=iterations)
+
+    def test_a_numpy_integer_counts_iterations(self):
+        data = random_series(np.random.default_rng(15))
+        got = run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=np.int64(2))
+        want = run_ipls(data, ModelKind.BIRTH_DEATH, q=1.0, iterations=2)
+        np.testing.assert_array_equal(got.means, want.means)
+        np.testing.assert_array_equal(got.variances, want.variances)
+
+    def test_const_reg_passes_reuse_the_grid_tables(self, monkeypatch):
+        # every const-reg step fits one window; the first pass builds each
+        # window's table once, and every later pass, and a second series on
+        # the same grid, reads it from the grid memo
+        calls = []
+        values = ScanGrid.values
+
+        def counted(self, window_span):
+            calls.append(window_span)
+            return values(self, window_span)
+
+        monkeypatch.setattr(ScanGrid, "values", counted)
+        pathkf.models._grid_memo.cache_clear()
+        rng = np.random.default_rng(31)
+        first, second = random_series(rng, n=14), random_series(rng, n=14)
+        run_ipls(first, ModelKind.CONSTANT_REGULATION, q=1.0, iterations=10)
+        assert len(calls) == 12
+        run_ipls(second, ModelKind.CONSTANT_REGULATION, q=1.0, iterations=10)
+        assert len(calls) == 12
 
 
 # math.isfinite alone raises a bare OverflowError on an integer past the float range

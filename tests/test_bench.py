@@ -38,6 +38,7 @@ from pathkf.bench import ALGORITHMS, QRatioEntry, _decile_edges, _group_ratios, 
 from pathkf.pkf import PkfResult, PkfState
 
 from oracles import q_ratio_groups
+from test_core import BAD_ITERATIONS
 
 
 def small_scenario(seed=1):
@@ -151,6 +152,14 @@ class TestRunSpec:
     def test_spec_rejects_bad_parameters(self, params):
         with pytest.raises(InvalidParameterError):
             AlgorithmSpec("bad", "kf", **params)
+
+    @pytest.mark.parametrize("iterations, message", BAD_ITERATIONS)
+    def test_spec_rejects_bad_iterations(self, iterations, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            AlgorithmSpec("bad", "ipls", iterations=iterations)
+
+    def test_spec_takes_a_numpy_integer_count(self):
+        assert AlgorithmSpec("i2", "ipls", iterations=np.int64(2)).iterations == 2
 
 
 @st.composite

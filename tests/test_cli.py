@@ -506,7 +506,7 @@ class TestBatchRun:
         serial.pop("g5")
         assert pooled == serial
 
-    @pytest.mark.parametrize("jobs, workers", [(5000, 6), (2, 2)])
+    @pytest.mark.parametrize("jobs, workers", [(5000, 6), (2, 2), (np.int64(2), 2)])
     def test_the_pool_asks_for_no_more_workers_than_chunks(self, monkeypatch, jobs, workers):
         asked = []
 
@@ -532,6 +532,22 @@ class TestBatchRun:
         summary = batch_run(RunConfig(iterations=1, jobs=jobs), series)
         assert asked == [workers]
         assert summary.n_ok == 6
+
+    @pytest.mark.parametrize(
+        "jobs, message",
+        [
+            pytest.param(0, "^jobs must be at least 1$", id="0"),
+            pytest.param(2.0, r"^jobs must be an integer, got 2\.0$", id="2.0"),
+            pytest.param(2.5, r"^jobs must be an integer, got 2\.5$", id="2.5"),
+            pytest.param("2", "^jobs must be an integer, got '2'$", id="str"),
+            pytest.param(True, "^jobs must be an integer, got True$", id="True"),
+        ],
+    )
+    def test_jobs_must_be_a_positive_integer(self, jobs, message):
+        # unchecked, a float reaches the pool's chunk arithmetic and ends in a
+        # bare TypeError
+        with pytest.raises(InvalidConfigError, match=message):
+            RunConfig(jobs=jobs)
 
     def test_repeated_series_id_rejected(self):
         series = (spiked("g"), spiked("h"), spiked("g", 50.0))

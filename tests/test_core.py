@@ -24,6 +24,19 @@ from pathkf.bench import ALGORITHMS, AlgorithmSpec, run_spec
 
 from oracles import replicate_summary
 
+#: ``iterations`` counts that every iterating entry point rejects, each with
+#: the message of its ``InvalidParameterError``: below 1, or not a Python or
+#: numpy integer (a ``bool`` included), where ``range`` would raise a bare
+#: ``TypeError`` or a ``True`` would count one pass.
+BAD_ITERATIONS = [
+    pytest.param(0, "^iterations must be at least 1$", id="0"),
+    pytest.param(-2, "^iterations must be at least 1$", id="-2"),
+    pytest.param(2.0, r"^iterations must be an integer, got 2\.0$", id="2.0"),
+    pytest.param(2.5, r"^iterations must be an integer, got 2\.5$", id="2.5"),
+    pytest.param("3", "^iterations must be an integer, got '3'$", id="str"),
+    pytest.param(True, "^iterations must be an integer, got True$", id="True"),
+]
+
 
 def arrays_in(obj):
     """Every numpy array reachable from ``obj`` through instance attributes,

@@ -52,6 +52,7 @@ from oracles import (
     classify_regime,
     pkf_step,
 )
+from test_core import BAD_ITERATIONS
 
 POSITIVE = st.floats(1e-6, 1e6)
 NON_NEGATIVE = st.floats(0.0, 1e6)
@@ -458,10 +459,24 @@ class TestRunPkf:
             with pytest.raises(PathkfError):
                 run_pkf(data, kind, iterations=3)
 
-    def test_iterations_must_be_positive(self):
+    @pytest.mark.parametrize("block", [False, True], ids=["run_pkf", "run_pkf_block"])
+    @pytest.mark.parametrize("iterations, message", BAD_ITERATIONS)
+    def test_iterations_must_be_positive(self, iterations, message, block):
         _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
-        with pytest.raises(InvalidParameterError):
-            run_pkf(data, ModelKind.BIRTH_DEATH, iterations=0)
+        with pytest.raises(InvalidParameterError, match=message):
+            if block:
+                run_pkf_block((data,), ModelKind.BIRTH_DEATH, iterations)
+            else:
+                run_pkf(data, ModelKind.BIRTH_DEATH, iterations=iterations)
+
+    def test_a_numpy_integer_counts_iterations(self):
+        _, data = simulate_birth_death(BirthDeathScenario(t_end=2.0, replicates=3))
+        got = run_pkf(data, ModelKind.BIRTH_DEATH, iterations=np.int64(2), retain_history=True)
+        want = run_pkf(data, ModelKind.BIRTH_DEATH, iterations=2, retain_history=True)
+        assert len(got.history) == 2
+        np.testing.assert_array_equal(got.final.filter.means, want.final.filter.means)
+        (block,) = run_pkf_block((data,), ModelKind.BIRTH_DEATH, np.int64(2))
+        np.testing.assert_array_equal(block.final.filter.means, want.final.filter.means)
 
     def test_vectorized_run_matches_scalar_steps(self):
         # one full iteration agrees with composing pkf_step at every timepoint
